@@ -1,6 +1,5 @@
-//! Shared fixtures for the benchmark suite.
-//!
-//! The benches live in `benches/`:
+//! Shared fixtures for the criterion micro-benchmarks in `benches/`
+//! (`cargo bench -p bc-bench`):
 //!
 //! * `substrates` — micro-benchmarks of the geometric and combinatorial
 //!   kernels (MinDisk, the Theorem 4/5 tangency search vs. the exhaustive
@@ -9,13 +8,13 @@
 //! * `figures` — one benchmark per figure pipeline of the paper's
 //!   evaluation, timing the full regeneration at a reduced run count, plus
 //!   per-planner benchmarks and the ablations called out in DESIGN.md.
+//!
+//! They write no result files and gate nothing. The repository's
+//! benchmark, with end-to-end and per-layer metrics and a correctness
+//! gate, is the `benchmark/` package (see its README).
 
 use bc_geom::{Aabb, Point};
 use bc_wsn::{deploy, Network};
-
-// Re-exported so every BENCH_*.json emitter stamps the same provenance
-// shape without each binary reaching into bc-obs's module tree.
-pub use bc_obs::provenance::Provenance;
 
 /// A seeded uniform network at the evaluation's dense-field density.
 pub fn dense_network(n: usize, seed: u64) -> Network {

@@ -1,484 +1,13 @@
-//! Bench-regression observatory behind `cargo xtask bench-check`.
+//! A re-export of [`bc_obs::json`], the workspace's one JSON parser.
 //!
-//! Diffs a freshly emitted `BENCH_*.json` against the committed baseline
-//! in `baselines/`, metric by metric. Metrics are classified from their
-//! flattened path:
-//!
-//! * **exact** — seed-determined quantities (counts, checksums, energies,
-//!   flags): must match bit-for-bit (floats to 1e-9 relative), because
-//!   the workspace's determinism discipline says they *can*;
-//! * **timing** — wall-clock-shaped quantities (`*_s`, `*_ms`, rates,
-//!   ratios, latency percentiles): held to a generous multiplicative
-//!   band (default 25×, both directions) so only order-of-magnitude
-//!   regressions fail, never machine jitter. Tiny baselines (|v| < 1 ms)
-//!   are reported but never failed — a band around noise is noise;
-//! * **ignored** — machine/run shape (`provenance.*`, `cores`,
-//!   `workers`) that explains the numbers but is not itself a metric.
-//!
-//! A baseline key missing from the fresh file is a regression (a metric
-//! silently vanishing is how coverage rots); a new fresh key is
-//! informational. When the two files were built under different cargo
-//! profiles every timing check is skipped — a debug run can never fail
-//! against a release baseline, only its exact metrics can.
-//!
-//! The chaos-driven `serve` bench gets a narrower exact set: only its
-//! availability invariants (`lost_responses`, `invalid_plans`, ...) are
-//! seed-determined; everything else rides the scheduler and is banded.
-//!
-//! The library renders results to strings; printing and process exit
-//! codes belong to the `xtask` driver.
+//! This crate holds no code of its own. It exists only because
+//! `benchmark/Cargo.toml` names it as a dependency and reads reports
+//! through `bc_benchcheck::json::{parse, Json}`; new code should use
+//! `bc_obs::json` directly.
 
 #![warn(missing_docs)]
 
-pub mod json;
-
-use json::{flatten, parse, Leaf, ParseError};
-use std::collections::BTreeMap;
-
-/// How far a timing metric may drift from its baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Multiplicative band: fail when `fresh` leaves
-    /// `[baseline / factor, baseline * factor]`.
-    pub timing_factor: f64,
-    /// Timing baselines below this magnitude are never failed, only
-    /// reported (sub-millisecond wall times are scheduler noise).
-    pub timing_floor: f64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance { timing_factor: 25.0, timing_floor: 1e-3 }
-    }
-}
-
-/// What a flattened metric path is held to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
-    /// Machine/run shape — compared never.
-    Ignored,
-    /// Seed-determined — compared exactly.
-    Exact,
-    /// Wall-clock-shaped — compared within the tolerance band.
-    Timing,
-}
-
-/// Verdict for one metric path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Within its class's tolerance.
-    Ok,
-    /// Outside tolerance, type-changed, or vanished — fails the check.
-    Regressed,
-    /// Present only in the fresh file — informational.
-    Added,
-    /// Compared loosely or not at all (ignored class, sub-floor timing,
-    /// cross-profile timing) — informational.
-    Skipped,
-}
-
-/// One compared metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
-    /// Flattened dotted path.
-    pub path: String,
-    /// How the path was classified.
-    pub class: Class,
-    /// The verdict.
-    pub status: Status,
-    /// Baseline value (`None` for added paths).
-    pub baseline: Option<Leaf>,
-    /// Fresh value (`None` for vanished paths).
-    pub fresh: Option<Leaf>,
-    /// Human note: delta, band, or why the path was skipped.
-    pub note: String,
-}
-
-/// Full result of diffing one bench file pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Bench kind (`"pipeline"`, `"des"`, `"serve"`).
-    pub bench: String,
-    /// Every finding, sorted by path.
-    pub findings: Vec<Finding>,
-    /// True when the two files were built under different cargo
-    /// profiles (timing checks were skipped).
-    pub profile_mismatch: bool,
-}
-
-impl Comparison {
-    /// Number of findings that fail the check.
-    #[must_use]
-    pub fn regressions(&self) -> usize {
-        self.findings.iter().filter(|f| f.status == Status::Regressed).count()
-    }
-
-    /// True when nothing regressed.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.regressions() == 0
-    }
-
-    /// Renders the trend table: one row per compared metric, regressions
-    /// first, then a summary line. Deterministic for fixed inputs.
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let width = self.findings.iter().map(|f| f.path.len()).max().unwrap_or(6).max(6);
-        let mut out = String::new();
-        out.push_str(&format!("bench-check: {} (baseline vs fresh)\n", self.bench));
-        if self.profile_mismatch {
-            out.push_str("  ! cargo profile differs from baseline — timing checks skipped\n");
-        }
-        let mut rows: Vec<&Finding> = self.findings.iter().collect();
-        rows.sort_by_key(|f| (f.status != Status::Regressed, f.path.as_str()));
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for f in rows {
-            *counts.entry(status_label(f.status)).or_insert(0) += 1;
-            // Ignored-class paths are summarized, not listed.
-            if f.class == Class::Ignored && f.status != Status::Regressed {
-                continue;
-            }
-            let b = f.baseline.as_ref().map_or_else(|| "-".to_string(), ToString::to_string);
-            let v = f.fresh.as_ref().map_or_else(|| "-".to_string(), ToString::to_string);
-            out.push_str(&format!(
-                "  {:<9} {:<width$}  {:>14} -> {:<14} {}\n",
-                status_label(f.status),
-                f.path,
-                truncate(&b, 14),
-                truncate(&v, 14),
-                f.note,
-            ));
-        }
-        out.push_str("  summary:");
-        for (label, n) in &counts {
-            out.push_str(&format!(" {n} {label}"));
-        }
-        out.push_str(&format!(" | {} regressions\n", self.regressions()));
-        out
-    }
-}
-
-fn status_label(s: Status) -> &'static str {
-    match s {
-        Status::Ok => "ok",
-        Status::Regressed => "REGRESSED",
-        Status::Added => "added",
-        Status::Skipped => "skipped",
-    }
-}
-
-fn truncate(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        s.to_string()
-    } else {
-        let head: String = s.chars().take(max.saturating_sub(1)).collect();
-        format!("{head}…")
-    }
-}
-
-/// Bench kind from an artifact file name (`"BENCH_serve.json"` →
-/// `"serve"`); unknown names map to themselves minus extension.
-#[must_use]
-pub fn bench_kind(file_name: &str) -> &str {
-    let stem = file_name.strip_suffix(".json").unwrap_or(file_name);
-    stem.strip_prefix("BENCH_").unwrap_or(stem)
-}
-
-/// Availability invariants of the chaos-driven serve bench — the only
-/// quantities its load generator guarantees are seed-determined.
-const SERVE_EXACT: &[&str] =
-    &["bench", "seed", "requests_sent", "responses_seen", "invalid_plans", "lost_responses", "poisoned_entries"];
-
-/// Path fragments that mark a wall-clock-shaped metric.
-const TIMING_MARKS: &[&str] = &[
-    "per_sec", "speedup", "ratio", "latency", "throughput", "elapsed", "p50", "p99",
-    "_vs_", "stddev",
-];
-
-/// Classifies one flattened path for the given bench kind.
-#[must_use]
-pub fn classify(bench: &str, path: &str) -> Class {
-    let last = path.rsplit('.').next().unwrap_or(path);
-    if path.starts_with("provenance.") || path.contains(".provenance.") {
-        return Class::Ignored;
-    }
-    if last == "cores" || last == "workers" {
-        return Class::Ignored;
-    }
-    let timingish = last.ends_with("_s")
-        || last.ends_with("_ms")
-        || last == "mean"
-        || TIMING_MARKS.iter().any(|m| last.contains(m));
-    if bench == "serve" {
-        // Chaos harness: everything not on the invariant list rode the
-        // scheduler (retry counts, shed totals, histogram shapes), so
-        // numbers are banded and only the invariants are exact.
-        if SERVE_EXACT.contains(&last) || SERVE_EXACT.contains(&path) {
-            return Class::Exact;
-        }
-        return Class::Timing;
-    }
-    if timingish {
-        Class::Timing
-    } else {
-        Class::Exact
-    }
-}
-
-/// Diffs two bench documents.
-///
-/// # Errors
-///
-/// A [`ParseError`] if either document is not valid JSON.
-pub fn compare_documents(
-    bench: &str,
-    baseline_text: &str,
-    fresh_text: &str,
-    tol: &Tolerance,
-) -> Result<Comparison, ParseError> {
-    let baseline = flatten(&parse(baseline_text)?);
-    let fresh = flatten(&parse(fresh_text)?);
-    let profile_mismatch = matches!(
-        (baseline.get("provenance.profile"), fresh.get("provenance.profile")),
-        (Some(a), Some(b)) if a != b
-    );
-    let mut findings = Vec::new();
-    for (path, base) in &baseline {
-        let finding = match fresh.get(path) {
-            None => {
-                let class = classify(bench, path);
-                // The chaos serve bench's banded series come and go with
-                // the scheduler (a counter that never fired emits no
-                // key), so only its invariants may hard-fail on absence.
-                let (status, note) = if bench == "serve" && class == Class::Timing {
-                    (Status::Skipped, String::from("chaos-dependent series absent this run"))
-                } else {
-                    (Status::Regressed, String::from("metric vanished from the fresh file"))
-                };
-                Finding {
-                    path: path.clone(),
-                    class,
-                    status,
-                    baseline: Some(base.clone()),
-                    fresh: None,
-                    note,
-                }
-            }
-            Some(new) => judge(bench, path, base, new, tol, profile_mismatch),
-        };
-        findings.push(finding);
-    }
-    for (path, new) in &fresh {
-        if !baseline.contains_key(path) {
-            findings.push(Finding {
-                path: path.clone(),
-                class: classify(bench, path),
-                status: Status::Added,
-                baseline: None,
-                fresh: Some(new.clone()),
-                note: String::from("new metric (not in baseline)"),
-            });
-        }
-    }
-    findings.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(Comparison { bench: bench.to_string(), findings, profile_mismatch })
-}
-
-fn judge(
-    bench: &str,
-    path: &str,
-    base: &Leaf,
-    new: &Leaf,
-    tol: &Tolerance,
-    profile_mismatch: bool,
-) -> Finding {
-    let class = classify(bench, path);
-    let mk = |status: Status, note: String| Finding {
-        path: path.to_string(),
-        class,
-        status,
-        baseline: Some(base.clone()),
-        fresh: Some(new.clone()),
-        note,
-    };
-    match class {
-        Class::Ignored => mk(Status::Skipped, String::from("run-shape field")),
-        Class::Exact => match (base, new) {
-            (Leaf::Num(a), Leaf::Num(b)) => {
-                let tolerance = 1e-9 * a.abs().max(b.abs()).max(1e-3);
-                if (a - b).abs() <= tolerance {
-                    mk(Status::Ok, String::from("exact"))
-                } else {
-                    mk(Status::Regressed, format!("exact metric drifted: {a} -> {b}"))
-                }
-            }
-            (a, b) if a == b => mk(Status::Ok, String::from("exact")),
-            (a, b) => mk(Status::Regressed, format!("exact metric changed: {a} -> {b}")),
-        },
-        Class::Timing => {
-            let (Leaf::Num(a), Leaf::Num(b)) = (base, new) else {
-                return if base == new {
-                    mk(Status::Ok, String::from("non-numeric, equal"))
-                } else {
-                    mk(Status::Regressed, String::from("timing metric changed type"))
-                };
-            };
-            if profile_mismatch {
-                return mk(Status::Skipped, String::from("cross-profile timing"));
-            }
-            if a.abs() < tol.timing_floor {
-                return mk(Status::Skipped, format!("baseline below band floor ({a})"));
-            }
-            if a.signum() != b.signum() && *b != 0.0 {
-                return mk(Status::Regressed, String::from("timing metric changed sign"));
-            }
-            let lo = a.abs() / tol.timing_factor;
-            let hi = a.abs() * tol.timing_factor;
-            let mag = b.abs();
-            if mag < lo || mag > hi {
-                mk(
-                    Status::Regressed,
-                    format!("outside {}x band [{lo:.3e}, {hi:.3e}]", tol.timing_factor),
-                )
-            } else {
-                let delta = if *a == 0.0 { 0.0 } else { (b - a) / a * 100.0 };
-                mk(Status::Ok, format!("within band ({delta:+.1}%)"))
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const TOL: Tolerance = Tolerance { timing_factor: 25.0, timing_floor: 1e-3 };
-
-    fn baseline() -> &'static str {
-        r#"{
-            "bench": "pipeline_smoke",
-            "n": 1000,
-            "seed": 1000,
-            "cores": 8,
-            "workers": 8,
-            "candidates_serial_s": 0.5,
-            "speedup": 3.0,
-            "num_candidates": 74123,
-            "provenance": {"pkg_version": "0.1.0", "profile": "release",
-                           "cores": 8, "workers": 8, "queue_backend": null},
-            "stage_timings": {"tighten_s": 0.031, "cover_s": 0.0005}
-        }"#
-    }
-
-    #[test]
-    fn identical_files_pass() {
-        let cmp = compare_documents("pipeline", baseline(), baseline(), &TOL).unwrap();
-        assert!(cmp.is_ok(), "{}", cmp.render_table());
-        assert!(!cmp.profile_mismatch);
-    }
-
-    #[test]
-    fn timing_jitter_passes_but_order_of_magnitude_fails() {
-        let fresh = baseline().replace("0.031", "0.062"); // 2x: jitter
-        let cmp = compare_documents("pipeline", baseline(), &fresh, &TOL).unwrap();
-        assert!(cmp.is_ok(), "{}", cmp.render_table());
-
-        let regressed = baseline().replace("0.031", "3.1"); // 100x: regression
-        let cmp = compare_documents("pipeline", baseline(), &regressed, &TOL).unwrap();
-        assert_eq!(cmp.regressions(), 1, "{}", cmp.render_table());
-        let bad = cmp.findings.iter().find(|f| f.status == Status::Regressed).unwrap();
-        assert_eq!(bad.path, "stage_timings.tighten_s");
-    }
-
-    #[test]
-    fn exact_metric_drift_fails_even_slightly() {
-        let fresh = baseline().replace("74123", "74124");
-        let cmp = compare_documents("pipeline", baseline(), &fresh, &TOL).unwrap();
-        assert_eq!(cmp.regressions(), 1, "{}", cmp.render_table());
-    }
-
-    #[test]
-    fn sub_floor_timing_is_skipped_not_failed() {
-        let fresh = baseline().replace("0.0005", "0.9"); // 1800x on a 0.5 ms base
-        let cmp = compare_documents("pipeline", baseline(), &fresh, &TOL).unwrap();
-        assert!(cmp.is_ok(), "{}", cmp.render_table());
-        let f = cmp.findings.iter().find(|f| f.path == "stage_timings.cover_s").unwrap();
-        assert_eq!(f.status, Status::Skipped);
-    }
-
-    #[test]
-    fn vanished_metric_fails_added_is_informational() {
-        let fresh = baseline().replace("\"speedup\": 3.0,", "\"speedup\": 3.0, \"extra\": 1,");
-        let cmp = compare_documents("pipeline", baseline(), &fresh, &TOL).unwrap();
-        assert!(cmp.is_ok());
-        assert!(cmp.findings.iter().any(|f| f.path == "extra" && f.status == Status::Added));
-
-        let gone = baseline().replace("\"speedup\": 3.0,", "");
-        let cmp = compare_documents("pipeline", baseline(), &gone, &TOL).unwrap();
-        assert_eq!(cmp.regressions(), 1);
-        let f = cmp.findings.iter().find(|f| f.path == "speedup").unwrap();
-        assert_eq!(f.status, Status::Regressed);
-        assert!(f.fresh.is_none());
-    }
-
-    #[test]
-    fn cross_profile_skips_timing_keeps_exact() {
-        let fresh = baseline().replace("\"profile\": \"release\"", "\"profile\": \"debug\"")
-            .replace("0.031", "31.0"); // would fail the band
-        let cmp = compare_documents("pipeline", baseline(), &fresh, &TOL).unwrap();
-        assert!(cmp.profile_mismatch);
-        assert!(cmp.is_ok(), "{}", cmp.render_table());
-        // ...but an exact drift still fails across profiles.
-        let fresh2 = fresh.replace("74123", "99");
-        let cmp2 = compare_documents("pipeline", baseline(), &fresh2, &TOL).unwrap();
-        assert_eq!(cmp2.regressions(), 1);
-    }
-
-    #[test]
-    fn serve_bench_only_holds_invariants_exact() {
-        let base = r#"{"bench": "serve_load", "seed": 42, "requests_sent": 100,
-                       "responses_seen": 100, "lost_responses": 0, "invalid_plans": 0,
-                       "poisoned_entries": 0, "panics_caught": 7, "p99_ms": 20.0}"#;
-        let fresh = base.replace("\"panics_caught\": 7", "\"panics_caught\": 12");
-        let cmp = compare_documents("serve", base, &fresh, &TOL).unwrap();
-        assert!(cmp.is_ok(), "chaos counts are banded: {}", cmp.render_table());
-
-        let broken = base.replace("\"lost_responses\": 0", "\"lost_responses\": 1");
-        let cmp = compare_documents("serve", base, &broken, &TOL).unwrap();
-        assert_eq!(cmp.regressions(), 1, "invariants are exact");
-
-        // A chaos-dependent banded series vanishing is noise, not a
-        // regression; a vanished invariant still fails.
-        let no_series = base.replace("\"panics_caught\": 7,", "");
-        let cmp = compare_documents("serve", base, &no_series, &TOL).unwrap();
-        assert!(cmp.is_ok(), "{}", cmp.render_table());
-        let no_invariant = base.replace("\"lost_responses\": 0,", "");
-        let cmp = compare_documents("serve", base, &no_invariant, &TOL).unwrap();
-        assert_eq!(cmp.regressions(), 1, "{}", cmp.render_table());
-    }
-
-    #[test]
-    fn classification_table() {
-        assert_eq!(classify("pipeline", "provenance.profile"), Class::Ignored);
-        assert_eq!(classify("pipeline", "cores"), Class::Ignored);
-        assert_eq!(classify("pipeline", "queue.calendar.events_per_sec"), Class::Timing);
-        assert_eq!(classify("pipeline", "null_recorder.overhead_ratio"), Class::Timing);
-        assert_eq!(classify("des", "calendar_vs_heap"), Class::Timing);
-        assert_eq!(classify("des", "queue.calendar.checksum"), Class::Exact);
-        assert_eq!(classify("pipeline", "num_candidates"), Class::Exact);
-        assert_eq!(classify("serve", "shed_total"), Class::Timing);
-        assert_eq!(classify("serve", "requests_sent"), Class::Exact);
-        assert_eq!(bench_kind("BENCH_serve.json"), "serve");
-        assert_eq!(bench_kind("BENCH_pipeline.json"), "pipeline");
-    }
-
-    #[test]
-    fn table_renders_regressions_first() {
-        let regressed = baseline().replace("74123", "1").replace("0.031", "31.0");
-        let cmp = compare_documents("pipeline", baseline(), &regressed, &TOL).unwrap();
-        let table = cmp.render_table();
-        let first_row = table.lines().nth(1).unwrap_or("");
-        assert!(first_row.trim_start().starts_with("REGRESSED"), "{table}");
-        assert!(table.contains("regressions"), "{table}");
-    }
+/// The parser and value type of [`bc_obs::json`].
+pub mod json {
+    pub use bc_obs::json::{parse, Json, JsonError};
 }

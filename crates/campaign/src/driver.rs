@@ -305,7 +305,7 @@ impl CampaignReport {
     }
 
     /// FNV-1a 64-bit hash of [`CampaignReport::snapshot_json`], as 16
-    /// hex digits — the merge-determinism trend line in BENCH_des.json.
+    /// hex digits: equal hashes mean byte-identical merged snapshots.
     #[must_use]
     pub fn merge_hash(&self) -> String {
         format!("{:016x}", fnv1a64(self.snapshot_json().as_bytes()))

@@ -15,10 +15,9 @@
 //! - streaming **sinks** ([`sinks::RotatingJsonl`]) replace the bounded
 //!   in-memory trace ring with size-rotated JSONL trace files, each
 //!   independently valid;
-//! - a **smoke harness** ([`smoke::run_smoke`]) behind both
-//!   `repro campaign` and the `campaign_smoke` bench bin: queue-backend
-//!   throughput at 10⁶ pending events, SoA state footprint, seeds/sec,
-//!   and a merge-determinism hash, rendered as `BENCH_des.json`.
+//! - [`smoke`] holds the queue-backend hold benchmark
+//!   ([`smoke::bench_queue`]) that the benchmark's `campaign` workload
+//!   reports, and the small paper-style scenario the tests sweep.
 //!
 //! The scale story leans on two `bc-des` features grown alongside this
 //! crate: the calendar-queue [`bc_des::QueueBackend`] for large pending
@@ -50,4 +49,3 @@ pub use driver::{
     SeedResult, SeedSummary, TraceConfig,
 };
 pub use sinks::RotatingJsonl;
-pub use smoke::{run_smoke, SmokeError, SmokeOptions, SmokeReport};

@@ -11,8 +11,7 @@
 //! line-atomic — because [`bc_obs::recorders::JsonlRecorder`] emits
 //! exactly one complete newline-terminated JSON line per `write_all`
 //! call, so every rotated file is independently valid JSONL
-//! (`bc_obs::json::validate_jsonl` checks this in the smoke harness and
-//! tests).
+//! (`bc_obs::json::validate_jsonl` checks this in the tests).
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};

@@ -15,9 +15,9 @@
 //!   collide with a real instant: scenario validation rejects
 //!   non-finite horizons, so every recorded death time is finite).
 //!
-//! The per-sensor cost is fixed and reported by
-//! [`SensorBank::bytes_per_sensor`] so `campaign_smoke` can track it as
-//! a trend line (~36.4 B/sensor vs ~72 B for the old struct layout).
+//! The per-sensor cost is fixed, reported by
+//! [`SensorBank::bytes_per_sensor`] and pinned by its unit test
+//! (~36.4 B/sensor vs ~72 B for the old struct layout).
 //!
 //! Generation counters are `u32` here (4 B/sensor instead of 8); the
 //! event payloads keep `u64`, and the engine widens with `u64::from` at

@@ -164,7 +164,7 @@ impl RuleId {
             }
             RuleId::RawLockAcquire => {
                 "bc-serve must acquire locks through bc_serve::sync \
-                 (lock_recover/read_recover/write_recover/lock_repair), \
+                 (lock_recover/read_recover/write_recover), \
                  or add `// lock-ok: <reason>`"
             }
             RuleId::UnorderedCollection => {
@@ -208,8 +208,7 @@ impl RuleId {
             RuleId::NakedLock => "all library code outside the raw-lock scope",
             RuleId::RawLockAcquire => "crates/serve except the sync module",
             RuleId::UnorderedCollection => {
-                "crates/core, crates/des, crates/serve, crates/campaign, \
-                 crates/obs, crates/benchcheck"
+                "crates/core, crates/des, crates/serve, crates/campaign, crates/obs"
             }
             RuleId::WallClock => "all library code except bc_obs::wall and binary targets",
             RuleId::ThreadSpawn => "all library code except bc_core::par and binary targets",
@@ -334,16 +333,15 @@ fn bin_target(label: &str) -> bool {
 }
 
 /// Whether `label` is plan-affecting for the unordered-collection rule.
-/// The profiler (`crates/obs`) and the bench comparator
-/// (`crates/benchcheck`) are in scope because both render byte-stable
-/// documents — hash-order iteration would break snapshot determinism.
+/// The profiler (`crates/obs`) is in scope because it renders
+/// byte-stable documents — hash-order iteration would break snapshot
+/// determinism.
 fn det_collection_scope(label: &str) -> bool {
     label.contains("crates/core/")
         || label.contains("crates/des/")
         || label.contains("crates/serve/")
         || label.contains("crates/campaign/")
         || label.contains("crates/obs/")
-        || label.contains("crates/benchcheck/")
 }
 
 /// Whether `label` falls under the bc-serve raw-lock rule.

@@ -33,15 +33,15 @@
 //! guard field construction behind [`active`], so a disabled run does no
 //! observability work at all. Installing [`recorders::NullRecorder`]
 //! keeps the pipeline disabled (its [`Recorder::enabled`] is `false`),
-//! which is what the bench-smoke bit-identity check relies on.
+//! which is what the bit-identity test in `tests/observability.rs`
+//! relies on.
 //!
 //! # Installation
 //!
 //! Two scopes, local-wins:
 //!
 //! * [`install`] / [`uninstall`] — a process-wide recorder, for binaries
-//!   (`repro obs` installs a fanout of a stats aggregator and a JSONL
-//!   stream);
+//!   (the benchmark installs a span-tree recorder for its traced runs);
 //! * [`with_local`] — a recorder scoped to the current thread for the
 //!   duration of a closure, for tests (parallel test threads cannot see
 //!   each other's events).
@@ -56,8 +56,8 @@
 //! Everything in an event except [`Value::Wall`] durations is a pure
 //! function of the (seeded) inputs. [`recorders::JsonlRecorder`] masks
 //! `Wall` values by default, so two runs of the same seed produce
-//! byte-identical JSONL streams — the property the determinism test and
-//! the CI `obs-smoke` artifact diff rely on.
+//! byte-identical JSONL streams — the property the determinism test in
+//! `tests/observability.rs` pins.
 //!
 //! # Example
 //!

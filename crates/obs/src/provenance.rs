@@ -1,15 +1,13 @@
-//! Build/run provenance stamped into every `BENCH_*.json` artifact so
-//! the bench observatory (`cargo xtask bench-check`) can tell whether
-//! two files are comparable before diffing their metrics.
+//! Build/run provenance stamped into every benchmark report, so two
+//! reports can be checked for comparability (same cargo profile, same
+//! core count) before their metrics are.
 //!
-//! Lives here (not in `bc-bench`) because `bc-obs` sits at the bottom
-//! of the dependency graph — every emitter (`pipeline_smoke`,
-//! `serve_load`, the campaign smoke harness, `repro`) already depends
-//! on it. `bc-bench` re-exports the type for bench-side callers.
+//! Lives here because `bc-obs` sits at the bottom of the dependency
+//! graph, below every crate that measures anything.
 
 use crate::json::{escape_into, number_into};
 
-/// What produced a bench artifact: crate version, build profile, and
+/// What produced a report: crate version, build profile, and
 /// the machine/run shape that moves timing numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Provenance {
@@ -22,9 +20,6 @@ pub struct Provenance {
     pub cores: usize,
     /// Worker threads the harness actually used, when it pins one.
     pub workers: Option<usize>,
-    /// Event-queue backend for DES benches (`"binary-heap"`,
-    /// `"calendar"`), when one is selected.
-    pub queue_backend: Option<&'static str>,
 }
 
 impl Provenance {
@@ -36,7 +31,6 @@ impl Provenance {
             profile: if cfg!(debug_assertions) { "debug" } else { "release" },
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             workers: None,
-            queue_backend: None,
         }
     }
 
@@ -44,13 +38,6 @@ impl Provenance {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Records the DES queue backend the run selected.
-    #[must_use]
-    pub fn with_queue_backend(mut self, backend: &'static str) -> Self {
-        self.queue_backend = Some(backend);
         self
     }
 
@@ -70,11 +57,6 @@ impl Provenance {
             Some(w) => number_into(&mut out, w as f64), // cast-ok: worker count to JSON number
             None => out.push_str("null"),
         }
-        out.push_str(", \"queue_backend\": ");
-        match self.queue_backend {
-            Some(q) => escape_into(&mut out, q),
-            None => out.push_str("null"),
-        }
         out.push('}');
         out
     }
@@ -91,16 +73,14 @@ mod tests {
         assert!(p.cores >= 1);
         assert_eq!(p.profile, if cfg!(debug_assertions) { "debug" } else { "release" });
         assert_eq!(p.workers, None);
-        assert_eq!(p.queue_backend, None);
     }
 
     #[test]
     fn json_is_valid_and_carries_options() {
-        let p = Provenance::capture().with_workers(4).with_queue_backend("calendar");
+        let p = Provenance::capture().with_workers(4);
         let json = p.to_json();
         crate::json::validate_line(&json).unwrap_or_else(|e| panic!("invalid: {e}\n{json}"));
         assert!(json.contains("\"workers\": 4"), "{json}");
-        assert!(json.contains("\"queue_backend\": \"calendar\""), "{json}");
         let bare = Provenance::capture().to_json();
         crate::json::validate_line(&bare).unwrap();
         assert!(bare.contains("\"workers\": null"), "{bare}");

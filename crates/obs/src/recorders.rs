@@ -5,7 +5,7 @@
 //!   or benchmarking the zero-cost claim;
 //! * [`StatsRecorder`] — in-memory aggregation: counters, span totals,
 //!   and log2-bucket histograms, with a deterministic [`StatsSnapshot`]
-//!   and JSON rendering for `BENCH_obs.json`;
+//!   and its JSON rendering;
 //! * [`JsonlRecorder`] — one structured JSON object per event, fixed
 //!   field order, wall-clock durations masked by default so same-seed
 //!   streams are byte-identical;
@@ -20,7 +20,8 @@ use std::sync::{Mutex, PoisonError};
 /// Drops every event and reports itself disabled, so emission helpers
 /// skip even building events. Installing it is equivalent to — and
 /// measurably indistinguishable from — having no recorder at all, which
-/// is exactly what the bench-smoke bit-identity check exercises.
+/// is exactly what the bit-identity test in `tests/observability.rs`
+/// exercises.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
@@ -46,8 +47,8 @@ pub struct HistogramSummary {
     /// Sum of all samples.
     pub sum: f64,
     /// Sum of squared samples (with `count` and `sum`, enough for an
-    /// exact mean and a population standard deviation — BENCH_serve.json
-    /// mean latency comes from these moments, not the log2 buckets).
+    /// exact mean and a population standard deviation, so a mean comes
+    /// from these moments, not the log2 buckets).
     pub sum_sq: f64,
     /// Smallest sample (`0.0` when empty).
     pub min: f64,

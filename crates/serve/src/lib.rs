@@ -16,14 +16,16 @@
 //!   exponentially with seed-jittered sleeps ([`RetryPolicy`]);
 //!   injections come from the seeded [`ServeFaultModel`].
 //! * **Panic isolation** — plan builds run under `catch_unwind`; a
-//!   panicking build poisons only its entry, which is rebuilt from its
-//!   registered template instead of wedging waiters.
+//!   panicking build poisons only its entry, which the next holder of
+//!   its lock rebuilds from the registered template — exactly once per
+//!   panic — instead of wedging waiters.
 //! * **Admission control + single-flight** — the queue sheds at
 //!   capacity with a typed [`ServeError::Shed`], and identical
 //!   in-flight requests collapse onto one build.
 //!
-//! The [`loadgen`] module drives all of it deterministically and emits
-//! the `BENCH_serve.json` availability report; see `DESIGN.md` §8.
+//! The [`loadgen`] module drives all of it deterministically and checks
+//! the availability invariants (`tests/serve_chaos.rs` runs it over many
+//! seeds); see `DESIGN.md` §8.
 //!
 //! # Quickstart
 //!

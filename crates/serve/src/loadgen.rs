@@ -10,6 +10,8 @@
 //!   one response, counted independently on the client and service side;
 //! * **zero poisoned entries** — every injected panic was repaired by a
 //!   rebuild before the run drained;
+//! * **exactly-once recovery** — rebuilds equal caught panics: each
+//!   poisoning is repaired once, never by two racing workers;
 //! * **typed outcomes only** — each response is a contract-valid plan
 //!   (tagged with its degradation level) or a typed shed/deadline/
 //!   retry error.
@@ -149,13 +151,9 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Everything a load run produced, ready for `BENCH_serve.json`.
+/// Everything a load run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
-    /// The seed the run used.
-    pub seed: u64,
-    /// Whether the profile injected faults.
-    pub chaos: bool,
     /// Requests offered by clients.
     pub requests_sent: u64,
     /// Responses observed by clients (plans + typed errors).
@@ -177,84 +175,27 @@ pub struct LoadReport {
     pub lost_responses: u64,
     /// Poisoned registry entries after drain (must be 0).
     pub poisoned_entries: u64,
-    /// Entry rebuilds triggered by caught panics.
+    /// Entry rebuilds: one per poisoning of a cache entry's lock.
     pub rebuilds: u64,
     /// Measured latency quantiles.
     pub latency: LatencySummary,
     /// Responses per wall-clock second.
     pub throughput_rps: f64,
-    /// Wall-clock duration of the run.
-    pub elapsed_s: f64,
     /// Service counter snapshot.
     pub stats: ServeStatsSnapshot,
-    /// Build/machine shape the run was measured under.
-    pub provenance: bc_obs::provenance::Provenance,
 }
 
 impl LoadReport {
-    /// True when every availability invariant held.
+    /// True when every availability invariant held: no lost responses,
+    /// no poisoned entries, no invalid plans, and exactly one rebuild per
+    /// caught panic. The last one holds because the only panics are the
+    /// injected ones, and each unwinds through an entry's lock, poisoning
+    /// it exactly once.
     pub fn invariants_hold(&self) -> bool {
-        self.lost_responses == 0 && self.poisoned_entries == 0 && self.invalid_plans == 0
-    }
-
-    /// Renders the report as a single deterministic-key JSON object
-    /// (values include measured wall-clock figures).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"bench\":\"serve_load\"");
-        for (k, v) in [
-            ("seed", self.seed),
-            ("requests_sent", self.requests_sent),
-            ("responses_seen", self.responses_seen),
-            ("ok_full", self.ok_full),
-            ("ok_degraded", self.ok_degraded),
-            ("shed", self.shed),
-            ("deadline", self.deadline),
-            ("failed", self.failed),
-            ("invalid_plans", self.invalid_plans),
-            ("lost_responses", self.lost_responses),
-            ("poisoned_entries", self.poisoned_entries),
-            ("rebuilds", self.rebuilds),
-            ("retries", self.stats.retries),
-            ("transient_failures", self.stats.transient_failures),
-            ("panics_caught", self.stats.panics_caught),
-            ("dedup_hits", self.stats.dedup_hits),
-            ("replans", self.stats.replans),
-        ] {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            out.push_str(&v.to_string());
-        }
-        out.push_str(",\"chaos\":");
-        out.push_str(if self.chaos { "true" } else { "false" });
-        out.push_str(",\"provenance\":");
-        out.push_str(&self.provenance.to_json());
-        for (k, v) in [
-            ("p50_ms", self.latency.p50_ms),
-            ("p99_ms", self.latency.p99_ms),
-            ("max_ms", self.latency.max_ms),
-            ("mean_ms", self.latency.mean_ms),
-            ("throughput_rps", self.throughput_rps),
-            ("elapsed_s", self.elapsed_s),
-            ("shed_rate", self.rate(self.shed)),
-            ("degrade_rate", self.rate(self.ok_degraded)),
-            ("deadline_rate", self.rate(self.deadline)),
-        ] {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            bc_obs::json::number_into(&mut out, v);
-        }
-        out.push('}');
-        out
-    }
-
-    fn rate(&self, count: u64) -> f64 {
-        if self.requests_sent == 0 {
-            return 0.0;
-        }
-        count as f64 / self.requests_sent as f64 // cast-ok: counts to rate
+        self.lost_responses == 0
+            && self.poisoned_entries == 0
+            && self.invalid_plans == 0
+            && self.rebuilds == self.stats.panics_caught
     }
 }
 
@@ -361,8 +302,6 @@ pub fn run(profile: &LoadProfile) -> Result<LoadReport, ServeError> {
         mean_ms: mean,
     };
     Ok(LoadReport {
-        seed: profile.seed,
-        chaos: !profile.serve.faults.is_none(),
         requests_sent,
         responses_seen: merged.responses,
         ok_full: merged.ok_full,
@@ -380,11 +319,7 @@ pub fn run(profile: &LoadProfile) -> Result<LoadReport, ServeError> {
         } else {
             0.0
         },
-        elapsed_s: elapsed.as_secs_f64(),
         stats,
-        provenance: bc_obs::provenance::Provenance::capture()
-            .with_workers(profile.serve.workers)
-            .with_queue_backend("bounded-channel"),
     })
 }
 
@@ -456,15 +391,6 @@ mod tests {
         assert!(report.invariants_hold());
         assert!(report.latency.p99_ms >= report.latency.p50_ms);
         assert!(report.throughput_rps > 0.0);
-    }
-
-    #[test]
-    fn report_json_is_valid() {
-        let report = run(&LoadProfile::smoke(3)).unwrap();
-        let json = report.to_json();
-        assert!(bc_obs::json::validate_line(&json).is_ok(), "{json}");
-        assert!(json.contains("\"bench\":\"serve_load\""));
-        assert!(json.contains("\"lost_responses\":0"));
     }
 
     #[test]

@@ -9,21 +9,24 @@
 //! recovery machinery is exercised for real.
 //!
 //! Recovery policy: a panic mid-build leaves the cache in an unknown
-//! state, so [`NetEntry::rebuild`] discards it and reinstalls a fresh
-//! `ContextCache` from the template, clears the poison flag, and bumps
-//! the entry's generation (invalidating single-flight keys minted
-//! against the dead cache). Waiters blocked on the lock observe the
-//! poison, trigger the same rebuild, and proceed — nobody wedges.
+//! state. The next holder of the entry's lock — a waiting worker, or
+//! the panicking worker's own catch arm via [`NetEntry::repair`] — sees
+//! the poison while it holds the guard, so it discards the cache,
+//! reinstalls a fresh `ContextCache` from the template, clears the
+//! poison flag, and bumps the entry's generation (invalidating
+//! single-flight keys minted against the dead cache). Only a holder of
+//! the guard can poison the mutex, so checking and repairing under it
+//! repairs each poisoning exactly once, and nobody wedges.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bc_core::planner::Algorithm;
 use bc_core::{ContextCache, PlannerConfig, StageBudget, StagedPlan};
 use bc_wsn::Network;
 
-use crate::sync::{lock_recover, lock_repair, read_recover, write_recover};
+use crate::sync::{lock_recover, read_recover, write_recover};
 
 /// Opaque handle naming a registered network.
 pub type NetworkId = u64;
@@ -58,7 +61,7 @@ impl NetEntry {
         self.id
     }
 
-    /// Times this entry has been rebuilt after a panic.
+    /// Times this entry has been rebuilt: once per poisoning.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds.load(Ordering::Acquire)
     }
@@ -69,7 +72,7 @@ impl NetEntry {
     }
 
     /// True while the cache mutex is poisoned (i.e. between a panic and
-    /// the rebuild that follows it).
+    /// the next lock acquisition, which repairs it).
     pub fn is_poisoned(&self) -> bool {
         self.cache.is_poisoned()
     }
@@ -88,22 +91,44 @@ impl NetEntry {
     /// poisons the entry, which is exactly how the chaos harness
     /// injects poison.
     pub fn with_cache<R>(&self, f: impl FnOnce(&ContextCache) -> R) -> R {
-        // A panicking builder may have poisoned the entry before we got
-        // the lock; the repair path rebuilds the cache from the
-        // template *unlocked* (rebuild relocks internally), then the
-        // helper re-acquires.
-        let guard = lock_repair(&self.cache, || {
-            self.rebuild();
-        });
-        f(&guard)
+        f(&self.lock_cache())
     }
 
     /// Mutable variant of [`Self::with_cache`] for replan mutations.
     pub fn with_cache_mut<R>(&self, f: impl FnOnce(&mut ContextCache) -> R) -> R {
-        let mut guard = lock_repair(&self.cache, || {
-            self.rebuild();
-        });
-        f(&mut guard)
+        f(&mut self.lock_cache())
+    }
+
+    /// Repairs the entry if a panic left it poisoned; a no-op on a
+    /// healthy entry. The service calls it after every caught panic, so
+    /// even a panic on the last retry leaves no entry poisoned, and a
+    /// waiter that repaired first is never double-counted.
+    pub fn repair(&self) {
+        drop(self.lock_cache());
+    }
+
+    /// The one way to take the cache lock. A poisoned cache is replaced
+    /// while the guard is held: the fresh cache comes from the
+    /// registered template, the poison flag is cleared, the generation
+    /// bumped and one rebuild counted.
+    ///
+    /// Replan mutations applied since registration are lost — after a
+    /// panic mid-build the mutated state cannot be trusted, and the
+    /// template is the last state known to be consistent. Callers that
+    /// need the mutations must resubmit them; the generation bump tells
+    /// them to.
+    fn lock_cache(&self) -> MutexGuard<'_, ContextCache> {
+        let mut guard = lock_recover(&self.cache);
+        if self.cache.is_poisoned() {
+            *guard = ContextCache::new(self.template_net.clone(), self.template_cfg.clone());
+            self.cache.clear_poison();
+            self.rebuilds.fetch_add(1, Ordering::AcqRel);
+            self.generation.fetch_add(1, Ordering::AcqRel);
+            if bc_obs::active() {
+                bc_obs::counter("serve", "rebuild", 1, &[bc_obs::Field::new("network", self.id)]);
+            }
+        }
+        guard
     }
 
     /// Budget-aware planning against the live cache.
@@ -158,28 +183,6 @@ impl NetEntry {
     /// Propagates [`bc_core::PlanError`] from validation.
     pub fn plan(&self, algo: Algorithm) -> Result<StagedPlan, bc_core::PlanError> {
         self.with_cache(|cache| cache.plan(algo))
-    }
-
-    /// Discards the (possibly poisoned) cache and reinstalls a fresh
-    /// one from the registered template. Returns the new generation.
-    ///
-    /// Replan mutations applied since registration are lost — after a
-    /// panic mid-build the mutated state cannot be trusted, and the
-    /// template is the last state known to be consistent. Callers that
-    /// need the mutations must resubmit them; the generation bump tells
-    /// them to.
-    pub fn rebuild(&self) -> u64 {
-        {
-            let mut guard = lock_recover(&self.cache);
-            *guard = ContextCache::new(self.template_net.clone(), self.template_cfg.clone());
-        }
-        self.cache.clear_poison();
-        self.rebuilds.fetch_add(1, Ordering::AcqRel);
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        if bc_obs::active() {
-            bc_obs::counter("serve", "rebuild", 1, &[bc_obs::Field::new("network", self.id)]);
-        }
-        generation
     }
 }
 
@@ -259,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_inside_with_cache_poisons_then_rebuild_recovers() {
+    fn panic_inside_with_cache_poisons_then_the_next_lock_repairs() {
         let (reg, id) = registry_with_net();
         let entry = reg.get(id).unwrap();
         let r = catch_unwind(AssertUnwindSafe(|| {
@@ -280,10 +283,16 @@ mod tests {
         assert_eq!(entry.rebuilds(), 1);
         assert_eq!(entry.generation(), 1);
         assert_eq!(reg.poisoned_entries(), 0);
+
+        // A late repair (the panicking worker's catch arm arriving after
+        // a waiter already rebuilt) finds a healthy entry: still one.
+        entry.repair();
+        assert_eq!(entry.rebuilds(), 1);
+        assert_eq!(entry.generation(), 1);
     }
 
     #[test]
-    fn rebuild_restores_the_registered_template() {
+    fn repair_restores_the_registered_template() {
         let (reg, id) = registry_with_net();
         let entry = reg.get(id).unwrap();
         let n0 = entry.with_cache(|c| c.network().len());
@@ -294,7 +303,15 @@ mod tests {
         });
         assert_eq!(entry.flight_revision(), (0, 1));
         assert_eq!(entry.with_cache(|c| c.network().len()), n0 - 1);
-        entry.rebuild();
+        entry.repair();
+        assert_eq!(entry.flight_revision(), (0, 1), "a healthy entry keeps its mutations");
+
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            entry.with_cache_mut(|_cache| panic!("injected"));
+        }));
+        assert!(r.is_err());
+        entry.repair();
+        assert_eq!(entry.rebuilds(), 1);
         assert_eq!(entry.flight_revision(), (1, 0));
         assert_eq!(entry.with_cache(|c| c.network().len()), n0);
     }

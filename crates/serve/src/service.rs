@@ -14,8 +14,9 @@
 //! 2. **Deterministic retries** — transient failures and panics retry
 //!    under [`crate::RetryPolicy`] with seed-jittered backoff.
 //! 3. **Panic isolation** — every attempt runs under `catch_unwind`; a
-//!    panicking build poisons only its entry's mutex, and the worker
-//!    rebuilds the entry from its template instead of wedging waiters.
+//!    panicking build poisons only its entry's mutex, and the next
+//!    holder of that lock rebuilds the entry from its template, exactly
+//!    once per panic, instead of wedging waiters.
 //! 4. **Admission control + single-flight** — the queue sheds at
 //!    capacity, and identical in-flight `(network, generation,
 //!    revision, algorithm)` plan requests collapse onto one build.
@@ -757,7 +758,9 @@ fn attempt_with_retries(
                     if bc_obs::active() {
                         bc_obs::counter("serve", "panic", 1, &[]);
                     }
-                    entry.rebuild();
+                    // A waiter may already have repaired the entry; if
+                    // not, this does, so no panic leaves it poisoned.
+                    entry.repair();
                     last_cause = RetryCause::WorkerPanic;
                 }
             }

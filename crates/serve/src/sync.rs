@@ -2,9 +2,10 @@
 //!
 //! std's `Mutex`/`RwLock` poison when a thread panics while holding a
 //! guard. In this crate a poisoned entry is an expected, *recoverable*
-//! event: the registry rebuilds the entry from its registered template,
-//! so salvaging the guard is always sound — the data behind it is about
-//! to be replaced wholesale, never trusted as-is.
+//! event: the registry, still holding the salvaged guard, replaces the
+//! entry's cache from its registered template and clears the poison
+//! flag, so salvaging the guard is always sound — the data behind it is
+//! replaced wholesale, never trusted as-is.
 //!
 //! Library code must route all locking through these helpers; the
 //! `cargo xtask lint` naked-lock rule bans `.lock().unwrap()` et al. so
@@ -15,8 +16,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 /// Locks a mutex, salvaging the guard if a previous holder panicked.
 ///
 /// The caller owns the recovery policy: either the protected value is
-/// panic-safe by construction, or the caller replaces it (see
-/// `NetEntry::rebuild`).
+/// panic-safe by construction, or the caller replaces it under the
+/// returned guard and clears the poison (see `NetEntry::lock_cache`).
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -29,27 +30,6 @@ pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks an `RwLock`, salvaging the guard on poison.
 pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Locks a mutex, running `repair` *before* re-acquiring when a
-/// previous holder panicked.
-///
-/// [`lock_recover`] salvages the guard and trusts the caller to replace
-/// the data; `lock_repair` is for callers whose repair path must run
-/// unlocked (e.g. `NetEntry::rebuild` reinstalls a fresh cache and
-/// clears the poison flag, so holding the salvaged guard through it
-/// would self-deadlock). The poisoned guard is dropped first, `repair`
-/// runs, and the lock is re-acquired with [`lock_recover`] in case a
-/// concurrent panic poisons it again between the two steps.
-pub fn lock_repair<'a, T>(m: &'a Mutex<T>, repair: impl FnOnce()) -> MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            drop(poisoned);
-            repair();
-            lock_recover(m)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -69,27 +49,6 @@ mod tests {
         assert!(m.is_poisoned());
         *lock_recover(&m) = 42;
         assert_eq!(*lock_recover(&m), 42);
-    }
-
-    #[test]
-    fn lock_repair_runs_repair_only_on_poison() {
-        let m = Mutex::new(0);
-        let mut repairs = 0;
-        *lock_repair(&m, || repairs += 1) = 1;
-        assert_eq!(repairs, 0, "healthy lock must not trigger repair");
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _g = m.lock().unwrap_or_else(PoisonError::into_inner);
-            panic!("poison it");
-        }));
-        assert!(r.is_err());
-        let mut repairs = 0;
-        *lock_repair(&m, || {
-            repairs += 1;
-            // The repair path must run unlocked, or this deadlocks.
-            *lock_recover(&m) = 7;
-        }) = 8;
-        assert_eq!(repairs, 1);
-        assert_eq!(*lock_recover(&m), 8);
     }
 
     #[test]

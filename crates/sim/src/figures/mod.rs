@@ -28,7 +28,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig16;
 pub mod fig6;
-pub mod timings;
 
 use bc_core::planner::Algorithm;
 use bc_core::{Metrics, PlanContext, PlannerConfig};

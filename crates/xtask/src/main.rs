@@ -14,14 +14,6 @@
 //!   `bc-lint`, so a disagreement means one of them is wrong), writes
 //!   it to `PATH` (default `lint_report.json` at the workspace root),
 //!   and echoes it to stdout for CI capture.
-//!
-//! `cargo xtask bench-check [--baseline-dir DIR] [--fresh-dir DIR]
-//! [--timing-factor F]` runs the bench-regression observatory: every
-//! `BENCH_*.json` in the baseline dir (default `baselines/` at the
-//! workspace root) is diffed against its counterpart in the fresh dir
-//! (default the current directory) via `bc_benchcheck`, the trend
-//! tables are printed, and the process exits 1 when any metric
-//! regressed or a baseline has no fresh counterpart.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -30,12 +22,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-check") => bench_check(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo xtask lint [--json] [--out PATH]\n       \
-                 cargo xtask bench-check [--baseline-dir DIR] [--fresh-dir DIR] [--timing-factor F]"
-            );
+            eprintln!("usage: cargo xtask lint [--json] [--out PATH]");
             ExitCode::FAILURE
         }
     }
@@ -96,102 +84,6 @@ fn lint(flags: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn bench_check(flags: &[String]) -> ExitCode {
-    let root = workspace_root();
-    let mut baseline_dir = root.join("baselines");
-    let mut fresh_dir = PathBuf::from(".");
-    let mut tol = bc_benchcheck::Tolerance::default();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--baseline-dir" => match it.next() {
-                Some(p) => baseline_dir = PathBuf::from(p),
-                None => return flag_needs_value("--baseline-dir"),
-            },
-            "--fresh-dir" => match it.next() {
-                Some(p) => fresh_dir = PathBuf::from(p),
-                None => return flag_needs_value("--fresh-dir"),
-            },
-            "--timing-factor" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f > 1.0 => tol.timing_factor = f,
-                _ => {
-                    eprintln!("xtask: --timing-factor needs a number > 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Every baseline must have a fresh counterpart: a bench that stops
-    // being produced is itself a regression in coverage.
-    let mut names: Vec<String> = match std::fs::read_dir(&baseline_dir) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect(),
-        Err(e) => {
-            eprintln!("xtask: read baseline dir {}: {e}", baseline_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    names.sort();
-    if names.is_empty() {
-        eprintln!("xtask: no BENCH_*.json baselines in {}", baseline_dir.display());
-        return ExitCode::FAILURE;
-    }
-
-    let mut failed = false;
-    for name in &names {
-        let bench = bc_benchcheck::bench_kind(name).to_string();
-        let baseline_text = match std::fs::read_to_string(baseline_dir.join(name)) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xtask: read baseline {name}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let fresh_text = match std::fs::read_to_string(fresh_dir.join(name)) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xtask: fresh {name} missing ({e}) — bench no longer produced?");
-                failed = true;
-                continue;
-            }
-        };
-        match bc_benchcheck::compare_documents(&bench, &baseline_text, &fresh_text, &tol) {
-            Ok(cmp) => {
-                print!("{}", cmp.render_table());
-                if !cmp.is_ok() {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask: {name}: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        eprintln!("xtask: bench-check FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("bench-check: all {} benches within tolerance", names.len());
-        ExitCode::SUCCESS
-    }
-}
-
-fn flag_needs_value(flag: &str) -> ExitCode {
-    eprintln!("xtask: {flag} needs a value");
-    ExitCode::FAILURE
 }
 
 /// Workspace root: the parent of this crate's manifest dir.

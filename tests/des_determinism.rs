@@ -145,3 +145,53 @@ fn three_charger_ledgers_sum_to_fleet_total() {
         assert!(rep.rounds > 0, "short horizon must still trigger rounds");
     }
 }
+
+/// Golden run: n = 60 in a 300 m field (seed 1000), BC-OPT at r = 25 m,
+/// three chargers under bundle-partition dispatch, the 24 h paper
+/// horizon. Every count and every ledger is a pure function of the
+/// scenario, so any drift here is a behaviour change in the engine, the
+/// planner or the dispatcher. Quantities are pinned to three decimals
+/// (millimetres, milliseconds, millijoules).
+#[test]
+fn three_charger_golden_run_is_pinned() {
+    let net = deploy::uniform(60, Aabb::square(300.0), 2.0, 1000);
+    let sc = Scenario::paper_sim(net, 25.0, Algorithm::BcOpt)
+        .with_fleet(3, DispatchPolicy::BundlePartition);
+    let rep = run(&sc).expect("golden run");
+    rep.check_fleet_ledger().expect("ledgers sum to the fleet total");
+
+    assert_eq!(rep.events_processed, 2588);
+    assert_eq!(rep.events_scheduled, 2588);
+    assert_eq!(rep.rounds, 15);
+    assert_eq!(rep.replans, 0);
+    assert_eq!(rep.base_returns, 0);
+    assert_eq!(rep.sensors_ever_dead, 0);
+    assert_eq!(rep.trace_dropped, 2332);
+    assert_eq!(format!("{:.3}", rep.charger_energy_j.get()), "237192.272");
+
+    // distance_m busy_s move_energy_j charge_energy_j stops sensors
+    let ledgers: Vec<String> = rep
+        .fleet
+        .iter()
+        .map(|l| {
+            format!(
+                "{} {:.3} {:.3} {:.3} {:.3} {} {}",
+                l.charger,
+                l.distance_m.get(),
+                l.busy_s.get(),
+                l.move_energy_j.get(),
+                l.charge_energy_j.get(),
+                l.stops_served,
+                l.sensors_charged
+            )
+        })
+        .collect();
+    assert_eq!(
+        ledgers,
+        [
+            "0 12585.628 30623.593 70353.661 18308.534 120 345",
+            "1 9551.249 28680.583 53391.485 19416.273 120 240",
+            "2 9969.713 29665.894 55730.695 19991.624 120 315",
+        ]
+    );
+}

@@ -20,7 +20,7 @@ use bundle_charging::core::{ChargingPlan, Executor, FaultModel, PlannerConfig, R
 use bundle_charging::des::{DispatchPolicy, Scenario};
 use bundle_charging::geom::Aabb;
 use bundle_charging::obs::recorders::{JsonlRecorder, NullRecorder, StatsRecorder};
-use bundle_charging::obs::tree::SpanTreeRecorder;
+use bundle_charging::obs::tree::{SpanTreeRecorder, TreeNode};
 use bundle_charging::obs::{Recorder, ScopedSpan};
 use bundle_charging::wsn::{deploy, Network};
 use proptest::prelude::*;
@@ -47,7 +47,11 @@ fn null_recorder_keeps_plans_bit_identical() {
             !bundle_charging::obs::active(),
             "NullRecorder must keep the emission path disabled"
         );
-        plan_bc_opt(&net, &cfg)
+        let plan = plan_bc_opt(&net, &cfg);
+        // Inertness extends to the causal profiler: with emission
+        // disabled no span may even push the thread-local stack.
+        assert_eq!(bundle_charging::obs::span_stack_depth(), 0);
+        plan
     });
 
     assert_eq!(bare, nulled);
@@ -59,6 +63,39 @@ fn null_recorder_keeps_plans_bit_identical() {
         mn.total_energy_j.get().to_bits()
     );
     assert_eq!(mb.tour_length_m.get().to_bits(), mn.tour_length_m.get().to_bits());
+}
+
+/// The profiler's usefulness floor, on n = 100 sensors in a 300 m field
+/// (seed 1000) planned by BC-OPT at r = 25 m under a timing
+/// `SpanTreeRecorder`: at least 90% of the tighten stage's wall time
+/// lands in named child spans, so a slow tighten can be traced to its
+/// rounds and sweeps. The tree's shape and counters are pinned too, and
+/// tracing must not change the plan.
+#[test]
+fn span_tree_attributes_tighten_time_to_named_children() {
+    let net = deploy::uniform(100, Aabb::square(300.0), 2.0, 1000);
+    let cfg = PlannerConfig::paper_sim(25.0);
+    let tree = Arc::new(SpanTreeRecorder::new());
+    let traced = bundle_charging::obs::with_local(Arc::clone(&tree) as Arc<dyn Recorder>, || {
+        plan_bc_opt(&net, &cfg)
+    });
+    assert_eq!(traced, plan_bc_opt(&net, &cfg), "tracing changed the plan");
+
+    let snap = tree.snapshot();
+    assert_eq!(snap.node_count(), 8, "{}", snap.collapsed());
+    assert_eq!(snap.collapsed().lines().count(), snap.node_count());
+    assert_eq!(snap.critical_path().first().map(|n| n.name.as_str()), Some("plan.run"));
+    let Some(tighten) = snap.node(&["plan.run", "plan.stage.tighten"]) else {
+        panic!("no plan.run -> plan.stage.tighten path in\n{}", snap.collapsed())
+    };
+    let attribution = 1.0 - tighten.self_s / tighten.total_s.max(1e-12);
+    assert!(attribution >= 0.90, "tighten attribution {attribution:.4} below 0.90");
+    // Work counters attach to the innermost open span (the sweep).
+    fn gs_evals(node: &TreeNode) -> u64 {
+        node.counters.get("plan.tighten.gs_evals").copied().unwrap_or(0)
+            + node.children.iter().map(gs_evals).sum::<u64>()
+    }
+    assert!(gs_evals(tighten) > 0, "no golden-section evaluations counted");
 }
 
 /// Runs the three instrumented subsystems under a thread-local JSONL

@@ -97,3 +97,21 @@ fn cache_revisions_track_network_mutations() {
     cache.plan(Algorithm::Bc).expect("replan on revision 1");
     assert_eq!(cache.counters().candidate_builds(), 2);
 }
+
+/// The candidate family at n = 1000 on the same 300 m field (seed 1000,
+/// r = 10 m): a pinned size, and the same family from one worker and
+/// from two. A change to enumeration or domination pruning that alters
+/// the family shows here before it shows in any plan.
+#[test]
+fn candidate_family_at_n1000_is_pinned_and_worker_invariant() {
+    let net = deploy::uniform(1000, Aabb::square(FIELD_SIDE_M), 2.0, BASE_SEED);
+    let cfg = PlannerConfig::paper_sim(RADIUS_M);
+    let serial = PlanContext::new(net.clone(), cfg.clone()).with_workers(1);
+    let parallel = PlanContext::new(net, cfg).with_workers(2);
+    assert_eq!(serial.candidates().len(), 1298);
+    assert_eq!(
+        serial.candidates().candidates,
+        parallel.candidates().candidates,
+        "the family must not depend on the worker count"
+    );
+}
