@@ -12,8 +12,9 @@ use std::hint::black_box;
 
 use bc_bench::dense_network;
 use bc_core::planner::{self, Algorithm};
-use bc_core::{BundleStrategy, PlannerConfig};
+use bc_core::{BundleStrategy, ChargingPlan, PlannerConfig};
 use bc_sim::figures::{self, ExpConfig};
+use bc_wsn::Network;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -73,6 +74,10 @@ fn bench_planners(c: &mut Criterion) {
     g.finish();
 }
 
+fn bc_opt(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
+    planner::try_run(Algorithm::BcOpt, net, cfg).unwrap_or_else(|e| panic!("BC-OPT: {e}"))
+}
+
 fn bench_ablations(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
@@ -82,30 +87,20 @@ fn bench_ablations(c: &mut Criterion) {
     let cfg = PlannerConfig::paper_sim(30.0);
 
     // Bundle strategy under the full BC-OPT pipeline.
-    g.bench_function("bcopt_greedy_bundles", |b| {
-        b.iter(|| {
-            planner::bundle_charging_opt_with_strategy(
-                black_box(&net),
-                &cfg,
-                BundleStrategy::Greedy,
-            )
-        })
-    });
-    g.bench_function("bcopt_grid_bundles", |b| {
-        b.iter(|| {
-            planner::bundle_charging_opt_with_strategy(black_box(&net), &cfg, BundleStrategy::Grid)
-        })
-    });
+    for (name, strategy) in [
+        ("bcopt_greedy_bundles", BundleStrategy::Greedy),
+        ("bcopt_grid_bundles", BundleStrategy::Grid),
+    ] {
+        let mut c2 = cfg.clone();
+        c2.bundle_strategy = strategy;
+        g.bench_function(name, |b| b.iter(|| bc_opt(black_box(&net), &c2)));
+    }
 
     // TSP improvement ablation.
     let mut no_oropt = cfg.clone();
     no_oropt.tsp.or_opt = false;
     g.bench_function("bcopt_no_oropt", |b| {
-        b.iter(|| {
-            let mut plan = planner::bundle_charging(black_box(&net), &no_oropt);
-            planner::optimize_tour(&mut plan, &net, &no_oropt);
-            plan
-        })
+        b.iter(|| bc_opt(black_box(&net), &no_oropt))
     });
 
     // Anchor-sweep resolution ablation.
@@ -113,7 +108,7 @@ fn bench_ablations(c: &mut Criterion) {
         let mut c2 = cfg.clone();
         c2.opt_distance_steps = steps;
         g.bench_function(format!("bcopt_steps_{steps}"), |b| {
-            b.iter(|| planner::bundle_charging_opt(black_box(&net), &c2))
+            b.iter(|| bc_opt(black_box(&net), &c2))
         });
     }
     g.finish();

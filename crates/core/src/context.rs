@@ -68,7 +68,7 @@ use crate::{CandidateFamily, ChargingBundle, ChargingPlan, Metrics, PlanError, P
 /// Builds the pair-intersection candidate family serially.
 ///
 /// The single sanctioned construction site outside `PlanContext` itself:
-/// the legacy one-shot generators route through here so the
+/// [`crate::generate_bundles`] routes through here so the
 /// `context-bypass` lint can pin every other direct construction.
 pub(crate) fn serial_candidate_family(net: &Network, r: f64) -> CandidateFamily {
     CandidateFamily::pair_intersection(net, r)
@@ -189,8 +189,7 @@ impl Default for StageTimings {
 /// produced it.
 #[derive(Debug, Clone)]
 pub struct StagedPlan {
-    /// The charging plan, identical to the one the legacy one-shot
-    /// planner produces for the same inputs.
+    /// The charging plan, identical for any worker count.
     pub plan: ChargingPlan,
     /// Per-stage wall-clock times.
     pub timings: StageTimings,
@@ -373,8 +372,7 @@ pub struct StageState {
 /// One stage of the planning pipeline.
 ///
 /// Stages are infallible: input validation happens once in
-/// [`PlanContext::plan`] before any stage runs, mirroring the legacy
-/// `try_run` contract.
+/// [`PlanContext::plan`] before any stage runs.
 pub trait PlanStage {
     /// Which pipeline slot this stage occupies (used for timing).
     fn kind(&self) -> StageKind;
@@ -510,7 +508,7 @@ impl PlanStage for BcCover {
 }
 
 /// Shared Order stage: TSP over the stop anchors (plus the optional base
-/// way-point), exactly as the legacy planners order their stops.
+/// way-point).
 struct TourOrder;
 
 impl PlanStage for TourOrder {
@@ -530,8 +528,7 @@ impl PlanStage for TourOrder {
 }
 
 /// CSS order: like [`TourOrder`], except an empty network short-circuits
-/// to an empty plan (legacy `css` returns before the base way-point is
-/// ever added).
+/// to an empty plan, without the base way-point.
 struct CssOrder;
 
 impl PlanStage for CssOrder {
@@ -799,8 +796,7 @@ impl PlanContext {
     }
 
     /// Input validation shared by [`PlanContext::plan`] and
-    /// [`PlanContext::plan_budgeted`] (same contract as the legacy
-    /// `try_run`).
+    /// [`PlanContext::plan_budgeted`].
     fn validate_inputs(&self) -> Result<(), PlanError> {
         self.cfg.validate()?;
         for s in self.net.sensors() {
@@ -1066,25 +1062,6 @@ mod tests {
         assert_eq!(ctx.counters().candidate_builds(), 1);
         assert_eq!(ctx.counters().matrix_builds(), 1);
         assert_eq!(ctx.counters().power_table_builds(), 1);
-    }
-
-    #[test]
-    fn pipeline_matches_legacy_planners() {
-        for seed in [1u64, 2, 3] {
-            let net = deploy::uniform(40, Aabb::square(300.0), 2.0, seed);
-            let cfg = PlannerConfig::paper_sim(20.0);
-            let ctx = PlanContext::new(net.clone(), cfg.clone());
-            for algo in Algorithm::ALL {
-                let staged = ctx.plan(algo).unwrap();
-                let legacy = match algo {
-                    Algorithm::Sc => crate::planner::single_charging(&net, &cfg),
-                    Algorithm::Css => crate::planner::css(&net, &cfg),
-                    Algorithm::Bc => crate::planner::bundle_charging(&net, &cfg),
-                    Algorithm::BcOpt => crate::planner::bundle_charging_opt(&net, &cfg),
-                };
-                assert_eq!(staged.plan, legacy, "seed {seed} {algo}");
-            }
-        }
     }
 
     #[test]

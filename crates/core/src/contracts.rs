@@ -17,8 +17,9 @@
 //! The `check_*` functions return a typed [`ContractViolation`] so they
 //! can be used in tests and tools; the `debug_assert_*` wrappers compile
 //! to nothing in release builds and are wired into
-//! [`crate::planner::try_run`], [`crate::planner::bundle_charging_opt`]
-//! and the executor, so every debug-mode test run exercises them.
+//! [`crate::context::PlanContext::plan`] (and so [`crate::planner::try_run`]),
+//! the BC-OPT Tighten stage and the executor, so every debug-mode test
+//! run exercises them.
 
 use std::fmt;
 
@@ -270,7 +271,7 @@ pub fn debug_assert_report_energy(report: &ExecutionReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{self, Algorithm};
+    use crate::planner::{try_run, Algorithm};
     use crate::{ChargingBundle, Stop};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
@@ -286,7 +287,7 @@ mod tests {
     fn all_planners_satisfy_plan_contracts() {
         let (net, cfg) = net_and_cfg();
         for algo in Algorithm::ALL {
-            let plan = planner::try_run(algo, &net, &cfg).unwrap();
+            let plan = try_run(algo, &net, &cfg).unwrap();
             check_plan(&plan, &net, &cfg).unwrap_or_else(|v| panic!("{algo}: {v}"));
         }
     }
@@ -307,7 +308,7 @@ mod tests {
     #[test]
     fn shortened_dwell_is_caught() {
         let (net, cfg) = net_and_cfg();
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let i = plan
             .stops
             .iter()
@@ -324,14 +325,14 @@ mod tests {
     fn worst_case_policy_accepts_over_dwell() {
         let (net, mut cfg) = net_and_cfg();
         cfg.dwell_policy = DwellPolicy::RadiusWorstCase;
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         check_dwell_times(&plan, &net, &cfg).expect("over-dwell is allowed");
     }
 
     #[test]
     fn dropped_sensor_is_caught() {
         let (net, cfg) = net_and_cfg();
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         plan.stops.pop();
         assert!(matches!(
             check_cover(&plan, &net),

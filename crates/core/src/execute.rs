@@ -926,14 +926,14 @@ impl ExecState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner;
+    use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
     fn setup(n: usize, seed: u64) -> (Network, PlannerConfig, ChargingPlan) {
         let net = deploy::uniform(n, Aabb::square(300.0), 2.0, seed);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         (net, cfg, plan)
     }
 

@@ -82,22 +82,6 @@ impl MultiChargerPlan {
 /// Empty regions (possible when `k` exceeds the number of distinct
 /// positions) are dropped.
 ///
-/// # Panics
-///
-/// Panics if `k == 0` or if planning any region fails (invalid
-/// configuration or demands); use [`try_plan_fleet`] to handle those as
-/// a [`PlanError`].
-pub fn plan_fleet(
-    net: &Network,
-    cfg: &PlannerConfig,
-    algo: Algorithm,
-    k: usize,
-) -> MultiChargerPlan {
-    try_plan_fleet(net, cfg, algo, k).unwrap_or_else(|e| panic!("fleet planning failed: {e}"))
-}
-
-/// Fallible variant of [`plan_fleet`].
-///
 /// Each region is planned through its own [`PlanContext`]; for CSS the
 /// parent network's distance matrix is built once and every region's
 /// matrix is seeded from a [`bc_tsp::DistanceMatrix::submatrix`] view of
@@ -244,8 +228,8 @@ mod tests {
     #[test]
     fn one_charger_matches_single_planner() {
         let (net, cfg) = setup();
-        let fleet = plan_fleet(&net, &cfg, Algorithm::Bc, 1);
-        let single = crate::planner::bundle_charging(&net, &cfg);
+        let fleet = try_plan_fleet(&net, &cfg, Algorithm::Bc, 1).unwrap();
+        let single = crate::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert_eq!(fleet.num_chargers(), 1);
         let e_fleet = fleet.total_energy_j(&cfg.energy);
         let e_single = single.metrics(&cfg.energy).total_energy_j;
@@ -256,7 +240,7 @@ mod tests {
     fn fleet_plans_are_feasible_and_cover_everyone() {
         let (net, cfg) = setup();
         for k in [2usize, 3, 5] {
-            let fleet = plan_fleet(&net, &cfg, Algorithm::BcOpt, k);
+            let fleet = try_plan_fleet(&net, &cfg, Algorithm::BcOpt, k).unwrap();
             fleet.validate(&cfg.charging).unwrap();
             assert_eq!(fleet.assignment.len(), 60);
             let served: usize = fleet.regions.iter().map(Network::len).sum();
@@ -267,15 +251,19 @@ mod tests {
     #[test]
     fn more_chargers_cut_makespan() {
         let (net, cfg) = setup();
-        let one = plan_fleet(&net, &cfg, Algorithm::Bc, 1).makespan_s(1.0);
-        let four = plan_fleet(&net, &cfg, Algorithm::Bc, 4).makespan_s(1.0);
+        let one = try_plan_fleet(&net, &cfg, Algorithm::Bc, 1)
+            .unwrap()
+            .makespan_s(1.0);
+        let four = try_plan_fleet(&net, &cfg, Algorithm::Bc, 4)
+            .unwrap()
+            .makespan_s(1.0);
         assert!(four < one, "makespan {four} !< {one}");
     }
 
     #[test]
     fn assignment_points_at_owning_region() {
         let (net, cfg) = setup();
-        let fleet = plan_fleet(&net, &cfg, Algorithm::Bc, 3);
+        let fleet = try_plan_fleet(&net, &cfg, Algorithm::Bc, 3).unwrap();
         for (i, &c) in fleet.assignment.iter().enumerate() {
             let region = &fleet.regions[c];
             assert!(
@@ -292,7 +280,7 @@ mod tests {
     fn k_larger_than_n_clamps() {
         let net = deploy::uniform(3, Aabb::square(100.0), 2.0, 1);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let fleet = plan_fleet(&net, &cfg, Algorithm::Sc, 10);
+        let fleet = try_plan_fleet(&net, &cfg, Algorithm::Sc, 10).unwrap();
         assert!(fleet.num_chargers() <= 3);
         fleet.validate(&cfg.charging).unwrap();
     }
@@ -301,15 +289,15 @@ mod tests {
     fn empty_network() {
         let net = deploy::uniform(0, Aabb::square(100.0), 2.0, 1);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let fleet = plan_fleet(&net, &cfg, Algorithm::Bc, 3);
+        let fleet = try_plan_fleet(&net, &cfg, Algorithm::Bc, 3).unwrap();
         assert_eq!(fleet.num_chargers(), 0);
     }
 
     #[test]
     fn clustering_is_deterministic() {
         let (net, cfg) = setup();
-        let a = plan_fleet(&net, &cfg, Algorithm::Bc, 3);
-        let b = plan_fleet(&net, &cfg, Algorithm::Bc, 3);
+        let a = try_plan_fleet(&net, &cfg, Algorithm::Bc, 3).unwrap();
+        let b = try_plan_fleet(&net, &cfg, Algorithm::Bc, 3).unwrap();
         assert_eq!(a.assignment, b.assignment);
     }
 
@@ -317,6 +305,6 @@ mod tests {
     #[should_panic(expected = "at least one charger")]
     fn zero_chargers_panics() {
         let (net, cfg) = setup();
-        let _ = plan_fleet(&net, &cfg, Algorithm::Bc, 0);
+        let _ = try_plan_fleet(&net, &cfg, Algorithm::Bc, 0);
     }
 }

@@ -1,28 +1,18 @@
-//! Bundle Charging (BC): greedy bundles + TSP over anchor points.
+//! Bundle Charging (BC): charging stops over a bundle family. The bundles
+//! come from greedy Algorithm 2 by default; the Order stage then connects
+//! their anchors with a TSP tour.
 
 use bc_wsn::Network;
 
 use crate::config::DwellPolicy;
-use crate::planner::order_into_plan;
-use crate::{generate_bundles, ChargingPlan, PlannerConfig, Stop};
+use crate::{ChargingBundle, PlannerConfig, Stop};
 
-/// The paper's Bundle Charging algorithm: generate radius-`r` bundles
-/// with the configured strategy (greedy Algorithm 2 by default), park at
-/// each bundle's smallest-enclosing-disk center, and connect the anchors
-/// with a TSP tour.
-///
-/// Dwell times follow `cfg.dwell_policy`.
-pub fn bundle_charging(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
-    let bundles = generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy);
-    let stops = stops_for_bundles(bundles, net, cfg);
-    order_into_plan(stops, net, &cfg.tsp, cfg.include_base)
-}
-
-/// Turns a bundle family into charging stops under `cfg.dwell_policy`.
-/// Shared between [`bundle_charging`] and the staged pipeline's BC Cover
-/// stage, which supplies bundles covered from a cached candidate family.
+/// Turns a bundle family into charging stops under `cfg.dwell_policy`:
+/// the one place the dwell policy is decided. The BC Cover stage feeds it
+/// bundles covered from the context's candidate family, and
+/// [`crate::terrain::plan_with_terrain`] feeds it freshly generated ones.
 pub(crate) fn stops_for_bundles(
-    bundles: Vec<crate::ChargingBundle>,
+    bundles: Vec<ChargingBundle>,
     net: &Network,
     cfg: &PlannerConfig,
 ) -> Vec<Stop> {
@@ -40,8 +30,8 @@ pub(crate) fn stops_for_bundles(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::planner::single_charging;
+    use crate::planner::{try_run, Algorithm};
+    use crate::PlannerConfig;
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
@@ -49,17 +39,17 @@ mod tests {
     fn plan_is_feasible() {
         let net = deploy::uniform(60, Aabb::square(600.0), 2.0, 12);
         let cfg = PlannerConfig::paper_sim(40.0);
-        let plan = bundle_charging(&net, &cfg);
-        assert!(plan.validate(&net, &cfg.charging).is_ok());
-        assert!(plan.num_charging_stops() <= 60);
+        let bc = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+        assert!(bc.validate(&net, &cfg.charging).is_ok());
+        assert!(bc.num_charging_stops() <= 60);
     }
 
     #[test]
     fn fewer_stops_than_sc_in_dense_network() {
         let net = deploy::clusters(80, 6, 15.0, Aabb::square(500.0), 2.0, 13);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = bundle_charging(&net, &cfg);
-        let sc = single_charging(&net, &cfg);
+        let bc = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+        let sc = try_run(Algorithm::Sc, &net, &cfg).unwrap();
         assert!(bc.num_charging_stops() < sc.num_charging_stops());
     }
 
@@ -67,8 +57,8 @@ mod tests {
     fn shorter_tour_than_sc_in_dense_network() {
         let net = deploy::clusters(100, 5, 10.0, Aabb::square(800.0), 2.0, 14);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = bundle_charging(&net, &cfg);
-        let sc = single_charging(&net, &cfg);
+        let bc = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+        let sc = try_run(Algorithm::Sc, &net, &cfg).unwrap();
         assert!(bc.tour_length() < sc.tour_length());
     }
 
@@ -76,7 +66,7 @@ mod tests {
     fn tiny_radius_degenerates_to_sc_shape() {
         let net = deploy::uniform(20, Aabb::square(1000.0), 2.0, 15);
         let cfg = PlannerConfig::paper_sim(0.1);
-        let bc = bundle_charging(&net, &cfg);
+        let bc = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert_eq!(bc.num_charging_stops(), 20);
     }
 }

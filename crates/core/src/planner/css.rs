@@ -13,31 +13,13 @@
 //! collection any point within range is equally good.
 
 use bc_geom::{sed, tangency, Disk, Point, Segment};
-use bc_tsp::solve;
 use bc_wsn::Network;
 
-use crate::planner::order_into_plan;
 use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
-/// Runs the CSS pipeline with communication range `cfg.bundle_radius`.
-pub fn css(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
-    if net.is_empty() {
-        return ChargingPlan::new(Vec::new(), 0);
-    }
-
-    // Stage 0: sensor-level TSP tour.
-    let tour = solve(net.positions(), &cfg.tsp);
-
-    let stops = combine_skip(net, cfg, &tour.order);
-    let mut plan = order_into_plan(stops, net, &cfg.tsp, cfg.include_base);
-    substitute(&mut plan, net, cfg);
-    plan
-}
-
 /// The Combine and Skip passes over a sensor-level tour order, returning
-/// the surviving stops (unordered). Shared between [`css`] and the staged
-/// pipeline's CSS Cover stage, which supplies a tour solved on the
-/// context's cached distance matrix.
+/// the surviving stops (unordered). The CSS Cover stage supplies a tour
+/// solved on the context's cached distance matrix.
 pub(crate) fn combine_skip(net: &Network, cfg: &PlannerConfig, tour_order: &[usize]) -> Vec<Stop> {
     let r = cfg.bundle_radius;
 
@@ -162,7 +144,7 @@ fn best_point_in_disk(a: Point, b: Point, disk: &Disk) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::single_charging;
+    use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
@@ -170,7 +152,7 @@ mod tests {
     fn plan_is_feasible() {
         let net = deploy::uniform(50, Aabb::square(500.0), 2.0, 31);
         let cfg = PlannerConfig::paper_sim(40.0);
-        let plan = css(&net, &cfg);
+        let plan = try_run(Algorithm::Css, &net, &cfg).unwrap();
         assert!(plan.validate(&net, &cfg.charging).is_ok());
     }
 
@@ -178,7 +160,7 @@ mod tests {
     fn all_members_within_range_of_stop() {
         let net = deploy::uniform(50, Aabb::square(400.0), 2.0, 32);
         let cfg = PlannerConfig::paper_sim(35.0);
-        let plan = css(&net, &cfg);
+        let plan = try_run(Algorithm::Css, &net, &cfg).unwrap();
         for stop in &plan.stops {
             for &s in &stop.bundle.sensors {
                 assert!(
@@ -193,8 +175,8 @@ mod tests {
     fn shorter_tour_than_sc_in_dense_network() {
         let net = deploy::clusters(80, 6, 12.0, Aabb::square(700.0), 2.0, 33);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let sc = single_charging(&net, &cfg);
-        let c = css(&net, &cfg);
+        let sc = try_run(Algorithm::Sc, &net, &cfg).unwrap();
+        let c = try_run(Algorithm::Css, &net, &cfg).unwrap();
         assert!(c.tour_length() < sc.tour_length());
     }
 
@@ -218,7 +200,7 @@ mod tests {
     fn singleton_network() {
         let net = deploy::uniform(1, Aabb::square(100.0), 2.0, 34);
         let cfg = PlannerConfig::paper_sim(10.0);
-        let plan = css(&net, &cfg);
+        let plan = try_run(Algorithm::Css, &net, &cfg).unwrap();
         assert_eq!(plan.num_charging_stops(), 1);
         assert!(plan.validate(&net, &cfg.charging).is_ok());
     }

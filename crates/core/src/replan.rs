@@ -198,14 +198,14 @@ pub fn add_sensor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner;
+    use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
     fn setup() -> (Network, PlannerConfig, ChargingPlan) {
         let net = deploy::uniform(40, Aabb::square(300.0), 2.0, 55);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         (net, cfg, plan)
     }
 
@@ -227,7 +227,15 @@ mod tests {
     fn remove_down_to_empty() {
         let net = deploy::uniform(3, Aabb::square(100.0), 2.0, 4);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let mut cur = (net, planner::bundle_charging(&deploy::uniform(3, Aabb::square(100.0), 2.0, 4), &cfg));
+        let mut cur = (
+            net,
+            try_run(
+                Algorithm::Bc,
+                &deploy::uniform(3, Aabb::square(100.0), 2.0, 4),
+                &cfg,
+            )
+            .unwrap(),
+        );
         for _ in 0..3 {
             cur = remove_sensor(&cur.0, &cur.1, 0, &cfg).unwrap();
             cur.1.validate(&cur.0, &cfg.charging).unwrap();
@@ -296,7 +304,8 @@ mod tests {
         }
         cur.1.validate(&cur.0, &cfg.charging).unwrap();
         let incremental = cur.1.metrics(&cfg.energy).total_energy_j;
-        let fresh = planner::bundle_charging(&cur.0, &cfg)
+        let fresh = try_run(Algorithm::Bc, &cur.0, &cfg)
+            .unwrap()
             .metrics(&cfg.energy)
             .total_energy_j;
         assert!(

@@ -218,7 +218,7 @@ pub fn split_into_sorties(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner;
+    use crate::planner::{try_run, Algorithm};
     use crate::PlannerConfig;
     use bc_geom::Aabb;
     use bc_wsn::deploy;
@@ -226,7 +226,7 @@ mod tests {
     fn setup() -> (bc_wsn::Network, PlannerConfig, ChargingPlan) {
         let net = deploy::uniform(40, Aabb::square(300.0), 2.0, 77);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         (net, cfg, plan)
     }
 

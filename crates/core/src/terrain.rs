@@ -20,7 +20,6 @@ use bc_tsp::{solve_matrix, DistanceMatrix};
 use bc_units::{Meters, Seconds};
 use bc_wsn::Network;
 
-use crate::config::DwellPolicy;
 use crate::planner::Algorithm;
 use crate::{generate_bundles, ChargingPlan, Metrics, PlannerConfig, Stop};
 
@@ -143,16 +142,11 @@ pub fn plan_with_terrain(
                 )
             })
             .collect(),
-        _ => generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy)
-            .into_iter()
-            .map(|b| match cfg.dwell_policy {
-                DwellPolicy::Realized => Stop::for_bundle(b, net, &cfg.charging),
-                DwellPolicy::RadiusWorstCase => {
-                    let dwell = b.worst_case_dwell_time(cfg.bundle_radius, net, &cfg.charging);
-                    Stop { bundle: b, dwell }
-                }
-            })
-            .collect(),
+        _ => crate::planner::stops_for_bundles(
+            generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy),
+            net,
+            cfg,
+        ),
     };
 
     // Anchors inside obstacles are illegal parking spots: snap to the
@@ -279,7 +273,7 @@ mod tests {
         let cfg = PlannerConfig::paper_sim(25.0);
         let (_, routed) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
         // Euclidean-ordered plan, then re-trace over the terrain.
-        let naive = crate::planner::bundle_charging(&net, &cfg);
+        let naive = crate::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let naive_route = TerrainRoute::trace(&naive, &terrain);
         assert!(
             routed.length_m <= naive_route.length_m + Meters(1e-6),

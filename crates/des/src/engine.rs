@@ -19,9 +19,10 @@
 //!
 //! - **single charger + faults**: the round is delegated to
 //!   [`bc_core::execute::Executor`] (`execute_with_dead`), and the realized
-//!   timeline is replayed as events — bit-compatible with the legacy
-//!   `sim::lifetime` fault path, including its round-end application of
-//!   hardware deaths.
+//!   timeline is replayed as events — bit-compatible with the fault path
+//!   of the fixed-interval reference integrator
+//!   (`tests/des_equivalence.rs`), including its round-end application
+//!   of hardware deaths.
 //! - **single charger, no faults**: the legacy integrator's leg ordering is
 //!   reproduced exactly (the closing leg is driven *first*, the charger
 //!   lives in the field and never detours to base), which is what makes the
@@ -1118,6 +1119,7 @@ mod tests {
     use bc_core::execute::RecoveryPolicy;
     use bc_core::planner::Algorithm;
     use bc_geom::Aabb;
+    use bc_units::Watts;
     use bc_wsn::deploy;
 
     fn scenario(n: usize, seed: u64) -> Scenario {
@@ -1129,14 +1131,98 @@ mod tests {
 
     #[test]
     fn clean_run_dispatches_rounds_and_balances_ledgers() {
-        let rep = run(&scenario(20, 3)).unwrap();
-        assert!(rep.rounds > 0);
-        assert!(rep.availability > 0.99, "availability {}", rep.availability);
-        assert!(rep.charger_energy_j > Joules(0.0));
-        rep.check_fleet_ledger().unwrap();
-        assert_eq!(rep.fleet.len(), 1);
-        assert!(rep.events_processed > 0);
-        assert!(rep.max_battery_j <= Joules(2.0));
+        for algo in [Algorithm::Bc, Algorithm::BcOpt] {
+            let mut sc = scenario(20, 3);
+            sc.algorithm = algo;
+            let rep = run(&sc).unwrap();
+            assert!(rep.rounds > 0, "{algo}: no rounds dispatched");
+            assert!(
+                rep.availability > 0.99,
+                "{algo}: availability {}",
+                rep.availability
+            );
+            assert!(rep.charger_energy_j > Joules(0.0));
+            rep.check_fleet_ledger().unwrap();
+            assert_eq!(rep.fleet.len(), 1);
+            assert!(rep.events_processed > 0);
+            assert!(rep.max_battery_j <= Joules(2.0));
+        }
+    }
+
+    #[test]
+    fn empty_network_trivial_report() {
+        let net = deploy::uniform(0, Aabb::square(10.0), 2.0, 0);
+        for algo in Algorithm::ALL {
+            let rep = run(&Scenario::paper_sim(net.clone(), 10.0, algo)).unwrap();
+            assert_eq!(rep.rounds, 0, "{algo}");
+            assert_eq!(rep.availability, 1.0, "{algo}");
+            assert_eq!(rep.min_battery_j, Joules(0.0), "{algo}");
+            assert_eq!(rep.max_battery_j, Joules(0.0), "{algo}");
+            assert_eq!(rep.events_processed, 0, "{algo}");
+        }
+    }
+
+    #[test]
+    fn no_charging_when_drain_is_negligible() {
+        let mut sc = scenario(30, 3);
+        sc.drain_w = Watts(1e-9); // batteries outlast the horizon
+        let rep = run(&sc).unwrap();
+        assert_eq!(rep.rounds, 0);
+        assert_eq!(rep.charger_energy_j, Joules(0.0));
+        assert_eq!(rep.availability, 1.0);
+    }
+
+    #[test]
+    fn heavier_drain_needs_more_rounds() {
+        let mut light = scenario(30, 3);
+        light.horizon_s = crate::clock::hours(6.0);
+        let mut heavy = light.clone();
+        heavy.drain_w = heavy.drain_w * 3.0;
+        let r_light = run(&light).unwrap();
+        let r_heavy = run(&heavy).unwrap();
+        assert!(r_heavy.rounds > r_light.rounds);
+        assert!(r_heavy.charger_energy_j > r_light.charger_energy_j);
+    }
+
+    #[test]
+    fn efficient_planner_spends_less_over_the_horizon() {
+        let net = deploy::uniform(60, Aabb::square(250.0), 2.0, 9);
+        let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Sc);
+        sc.horizon_s = crate::clock::hours(6.0);
+        let mut opt = sc.clone();
+        opt.algorithm = Algorithm::BcOpt;
+        let r_sc = run(&sc).unwrap();
+        let r_opt = run(&opt).unwrap();
+        assert!(
+            r_opt.charger_energy_j < r_sc.charger_energy_j,
+            "BC-OPT {} vs SC {}",
+            r_opt.charger_energy_j,
+            r_sc.charger_energy_j
+        );
+    }
+
+    #[test]
+    fn zero_fault_model_matches_perfect_execution() {
+        let base = scenario(30, 3);
+        let faulty = base
+            .clone()
+            .with_faults(FaultModel::none(), RecoveryPolicy::ReplanRemaining);
+        let a = run(&base).unwrap();
+        let b = run(&faulty).unwrap();
+        assert_eq!(a.rounds, b.rounds);
+        // Per complete round the two replay paths spend identical energy;
+        // they only differ in where the horizon clips the final round
+        // (the fault-free path drives the closing leg first, the executor
+        // drives it last), so allow a fraction-of-a-round tolerance.
+        assert!(
+            (a.charger_energy_j - b.charger_energy_j).abs() / a.charger_energy_j < 0.05,
+            "perfect {} vs zero-fault {}",
+            a.charger_energy_j,
+            b.charger_energy_j
+        );
+        assert!(b.extra_energy_j.abs() < Joules(1e-6));
+        assert_eq!(b.fault_deaths, 0);
+        assert_eq!(b.stranded_sensor_rounds, 0);
     }
 
     #[test]
@@ -1164,7 +1250,28 @@ mod tests {
         let rep = run(&sc).unwrap();
         assert!(rep.rounds > 0);
         assert!(rep.recovery_latency_s > Seconds::ZERO);
+        assert!(rep.charger_energy_j.is_finite() && rep.charger_energy_j > Joules(0.0));
+        assert!(rep.availability.is_finite());
         rep.check_fleet_ledger().unwrap();
+    }
+
+    #[test]
+    fn hardware_deaths_are_permanent() {
+        let fm = FaultModel {
+            death_prob: 0.5,
+            ..FaultModel::none()
+        };
+        let sc = scenario(30, 3).with_faults(fm, RecoveryPolicy::ReplanRemaining);
+        let rep = run(&sc).unwrap();
+        assert!(rep.fault_deaths > 0, "50% per-round death rate must kill");
+        // Battery depletion can kill more (survivors coast out after the
+        // trigger stops firing), but never fewer than the hardware deaths.
+        assert!(rep.sensors_ever_dead >= rep.fault_deaths);
+        assert!(
+            rep.availability < 0.99,
+            "dead sensors must show up as downtime, got {}",
+            rep.availability
+        );
     }
 
     #[test]
@@ -1235,7 +1342,16 @@ mod tests {
     fn invalid_scenario_is_rejected() {
         let mut sc = scenario(5, 1);
         sc.fleet.size = 0;
-        assert!(matches!(run(&sc), Err(DesError::Scenario(_))));
+        assert!(matches!(
+            run(&sc),
+            Err(DesError::Scenario(ScenarioError::FleetSize))
+        ));
+        let mut sc = scenario(5, 1);
+        sc.horizon_s = Seconds::ZERO;
+        assert!(matches!(
+            run(&sc),
+            Err(DesError::Scenario(ScenarioError::Horizon(_)))
+        ));
     }
 
     #[test]

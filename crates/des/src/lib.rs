@@ -1,9 +1,10 @@
 //! `bc-des`: deterministic discrete-event simulation of bundle-charging
 //! deployments.
 //!
-//! The legacy `sim::lifetime` loop integrates the whole network over fixed
-//! replay intervals with a single charger. This crate replaces that
-//! substrate with a discrete-event engine:
+//! The original lifetime loop integrated the whole network over fixed
+//! replay intervals with a single charger (it survives as the oracle of
+//! `tests/des_equivalence.rs` at the workspace root). This crate replaces
+//! that substrate with a discrete-event engine:
 //!
 //! - an **event queue** keyed by `(time, sequence)`
 //!   ([`queue::EventQueue`]), so simultaneous events resolve by scheduling

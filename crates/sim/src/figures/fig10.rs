@@ -8,8 +8,8 @@
 //! content — stop counts, tour lengths and energies per radius — and can
 //! export the tour way-points for plotting.
 
-use bc_core::planner::{bundle_charging, bundle_charging_opt};
-use bc_core::{ChargingPlan, PlannerConfig};
+use bc_core::planner::Algorithm;
+use bc_core::{ChargingPlan, PlanContext, PlannerConfig};
 use bc_geom::Aabb;
 use bc_wsn::{deploy, Network};
 
@@ -32,6 +32,18 @@ pub fn showcase_network(exp: &ExpConfig) -> Network {
     )
 }
 
+/// Plans BC and BC-OPT on one shared context, so BC-OPT reuses BC's
+/// candidate family.
+fn bc_and_opt(net: &Network, cfg: &PlannerConfig) -> (ChargingPlan, ChargingPlan) {
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
+    let plan = |algo: Algorithm| {
+        ctx.plan(algo)
+            .unwrap_or_else(|e| panic!("fig10 {algo}: {e}"))
+            .into_plan()
+    };
+    (plan(Algorithm::Bc), plan(Algorithm::BcOpt))
+}
+
 /// Generates the Fig. 10 comparison table for the showcase network.
 ///
 /// Columns: radius, number of stops, BC tour length, BC-OPT tour length,
@@ -44,8 +56,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     );
     for r in RADII {
         let cfg = PlannerConfig::paper_sim(r);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let (bc, opt) = bc_and_opt(&net, &cfg);
         t.push_row(&[
             r,
             bc.num_charging_stops() as f64, // cast-ok: stop count to table column
@@ -73,9 +84,7 @@ pub fn save_figures(
     let style = crate::svg::SvgStyle::default();
     let mut paths = Vec::new();
     for r in RADII {
-        let cfg = PlannerConfig::paper_sim(r);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let (bc, opt) = bc_and_opt(&net, &PlannerConfig::paper_sim(r));
         let path = dir.join(format!("fig10_r{r:.0}.svg"));
         crate::svg::save_scene(&net, Some(&bc), Some(&opt), &style, &path)?;
         paths.push(path);
@@ -123,7 +132,7 @@ mod tests {
         let exp = ExpConfig::quick();
         let net = showcase_network(&exp);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let plan = bundle_charging(&net, &cfg);
+        let plan = bc_core::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert_eq!(tour_waypoints(&plan).len(), plan.stops.len());
     }
 }

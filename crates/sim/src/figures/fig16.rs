@@ -8,8 +8,8 @@
 //! the tour and save ~8 % / ~13 % total energy around r = 1.2 m, with
 //! BC-OPT's tour more than 20 % shorter than SC's.
 
-use bc_core::planner::{bundle_charging, bundle_charging_opt, single_charging};
-use bc_core::PlannerConfig;
+use bc_core::planner::Algorithm;
+use bc_core::{PlanContext, PlannerConfig};
 use bc_testbed::{office_network, TestbedRig};
 
 use crate::figures::ExpConfig;
@@ -36,9 +36,15 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     );
     for r in RADII {
         let cfg = PlannerConfig::paper_testbed(r);
-        let sc = single_charging(&net, &cfg);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let ctx = PlanContext::new(net.clone(), cfg.clone());
+        let plan = |algo: Algorithm| {
+            ctx.plan(algo)
+                .unwrap_or_else(|e| panic!("fig16 {algo}: {e}"))
+                .into_plan()
+        };
+        let sc = plan(Algorithm::Sc);
+        let bc = plan(Algorithm::Bc);
+        let opt = plan(Algorithm::BcOpt);
         let rig = TestbedRig::new(&net, &cfg);
         let rep_sc = rig.execute(&sc);
         let rep_bc = rig.execute(&bc);
@@ -106,7 +112,7 @@ mod tests {
         let net = office_network();
         for r in RADII {
             let cfg = PlannerConfig::paper_testbed(r);
-            let plan = bundle_charging_opt(&net, &cfg);
+            let plan = bc_core::planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
             let rep = TestbedRig::new(&net, &cfg).execute(&plan);
             assert!(rep.all_fully_charged(), "undercharge at r = {r}");
         }

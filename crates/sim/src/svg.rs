@@ -193,15 +193,16 @@ pub fn save_scene(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_core::{planner, PlannerConfig};
+    use bc_core::planner::{try_run, Algorithm};
+    use bc_core::PlannerConfig;
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
     fn setup() -> (Network, ChargingPlan, ChargingPlan) {
         let net = deploy::uniform(20, Aabb::square(200.0), 2.0, 3);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = planner::bundle_charging(&net, &cfg);
-        let opt = planner::bundle_charging_opt(&net, &cfg);
+        let bc = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+        let opt = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
         (net, bc, opt)
     }
 

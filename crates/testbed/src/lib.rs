@@ -21,12 +21,13 @@
 //! # Example
 //!
 //! ```
-//! use bc_core::{planner, PlannerConfig};
+//! use bc_core::planner::{try_run, Algorithm};
+//! use bc_core::PlannerConfig;
 //! use bc_testbed::{office_network, TestbedRig};
 //!
 //! let net = office_network();
 //! let cfg = PlannerConfig::paper_testbed(1.2);
-//! let plan = planner::bundle_charging(&net, &cfg);
+//! let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
 //! let report = TestbedRig::new(&net, &cfg).execute(&plan);
 //! assert!(report.all_fully_charged());
 //! ```

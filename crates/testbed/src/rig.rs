@@ -222,12 +222,12 @@ impl<'a> TestbedRig<'a> {
 mod tests {
     use super::*;
     use crate::powercast::office_network;
-    use bc_core::planner;
+    use bc_core::planner::{try_run, Algorithm};
 
     fn plan_and_run(r: f64) -> (RigReport, ChargingPlan) {
         let net = office_network();
         let cfg = PlannerConfig::paper_testbed(r);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let rig_net = office_network();
         let report = TestbedRig::new(&rig_net, &cfg).execute(&plan);
         (report, plan)
@@ -263,7 +263,7 @@ mod tests {
     fn noise_is_seed_deterministic_and_bounded() {
         let net = office_network();
         let cfg = PlannerConfig::paper_testbed(1.2);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let a = TestbedRig::new(&net, &cfg).with_noise(0.1, 7).execute(&plan);
         let b = TestbedRig::new(&net, &cfg).with_noise(0.1, 7).execute(&plan);
         let c = TestbedRig::new(&net, &cfg).with_noise(0.1, 8).execute(&plan);
@@ -293,7 +293,7 @@ mod tests {
     fn moving_harvest_only_adds_energy() {
         let net = office_network();
         let cfg = PlannerConfig::paper_testbed(1.2);
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let parked = TestbedRig::new(&net, &cfg).execute(&plan);
         let moving = TestbedRig::new(&net, &cfg)
             .with_moving_harvest()

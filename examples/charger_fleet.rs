@@ -11,7 +11,7 @@
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // demo binary: panics are fine
-use bundle_charging::core::{plan_fleet, planner::Algorithm};
+use bundle_charging::core::{planner::Algorithm, try_plan_fleet};
 use bundle_charging::prelude::*;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     );
     let mut baseline: Option<(Seconds, Joules)> = None;
     for k in [1usize, 2, 3, 4, 6, 8] {
-        let fleet = plan_fleet(&net, &cfg, Algorithm::BcOpt, k);
+        let fleet = try_plan_fleet(&net, &cfg, Algorithm::BcOpt, k).expect("fleet planning");
         fleet
             .validate(&cfg.charging)
             .expect("fleet plans must be feasible");

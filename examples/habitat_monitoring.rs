@@ -48,8 +48,9 @@ fn main() {
     ];
 
     for (name, net) in scenarios {
-        let sc = planner::single_charging(&net, &cfg);
-        let opt = planner::bundle_charging_opt(&net, &cfg);
+        let sc = planner::try_run(Algorithm::Sc, &net, &cfg).expect("planner rejected the input");
+        let opt =
+            planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("planner rejected the input");
         opt.validate(&net, &cfg.charging).expect("feasible plan");
         let e_sc = sc.metrics(&cfg.energy).total_energy_j;
         let m = opt.metrics(&cfg.energy);

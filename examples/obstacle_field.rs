@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = PlannerConfig::paper_sim(30.0);
 
     // Naive: plan ignoring the buildings, then drive the real field.
-    let naive = planner::bundle_charging(&net, &cfg);
+    let naive = planner::try_run(Algorithm::Bc, &net, &cfg)?;
     let naive_route = TerrainRoute::trace(&naive, &terrain);
 
     // Terrain-aware: order stops by routed distances from the start.

@@ -13,8 +13,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // demo binary: panics are fine
 use bundle_charging::core::tighten;
+use bundle_charging::des::{self, Scenario};
 use bundle_charging::prelude::*;
-use bundle_charging::sim::lifetime::{simulate, LifetimeConfig};
 
 fn main() {
     let n = 60;
@@ -26,8 +26,8 @@ fn main() {
         "planner", "rounds", "energy (J)", "availability", "deaths", "min batt (J)"
     );
     for algo in Algorithm::ALL {
-        let cfg = LifetimeConfig::paper_sim(n, 25.0, algo);
-        let rep = simulate(&net, &cfg);
+        let rep = des::run(&Scenario::paper_sim(net.clone(), 25.0, algo))
+            .unwrap_or_else(|e| panic!("{algo}: {e}"));
         println!(
             "{:>8} {:>7} {:>14.0} {:>12.2}% {:>9} {:>12.3}",
             algo.name(),
@@ -42,7 +42,7 @@ fn main() {
     // The Eq. 3 extension: credit sensors for energy received from every
     // stop of the tour, then shrink dwells to the minimal feasible point.
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut plan = planner::bundle_charging_opt(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("BC-OPT plan");
     let before = plan.metrics(&cfg.energy);
     let report = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 50);
     let after = plan.metrics(&cfg.energy);

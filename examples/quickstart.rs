@@ -36,7 +36,7 @@ fn main() {
     }
 
     // Inspect the winning plan's stops.
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("planner rejected the input");
     println!("\nBC-OPT itinerary:");
     for (i, stop) in plan.stops.iter().enumerate() {
         println!(

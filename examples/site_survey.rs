@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Plan and tighten.
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut plan = planner::bundle_charging_opt(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::BcOpt, &net, &cfg)?;
     plan.validate(&net, &cfg.charging)?;
     let m = plan.metrics(&cfg.energy);
     println!(

@@ -65,7 +65,8 @@ fn main() {
             m.tour_length_m.0,
             m.total_energy_j.0,
             100.0 * m.total_energy_j
-                / planner::single_charging(&net, &cfg)
+                / planner::try_run(Algorithm::Sc, &net, &cfg)
+                    .expect("planner rejected the input")
                     .metrics(&cfg.energy)
                     .total_energy_j,
         );

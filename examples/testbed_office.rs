@@ -28,17 +28,18 @@ fn main() {
     for r in [0.25, 0.5, 0.8, 1.2, 1.6, 2.0] {
         let cfg = PlannerConfig::paper_testbed(r);
         let rig = TestbedRig::new(&net, &cfg);
-        let e = |plan: &ChargingPlan| {
-            let rep = rig.execute(plan);
+        let e = |algo: Algorithm| {
+            let plan = planner::try_run(algo, &net, &cfg).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            let rep = rig.execute(&plan);
             assert!(
                 rep.all_fully_charged(),
                 "a sensor was left undercharged at r = {r}"
             );
             rep.total_energy_j()
         };
-        let sc = e(&planner::single_charging(&net, &cfg));
-        let bc = e(&planner::bundle_charging(&net, &cfg));
-        let opt = e(&planner::bundle_charging_opt(&net, &cfg));
+        let sc = e(Algorithm::Sc);
+        let bc = e(Algorithm::Bc);
+        let opt = e(Algorithm::BcOpt);
         println!(
             "{:>6.2} {:>12.2} {:>12.2} {:>12.2} {:>13.1}%",
             r,
@@ -51,7 +52,8 @@ fn main() {
 
     // One noisy run: 10 % multiplicative harvest jitter.
     let cfg = PlannerConfig::paper_testbed(1.2);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan =
+        planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap_or_else(|e| panic!("BC-OPT: {e}"));
     let noisy = TestbedRig::new(&net, &cfg)
         .with_noise(0.10, 2024)
         .execute(&plan);

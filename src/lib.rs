@@ -36,7 +36,7 @@
 //!
 //! // Plan a charging tour with bundle radius 25 m.
 //! let cfg = PlannerConfig::paper_sim(25.0);
-//! let plan = planner::bundle_charging_opt(&net, &cfg);
+//! let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
 //!
 //! // Every sensor is fully charged, and the cost is itemised.
 //! assert!(plan.validate(&net, &cfg.charging).is_ok());

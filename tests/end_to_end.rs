@@ -80,7 +80,7 @@ fn manual_bundle_plan_matches_bc() {
 fn rig_execution_matches_plan_prediction() {
     let net = deploy::uniform(25, Aabb::square(100.0), 2.0, 5);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let report = TestbedRig::new(&net, &cfg).with_tick(0.5).execute(&plan);
     let m = plan.metrics(&cfg.energy);
     assert!((report.driven_m - m.tour_length_m).abs() < Meters(1e-6));
@@ -98,10 +98,11 @@ fn radius_monotonicity_and_sc_invariance() {
     let mut sc_energy: Option<Joules> = None;
     for r in [5.0, 15.0, 30.0, 60.0] {
         let cfg = PlannerConfig::paper_sim(r);
-        let bc = planner::bundle_charging(&net, &cfg);
+        let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert!(bc.num_charging_stops() <= last_stops);
         last_stops = bc.num_charging_stops();
-        let sc = planner::single_charging(&net, &cfg)
+        let sc = planner::try_run(Algorithm::Sc, &net, &cfg)
+            .unwrap()
             .metrics(&cfg.energy)
             .total_energy_j;
         if let Some(prev) = sc_energy {
@@ -119,8 +120,8 @@ fn base_station_inclusion() {
     let cfg = PlannerConfig::paper_sim(25.0);
     let mut with_base = cfg.clone();
     with_base.include_base = true;
-    let p0 = planner::bundle_charging(&net, &cfg);
-    let p1 = planner::bundle_charging(&net, &with_base);
+    let p0 = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
+    let p1 = planner::try_run(Algorithm::Bc, &net, &with_base).unwrap();
     assert!(p1.validate(&net, &cfg.charging).is_ok());
     assert_eq!(p1.stops.len(), p0.stops.len() + 1);
     assert_eq!(p1.num_charging_stops(), p0.num_charging_stops());

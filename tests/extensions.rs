@@ -3,10 +3,10 @@
 //! lifetime + self-checks.
 
 use bundle_charging::core::{
-    add_sensor, plan_fleet, remove_sensor, split_into_sorties, tighten, planner,
+    add_sensor, remove_sensor, split_into_sorties, tighten, planner, try_plan_fleet,
 };
+use bundle_charging::des::Scenario;
 use bundle_charging::prelude::*;
-use bundle_charging::sim::lifetime::{simulate, LifetimeConfig};
 use bundle_charging::wpt::{ChargingModel, Law};
 
 /// Tighten, then split into sorties: the tightened plan's sorties remain
@@ -16,7 +16,7 @@ use bundle_charging::wpt::{ChargingModel, Law};
 fn tighten_then_sortie_pipeline() {
     let net = deploy::uniform(80, Aabb::square(250.0), 2.0, 3);
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut plan = planner::bundle_charging_opt(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let rep = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 50);
     assert!(rep.saving() > 0.0);
     tighten::validate_cross_credit(&plan, &net, &cfg.charging).unwrap();
@@ -38,7 +38,7 @@ fn tighten_then_sortie_pipeline() {
 fn fleet_regions_can_be_tightened() {
     let net = deploy::uniform(90, Aabb::square(300.0), 2.0, 8);
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut fleet = plan_fleet(&net, &cfg, planner::Algorithm::Bc, 3);
+    let mut fleet = try_plan_fleet(&net, &cfg, Algorithm::Bc, 3).unwrap();
     for (plan, region) in fleet.plans.iter_mut().zip(&fleet.regions) {
         let rep = tighten::tighten_dwells(plan, region, &cfg.charging, 40);
         assert!(rep.dwell_after_s <= rep.dwell_before_s + Seconds(1e-9));
@@ -59,7 +59,7 @@ fn replan_under_linear_law() {
         1.0,
     );
     let net = deploy::uniform(40, Aabb::square(200.0), 2.0, 5);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
 
     let (net2, plan2) =
@@ -91,29 +91,31 @@ fn planners_under_table_law() {
 #[test]
 fn lifetime_single_round_energy_consistent() {
     let net = deploy::uniform(25, Aabb::square(150.0), 2.0, 9);
-    let mut cfg = LifetimeConfig::paper_sim(25, 25.0, Algorithm::Bc);
+    let mut sc = Scenario::paper_sim(net.clone(), 25.0, Algorithm::Bc);
     // Exactly one round fits the horizon: trigger immediately, then end.
-    cfg.trigger_level_j = cfg.battery_j; // everyone is "low" at t = 0
-    cfg.trigger_count = 1;
-    let plan = planner::bundle_charging(
+    sc.trigger_level_j = sc.battery_j; // everyone is "low" at t = 0
+    sc.trigger_count = 1;
+    let plan = planner::try_run(
+        Algorithm::Bc,
         &{
             let sensors: Vec<_> = net
                 .sensors()
                 .iter()
-                .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, cfg.battery_j.0))
+                .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, sc.battery_j.0))
                 .collect();
             Network::new(sensors, net.field(), net.base())
         },
-        &cfg.planner,
-    );
+        &sc.planner,
+    )
+    .unwrap();
     // End the horizon a hair before the round completes so a second
     // round can never start (the freshly charged network is instantly
     // "low" again at this trigger level).
-    let round_time = plan.tour_length() / cfg.speed_mps + plan.total_dwell();
-    cfg.horizon_s = round_time - Seconds(0.5);
-    let rep = simulate(&net, &cfg);
+    let round_time = plan.tour_length() / sc.speed_mps + plan.total_dwell();
+    sc.horizon_s = round_time - Seconds(0.5);
+    let rep = bundle_charging::des::run(&sc).unwrap();
     assert_eq!(rep.rounds, 1);
-    let expected = plan.metrics(&cfg.planner.energy).total_energy_j;
+    let expected = plan.metrics(&sc.planner.energy).total_energy_j;
     assert!(
         (rep.charger_energy_j - expected).abs() / expected < 0.01,
         "lifetime {} vs plan {}",
@@ -128,7 +130,7 @@ fn artifact_generation() {
     use bundle_charging::sim::{html, svg};
     let net = deploy::uniform(15, Aabb::square(100.0), 2.0, 2);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     let image = svg::render_scene(&net, Some(&plan), None, &svg::SvgStyle::default());
     let mut table = bundle_charging::sim::Table::new("metrics", &["stops", "energy"]);
     let m = plan.metrics(&cfg.energy);

@@ -34,7 +34,7 @@ fn many_duplicates() {
     let coords = vec![(10.0, 10.0); 25];
     let net = deploy::from_coords(&coords, Aabb::square(20.0), 2.0);
     let cfg = PlannerConfig::paper_sim(5.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     assert_eq!(plan.num_charging_stops(), 1);
     assert!(plan.validate(&net, &cfg.charging).is_ok());
 }
@@ -62,7 +62,7 @@ fn sensors_on_field_corners() {
 fn zero_demand_sensors_need_no_dwell() {
     let net = deploy::from_coords(&[(1.0, 1.0), (2.0, 2.0)], Aabb::square(10.0), 0.0);
     let cfg = PlannerConfig::paper_sim(5.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     assert!(plan.validate(&net, &cfg.charging).is_ok());
     assert_eq!(plan.total_dwell(), Seconds(0.0));
 }
@@ -81,7 +81,7 @@ fn mixed_demands_respected() {
     ));
     let net = Network::new(sensors, Aabb::square(50.0), bundle_charging::geom::Point::ORIGIN);
     let cfg = PlannerConfig::paper_sim(5.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
     // The dwell is driven by the heavy sensor, not the average.
     let stop = &plan.stops[0];
@@ -93,7 +93,7 @@ fn mixed_demands_respected() {
 fn giant_radius_single_stop() {
     let net = deploy::uniform(50, Aabb::square(100.0), 2.0, 3);
     let cfg = PlannerConfig::paper_sim(1e4);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     assert_eq!(plan.num_charging_stops(), 1);
     assert!(plan.validate(&net, &cfg.charging).is_ok());
 }
@@ -103,7 +103,7 @@ fn noisy_rig_with_dwell_margin_still_charges() {
     // A 15% dwell safety margin absorbs 10% multiplicative noise.
     let net = deploy::uniform(10, Aabb::square(50.0), 2.0, 17);
     let cfg = PlannerConfig::paper_sim(10.0);
-    let mut plan = planner::bundle_charging(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     for stop in &mut plan.stops {
         stop.dwell = stop.dwell * 1.15;
     }
@@ -124,7 +124,7 @@ fn css_handles_chain_topology() {
     let coords: Vec<(f64, f64)> = (0..12).map(|i| (i as f64 * 8.0, 0.0)).collect();
     let net = deploy::from_coords(&coords, Aabb::square(100.0), 2.0);
     let cfg = PlannerConfig::paper_sim(9.0);
-    let plan = planner::css(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Css, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
     assert!(plan.num_charging_stops() < 12, "no combining happened");
 }
@@ -136,7 +136,7 @@ fn css_handles_chain_topology() {
 fn execution_reports_are_byte_identical() {
     let net = deploy::uniform(30, Aabb::square(200.0), 2.0, 11);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let faults = FaultModel::with_rate(42, 0.3);
     for policy in RecoveryPolicy::ALL {
         let exec = Executor::new(&net, &cfg).with_policy(policy);
@@ -152,7 +152,7 @@ fn execution_reports_are_byte_identical() {
 fn bad_inputs_are_typed_errors_at_every_layer() {
     let net = deploy::uniform(10, Aabb::square(100.0), 2.0, 3);
     let cfg = PlannerConfig::paper_sim(15.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
 
     let mut bad_cfg = cfg.clone();
     bad_cfg.bundle_radius = Meters(f64::NAN);

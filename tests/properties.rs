@@ -129,8 +129,8 @@ proptest! {
     fn bcopt_dominates_bc(seed in 0u64..1000, n in 2usize..35) {
         let net = deploy::uniform(n, Aabb::square(250.0), 2.0, seed);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let bc = planner::bundle_charging(&net, &cfg).metrics(&cfg.energy).total_energy_j;
-        let opt = planner::bundle_charging_opt(&net, &cfg).metrics(&cfg.energy).total_energy_j;
+        let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap().metrics(&cfg.energy).total_energy_j;
+        let opt = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap().metrics(&cfg.energy).total_energy_j;
         prop_assert!(opt <= bc + Joules(1e-6), "BC-OPT {opt} > BC {bc}");
     }
 }

@@ -85,7 +85,7 @@ proptest! {
     fn tightening_is_idempotent(seed in 0u64..500, n in 10usize..60) {
         let net = deploy::uniform(n, Aabb::square(220.0), 2.0, seed);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 60);
         let second = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 60);
         prop_assert!(second.saving() < 1e-6, "second pass saved {}", second.saving());

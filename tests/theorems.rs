@@ -97,8 +97,8 @@ fn theorem5_bisector_at_optimum() {
 fn two_bundle_tradeoff_eq7_eq8() {
     let net = deploy::from_coords(&[(0.0, 0.0), (300.0, 0.0)], Aabb::square(400.0), 2.0);
     let cfg = PlannerConfig::paper_sim(10.0);
-    let bc = planner::bundle_charging(&net, &cfg);
-    let opt = planner::bundle_charging_opt(&net, &cfg);
+    let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
+    let opt = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let e_bc = bc.metrics(&cfg.energy).total_energy_j;
     let e_opt = opt.metrics(&cfg.energy).total_energy_j;
     assert!(e_opt < e_bc, "relocation should pay off: {e_opt} vs {e_bc}");
@@ -113,7 +113,7 @@ fn two_bundle_tradeoff_eq7_eq8() {
     // Conversely, with free movement the optimal anchors stay put.
     let mut free = PlannerConfig::paper_sim(10.0);
     free.energy = bundle_charging::wpt::EnergyModel::new(0.0, free.energy.charge_draw().0);
-    let opt_free = planner::bundle_charging_opt(&net, &free);
+    let opt_free = planner::try_run(Algorithm::BcOpt, &net, &free).unwrap();
     assert!((opt_free.tour_length() - bc.tour_length()).abs() < Meters(1e-6),
         "with E_m = 0 no relocation should happen");
 }
