@@ -28,9 +28,10 @@
 //!   lives in the field and never detours to base), which is what makes the
 //!   death-time equivalence test tight.
 //! - **multi-charger**: tour stops are divided by the fleet's
-//!   [`DispatchPolicy`]; each charger drives base → its arc → base. With
-//!   faults, the round's [`bc_core::faults::FaultSchedule`] is applied
-//!   directly (stall-stretched legs, retry backoff, degradation-stretched
+//!   [`DispatchPolicy`](crate::fleet::DispatchPolicy); each charger
+//!   drives base → its arc → base. With faults, the round's
+//!   [`bc_core::faults::FaultSchedule`] is applied directly
+//!   (stall-stretched legs, retry backoff, degradation-stretched
 //!   dwells, abandoned stops) and pinned hardware deaths fire as
 //!   `FaultDeath` events when the owning stop is reached; dead sensors are
 //!   then removed from the cached network before the next plan.

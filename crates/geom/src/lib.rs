@@ -10,7 +10,8 @@
 //! * [`Ellipse`] in foci form and the **ellipse–circle tangency search**
 //!   (Theorems 4 and 5 of the paper) used by the BC-OPT tour optimizer
 //!   ([`tangency::min_focal_sum_on_circle`]);
-//! * convex hulls and axis-aligned boxes used by tests and lower bounds.
+//! * axis-aligned boxes (deployment fields, grid partitioning) and
+//!   polygon obstacles with visibility-graph shortest paths around them.
 //!
 //! # Example
 //!
@@ -27,7 +28,6 @@
 pub mod aabb;
 pub mod disk;
 pub mod ellipse;
-pub mod hull;
 pub mod point;
 pub mod polygon;
 pub mod sed;

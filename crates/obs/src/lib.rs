@@ -426,56 +426,11 @@ pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
     dispatch(&ObsEvent { scope, name, kind: Kind::Event, value: Value::None, fields });
 }
 
-/// RAII span guard: measures from construction to [`SpanGuard::finish`]
-/// (or drop) and emits one [`Kind::Span`] event.
-///
-/// ```
-/// let _span = bc_obs::SpanGuard::new("plan", "stage.cover");
-/// // ... timed work ...
-/// ```
-#[must_use = "dropping the guard immediately measures nothing"]
-pub struct SpanGuard {
-    scope: &'static str,
-    name: &'static str,
-    started: std::time::Instant,
-    fields: Vec<Field>,
-    done: bool,
-}
-
-impl SpanGuard {
-    /// Starts a span now.
-    pub fn new(scope: &'static str, name: &'static str) -> Self {
-        SpanGuard { scope, name, started: crate::wall::now(), fields: Vec::new(), done: false }
-    }
-
-    /// Attaches a field to the eventual span event (builder style).
-    pub fn with_field(mut self, key: &'static str, value: impl Into<Value>) -> Self {
-        self.fields.push(Field::new(key, value));
-        self
-    }
-
-    /// Ends the span, emits it, and returns the elapsed seconds.
-    pub fn finish(mut self) -> f64 {
-        self.done = true;
-        let elapsed = self.started.elapsed().as_secs_f64();
-        span(self.scope, self.name, elapsed, &self.fields);
-        elapsed
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.done {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            span(self.scope, self.name, elapsed, &self.fields);
-        }
-    }
-}
-
-/// RAII *causal* span guard: like [`SpanGuard`], but the span joins the
-/// thread-local span stack, so every event emitted between `enter` and
-/// the guard's close — child spans, counters, histograms — carries this
-/// span's id as its [`SpanCtx::parent`].
+/// RAII *causal* span guard: measures from [`ScopedSpan::enter`] to
+/// [`ScopedSpan::finish`] (or drop), emits one [`Kind::Span`] event, and
+/// joins the thread-local span stack in between, so every event emitted
+/// while the guard is open — child spans, counters, histograms — carries
+/// this span's id as its [`SpanCtx::parent`].
 ///
 /// The guard always measures wall time (the caller may want the elapsed
 /// seconds even with recording disabled — `run_stages_budgeted` feeds
@@ -644,22 +599,6 @@ mod tests {
             assert!(!active(), "NullRecorder must keep the fast path disabled");
             counter("t", "silent", 1, &[]);
         });
-    }
-
-    #[test]
-    fn span_guard_emits_on_finish_and_drop() {
-        let stats = Arc::new(StatsRecorder::new());
-        with_local(stats.clone(), || {
-            let s = SpanGuard::new("t", "explicit").with_field("k", 1u64);
-            let elapsed = s.finish();
-            assert!(elapsed >= 0.0);
-            {
-                let _implicit = SpanGuard::new("t", "dropped");
-            }
-        });
-        let snap = stats.snapshot();
-        assert_eq!(snap.span_count("t.explicit"), 1);
-        assert_eq!(snap.span_count("t.dropped"), 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::error::{RetryCause, ServeError};
 use crate::faults::{FaultOutcome, ServeFaultModel};
 use crate::registry::{NetEntry, NetworkId, NetworkRegistry};
 use crate::retry::RetryPolicy;
-use crate::stats::{ServeStats, ServeStatsSnapshot};
+use crate::stats::{ServeEvent, ServeStats, ServeStatsSnapshot};
 use crate::sync::lock_recover;
 
 /// Panic payload used by fault injection, recognized by the panic hook
@@ -361,10 +361,7 @@ impl PlanService {
             return Err(ServeError::ShuttingDown);
         }
         if queue.jobs.len() >= self.shared.cfg.queue_capacity {
-            self.shared.stats.inc_shed();
-            if bc_obs::active() {
-                bc_obs::counter("serve", "shed", 1, &[]);
-            }
+            self.shared.stats.count(ServeEvent::Shed);
             return Err(ServeError::Shed {
                 queued: queue.jobs.len(),
                 capacity: self.shared.cfg.queue_capacity,
@@ -384,10 +381,7 @@ impl PlanService {
             submitted: now,
             slot: Arc::clone(&slot),
         });
-        self.shared.stats.inc_submitted();
-        if bc_obs::active() {
-            bc_obs::counter("serve", "request", 1, &[]);
-        }
+        self.shared.stats.count(ServeEvent::Submitted);
         drop(queue);
         self.shared.queue_cv.notify_one();
         Ok(Ticket { id, slot })
@@ -422,7 +416,7 @@ impl PlanService {
             let mut queue = lock_recover(&self.shared.queue);
             queue.closed = true;
             while let Some(job) = queue.jobs.pop_front() {
-                self.shared.stats.inc_drained();
+                self.shared.stats.count(ServeEvent::Drained);
                 job.slot.deliver(Err(ServeError::ShuttingDown));
             }
         }
@@ -569,23 +563,13 @@ fn process(shared: &Shared, job: Job) {
     // and the latency sample below is attributed to it.
     let mut req_span = bc_obs::active().then(|| bc_obs::ScopedSpan::enter("serve", "request"));
     let result = execute(shared, &job);
-    match &result {
-        Ok(resp) => {
-            if resp.degraded() {
-                shared.stats.inc_completed_degraded();
-            } else {
-                shared.stats.inc_completed_full();
-            }
-        }
-        Err(ServeError::DeadlineExceeded { .. }) => {
-            shared.stats.inc_deadline_miss();
-            if bc_obs::active() {
-                bc_obs::counter("serve", "deadline_miss", 1, &[]);
-            }
-        }
-        Err(ServeError::UnknownNetwork(_)) => shared.stats.inc_unknown_network(),
-        Err(_) => shared.stats.inc_failed(),
-    }
+    shared.stats.count(match &result {
+        Ok(resp) if resp.degraded() => ServeEvent::CompletedDegraded,
+        Ok(_) => ServeEvent::CompletedFull,
+        Err(ServeError::DeadlineExceeded { .. }) => ServeEvent::DeadlineMiss,
+        Err(ServeError::UnknownNetwork(_)) => ServeEvent::UnknownNetwork,
+        Err(_) => ServeEvent::Failed,
+    });
     if bc_obs::active() {
         let ms = job.submitted.elapsed().as_secs_f64() * 1e3;
         bc_obs::histogram("serve", "latency_ms", ms, &[]);
@@ -618,10 +602,7 @@ fn execute(shared: &Shared, job: &Job) -> Result<PlanResponse, ServeError> {
             cache.remove_sensor(&base, sensor)?;
             Ok::<(), ServeError>(())
         })?;
-        shared.stats.inc_replans();
-        if bc_obs::active() {
-            bc_obs::counter("serve", "replan", 1, &[]);
-        }
+        shared.stats.count(ServeEvent::Replans);
     }
 
     // Single-flight only for pure plan requests: every mutation must
@@ -655,10 +636,7 @@ fn execute(shared: &Shared, job: &Job) -> Result<PlanResponse, ServeError> {
 
     match role {
         Role::Follower(flight) => {
-            shared.stats.inc_dedup_hits();
-            if bc_obs::active() {
-                bc_obs::counter("serve", "dedup", 1, &[]);
-            }
+            shared.stats.count(ServeEvent::DedupHits);
             match flight.wait(job.deadline) {
                 Some(Ok(fr)) => Ok(respond(job, &fr, true)),
                 Some(Err(e)) => Err(e),
@@ -722,7 +700,7 @@ fn attempt_with_retries(
             std::thread::sleep(capped);
         }
         if fault.outcome == FaultOutcome::TransientFailure {
-            shared.stats.inc_transient_failures();
+            shared.stats.count(ServeEvent::TransientFailures);
             last_cause = RetryCause::TransientFailure;
         } else {
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -754,10 +732,7 @@ fn attempt_with_retries(
                 // retry can fix them.
                 Ok(Err(e)) => return Err(e),
                 Err(_payload) => {
-                    shared.stats.inc_panics_caught();
-                    if bc_obs::active() {
-                        bc_obs::counter("serve", "panic", 1, &[]);
-                    }
+                    shared.stats.count(ServeEvent::PanicsCaught);
                     // A waiter may already have repaired the entry; if
                     // not, this does, so no panic leaves it poisoned.
                     entry.repair();
@@ -766,10 +741,7 @@ fn attempt_with_retries(
             }
         }
         if attempt + 1 < policy.max_attempts() {
-            shared.stats.inc_retries();
-            if bc_obs::active() {
-                bc_obs::counter("serve", "retry", 1, &[]);
-            }
+            shared.stats.count(ServeEvent::Retries);
             std::thread::sleep(policy.backoff(faults.seed, job.id, attempt + 1));
         }
     }

@@ -1,8 +1,11 @@
 //! Lock-free service counters and their snapshot form.
 //!
-//! Workers bump plain atomics on every terminal outcome; the load
-//! generator and chaos harness read a [`ServeStatsSnapshot`] after the
-//! request stream drains, when the counts are quiescent and exact.
+//! Every serve event is counted once, through `ServeStats::count`: it
+//! bumps a plain atomic and, when a `bc-obs` recorder is active, emits
+//! the matching `serve.<field>` counter, so the snapshot and the recorder
+//! cannot disagree. The load generator and chaos harness read a
+//! [`ServeStatsSnapshot`] after the request stream drains, when the
+//! counts are quiescent and exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,51 +40,48 @@ pub struct ServeStats {
     pub(crate) drained: AtomicU64,
 }
 
-macro_rules! bump {
-    ($self:ident . $field:ident) => {
-        $self.$field.fetch_add(1, Ordering::AcqRel)
-    };
+/// A countable service event, named after the [`ServeStatsSnapshot`]
+/// field it bumps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ServeEvent {
+    Submitted,
+    CompletedFull,
+    CompletedDegraded,
+    Shed,
+    DeadlineMiss,
+    UnknownNetwork,
+    Failed,
+    Retries,
+    TransientFailures,
+    PanicsCaught,
+    DedupHits,
+    Replans,
+    Drained,
 }
 
 impl ServeStats {
-    pub(crate) fn inc_submitted(&self) {
-        bump!(self.submitted);
-    }
-    pub(crate) fn inc_completed_full(&self) {
-        bump!(self.completed_full);
-    }
-    pub(crate) fn inc_completed_degraded(&self) {
-        bump!(self.completed_degraded);
-    }
-    pub(crate) fn inc_shed(&self) {
-        bump!(self.shed);
-    }
-    pub(crate) fn inc_deadline_miss(&self) {
-        bump!(self.deadline_miss);
-    }
-    pub(crate) fn inc_unknown_network(&self) {
-        bump!(self.unknown_network);
-    }
-    pub(crate) fn inc_failed(&self) {
-        bump!(self.failed);
-    }
-    pub(crate) fn inc_retries(&self) {
-        bump!(self.retries);
-    }
-    pub(crate) fn inc_transient_failures(&self) {
-        bump!(self.transient_failures);
-    }
-    pub(crate) fn inc_panics_caught(&self) {
-        bump!(self.panics_caught);
-    }
-    pub(crate) fn inc_dedup_hits(&self) {
-        bump!(self.dedup_hits);
-    }
-    pub(crate) fn inc_replans(&self) {
-        bump!(self.replans);
-    }
-    pub(crate) fn inc_drained(&self) {
-        bump!(self.drained);
+    /// Counts one `event`: bumps its counter and, only when
+    /// [`bc_obs::active`], emits `serve.<field>`, `<field>` being the
+    /// snapshot field's name. The one place a serve event is counted.
+    pub(crate) fn count(&self, event: ServeEvent) {
+        use ServeEvent as E;
+        let (cell, field) = match event {
+            E::Submitted => (&self.submitted, "submitted"),
+            E::CompletedFull => (&self.completed_full, "completed_full"),
+            E::CompletedDegraded => (&self.completed_degraded, "completed_degraded"),
+            E::Shed => (&self.shed, "shed"),
+            E::DeadlineMiss => (&self.deadline_miss, "deadline_miss"),
+            E::UnknownNetwork => (&self.unknown_network, "unknown_network"),
+            E::Failed => (&self.failed, "failed"),
+            E::Retries => (&self.retries, "retries"),
+            E::TransientFailures => (&self.transient_failures, "transient_failures"),
+            E::PanicsCaught => (&self.panics_caught, "panics_caught"),
+            E::DedupHits => (&self.dedup_hits, "dedup_hits"),
+            E::Replans => (&self.replans, "replans"),
+            E::Drained => (&self.drained, "drained"),
+        };
+        cell.fetch_add(1, Ordering::AcqRel);
+        bc_obs::counter("serve", field, 1, &[]);
     }
 
     /// A point-in-time copy of every counter.

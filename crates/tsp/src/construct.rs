@@ -1,4 +1,4 @@
-//! Tour construction heuristics.
+//! Nearest-neighbour tour construction.
 #![allow(clippy::needless_range_loop)] // index loops mirror the textbook formulations
 
 use crate::{DistanceMatrix, Tour};
@@ -41,135 +41,6 @@ pub fn nearest_neighbor(m: &DistanceMatrix, start: usize) -> Tour {
     }
     length += m.dist(current, start);
     Tour { order, length }
-}
-
-/// Cheapest-insertion construction.
-///
-/// Starts from the two mutually farthest points and repeatedly inserts the
-/// point whose best insertion position increases the tour least. `O(n^3)`
-/// worst case in this simple form, fine for the instance sizes used here.
-pub fn cheapest_insertion(m: &DistanceMatrix) -> Tour {
-    let n = m.len();
-    if n == 0 {
-        return Tour::empty();
-    }
-    if n == 1 {
-        return Tour {
-            order: vec![0],
-            length: 0.0,
-        };
-    }
-    // Seed with the farthest pair for a wide initial loop.
-    let (mut a, mut b, mut best) = (0, 1, -1.0);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if m.dist(i, j) > best {
-                best = m.dist(i, j);
-                a = i;
-                b = j;
-            }
-        }
-    }
-    let mut order = vec![a, b];
-    let mut in_tour = vec![false; n];
-    in_tour[a] = true;
-    in_tour[b] = true;
-    while order.len() < n {
-        let mut pick = usize::MAX;
-        let mut pick_pos = 0usize;
-        let mut pick_cost = f64::INFINITY;
-        for v in 0..n {
-            if in_tour[v] {
-                continue;
-            }
-            for pos in 0..order.len() {
-                let u = order[pos];
-                let w = order[(pos + 1) % order.len()];
-                let cost = m.dist(u, v) + m.dist(v, w) - m.dist(u, w);
-                if cost < pick_cost {
-                    pick_cost = cost;
-                    pick = v;
-                    pick_pos = pos + 1;
-                }
-            }
-        }
-        order.insert(pick_pos, pick);
-        in_tour[pick] = true;
-    }
-    Tour::from_order(order, m)
-}
-
-/// Greedy-edge construction: sorts all edges by length and adds an edge
-/// whenever it does not create a vertex of degree three or a premature
-/// subcycle. `O(n^2 log n)`.
-pub fn greedy_edge(m: &DistanceMatrix) -> Tour {
-    let n = m.len();
-    if n == 0 {
-        return Tour::empty();
-    }
-    if n == 1 {
-        return Tour {
-            order: vec![0],
-            length: 0.0,
-        };
-    }
-    if n == 2 {
-        return Tour {
-            order: vec![0, 1],
-            length: 2.0 * m.dist(0, 1),
-        };
-    }
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            edges.push((i, j));
-        }
-    }
-    edges.sort_by(|&(a, b), &(c, d)| m.dist(a, b).total_cmp(&m.dist(c, d)));
-
-    let mut degree = vec![0u8; n];
-    // Union-find to detect subcycles.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::with_capacity(2); n];
-    let mut added = 0usize;
-    for (i, j) in edges {
-        if added == n {
-            break;
-        }
-        if degree[i] >= 2 || degree[j] >= 2 {
-            continue;
-        }
-        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-        if ri == rj && added != n - 1 {
-            continue; // would close a premature cycle
-        }
-        degree[i] += 1;
-        degree[j] += 1;
-        parent[ri] = rj;
-        adj[i].push(j);
-        adj[j].push(i);
-        added += 1;
-    }
-    // Walk the single cycle.
-    let mut order = Vec::with_capacity(n);
-    let mut prev = usize::MAX;
-    let mut cur = 0usize;
-    for _ in 0..n {
-        order.push(cur);
-        let Some(&next) = adj[cur].iter().find(|&&x| x != prev) else {
-            unreachable!("greedy edge construction produced a broken cycle");
-        };
-        prev = cur;
-        cur = next;
-    }
-    Tour::from_order(order, m)
 }
 
 #[cfg(test)]
@@ -223,27 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_insertion_valid_and_reasonable() {
-        let pts = scattered(30);
-        let m = DistanceMatrix::from_points(&pts);
-        let ci = cheapest_insertion(&m);
-        assert!(ci.validate(30));
-        let nn = nearest_neighbor(&m, 0);
-        // Insertion is usually no worse than 1.5x NN; just sanity-bound it.
-        assert!(ci.length <= nn.length * 1.5);
-    }
-
-    #[test]
-    fn greedy_edge_valid() {
-        let pts = scattered(30);
-        let m = DistanceMatrix::from_points(&pts);
-        let t = greedy_edge(&m);
-        assert!(t.validate(30));
-        assert!((t.recompute_length(&m) - t.length).abs() < 1e-9);
-    }
-
-    #[test]
-    fn all_constructors_handle_tiny_inputs() {
+    fn nn_handles_tiny_inputs() {
         for n in 0..4usize {
             let pts = scattered(n);
             let m = DistanceMatrix::from_points(&pts);
@@ -252,8 +103,6 @@ mod tests {
             } else {
                 assert!(nearest_neighbor(&m, 0).is_empty());
             }
-            assert!(cheapest_insertion(&m).validate(n) || n == 0);
-            assert!(greedy_edge(&m).validate(n) || n == 0);
         }
     }
 

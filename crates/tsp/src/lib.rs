@@ -2,20 +2,17 @@
 //!
 //! The paper's planners (SC, CSS, BC, BC-OPT) all start from a TSP tour —
 //! over sensors (SC/CSS) or over bundle anchor points (BC). No suitable
-//! TSP crate is available offline, so this crate implements the classical
-//! toolbox from scratch:
+//! TSP crate is available offline, so this crate implements, from
+//! scratch, the one tour pipeline the planners use:
 //!
 //! * [`DistanceMatrix`] — dense symmetric Euclidean distances;
 //! * [`Tour`] — a validated cyclic permutation with length accounting;
-//! * [`construct`] — nearest-neighbour, cheapest-insertion and greedy-edge
-//!   construction heuristics;
+//! * [`construct`] — nearest-neighbour construction;
 //! * [`improve`] — 2-opt and Or-opt local search;
-//! * [`exact`] — Held–Karp dynamic programming for small instances (used
-//!   to anchor tests and optimality gaps);
-//! * [`mst`] — Prim's minimum spanning tree, the double-tree
-//!   2-approximation and MST-based lower bounds.
+//! * [`exact`] — Held–Karp dynamic programming for small instances.
 //!
-//! The one-stop entry point is [`solve`], which runs nearest-neighbour
+//! The one-stop entry point is [`solve`]: Held–Karp up to
+//! [`SolveConfig::exact_threshold`] points, otherwise nearest-neighbour
 //! construction followed by 2-opt and Or-opt until a local optimum.
 //!
 //! # Example
@@ -36,14 +33,10 @@
 
 #![warn(missing_docs)]
 
-pub mod christofides;
 pub mod construct;
 pub mod exact;
 pub mod improve;
 pub mod matrix;
-pub mod mst;
-pub mod neighbors;
-pub mod three_opt;
 pub mod tour;
 
 pub use matrix::DistanceMatrix;
@@ -59,9 +52,6 @@ pub struct SolveConfig {
     /// Run the Or-opt improvement pass (segment relocation of length 1–3)
     /// until local optimality.
     pub or_opt: bool,
-    /// Run the 3-opt improvement pass after 2-opt/Or-opt converge.
-    /// Off by default: `O(n^3)` per sweep buys ~1-2 % tour length.
-    pub three_opt: bool,
     /// Use exact Held–Karp for instances up to this size (inclusive).
     /// Set to `0` to always use heuristics.
     pub exact_threshold: usize,
@@ -72,21 +62,7 @@ impl Default for SolveConfig {
         SolveConfig {
             two_opt: true,
             or_opt: true,
-            three_opt: false,
             exact_threshold: 10,
-        }
-    }
-}
-
-impl SolveConfig {
-    /// A configuration that only builds the nearest-neighbour tour without
-    /// any improvement — useful for measuring improvement gains.
-    pub fn construction_only() -> Self {
-        SolveConfig {
-            two_opt: false,
-            or_opt: false,
-            three_opt: false,
-            exact_threshold: 0,
         }
     }
 }
@@ -138,33 +114,8 @@ pub fn solve_matrix(m: &DistanceMatrix, config: &SolveConfig) -> Tour {
         if config.or_opt && improve::or_opt(&mut tour, m) {
             improved = true;
         }
-        if !improved && config.three_opt && three_opt::three_opt(&mut tour, m) {
-            improved = true;
-        }
     }
     tour
-}
-
-#[cfg(test)]
-mod solve_three_opt_tests {
-    use super::*;
-
-    #[test]
-    fn three_opt_option_never_hurts() {
-        let pts: Vec<Point> = (0..35)
-            .map(|i| {
-                let a = i as f64;
-                Point::new((a * 5.77).sin() * 300.0, (a * 9.13).cos() * 300.0)
-            })
-            .collect();
-        let base = solve(&pts, &SolveConfig { exact_threshold: 0, ..SolveConfig::default() });
-        let strong = solve(
-            &pts,
-            &SolveConfig { three_opt: true, exact_threshold: 0, ..SolveConfig::default() },
-        );
-        assert!(strong.length <= base.length + 1e-9);
-        assert!(strong.validate(35));
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +150,12 @@ mod tests {
                 Point::new((a * 12.9898).sin() * 500.0, (a * 78.233).cos() * 500.0)
             })
             .collect();
-        let nn = solve(&pts, &SolveConfig::construction_only());
+        let construction_only = SolveConfig {
+            two_opt: false,
+            or_opt: false,
+            exact_threshold: 0,
+        };
+        let nn = solve(&pts, &construction_only);
         let full = solve(&pts, &SolveConfig::default());
         assert!(full.length <= nn.length + 1e-9);
     }

@@ -93,26 +93,6 @@ impl DistanceMatrix {
     pub fn submatrix(&self, indices: &[usize]) -> DistanceMatrix {
         DistanceMatrix::from_fn(indices.len(), |a, b| self.dist(indices[a], indices[b]))
     }
-
-    /// The nearest other point to `i` among `candidates`, or `None` when
-    /// the iterator yields nothing (entries equal to `i` are skipped).
-    pub fn nearest_among<I: IntoIterator<Item = usize>>(
-        &self,
-        i: usize,
-        candidates: I,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for c in candidates {
-            if c == i {
-                continue;
-            }
-            let d = self.dist(i, c);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((c, d));
-            }
-        }
-        best.map(|(c, _)| c)
-    }
 }
 
 #[cfg(test)]
@@ -156,20 +136,6 @@ mod tests {
         assert_eq!(m.dist(0, 2), 2.0);
         assert_eq!(m.dist(2, 0), 2.0);
         assert_eq!(m.dist(1, 1), 0.0);
-    }
-
-    #[test]
-    fn nearest_among_respects_candidates() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(5.0, 0.0),
-        ];
-        let m = DistanceMatrix::from_points(&pts);
-        assert_eq!(m.nearest_among(0, [1, 2]), Some(1));
-        assert_eq!(m.nearest_among(0, [2]), Some(2));
-        assert_eq!(m.nearest_among(0, [0]), None);
-        assert_eq!(m.nearest_among(0, []), None);
     }
 
     #[test]

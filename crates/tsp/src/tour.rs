@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use bc_geom::Point;
-
 use crate::DistanceMatrix;
 
 /// A closed tour: a permutation of `0..n` visited cyclically, together
@@ -72,37 +70,6 @@ impl Tour {
     pub fn recompute_length(&self, m: &DistanceMatrix) -> f64 {
         cycle_length(&self.order, |a, b| m.dist(a, b))
     }
-
-    /// Recomputes the cyclic length through the actual points.
-    pub fn length_through(&self, points: &[Point]) -> f64 {
-        cycle_length(&self.order, |a, b| points[a].distance(points[b]))
-    }
-
-    /// The way-points of the tour in visit order (not closed; the return
-    /// leg to the first point is implicit).
-    pub fn waypoints<'a>(&'a self, points: &'a [Point]) -> impl Iterator<Item = Point> + 'a {
-        self.order.iter().map(move |&i| points[i])
-    }
-
-    /// Iterator over the directed edges of the closed tour as index pairs,
-    /// including the wrap-around edge.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.order.len();
-        (0..n).map(move |i| (self.order[i], self.order[(i + 1) % n]))
-    }
-
-    /// Rotates the visit order so that point `start` comes first, keeping
-    /// the cyclic order (and therefore the length) unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not part of the tour.
-    pub fn rotate_to_start(&mut self, start: usize) {
-        let Some(pos) = self.order.iter().position(|&i| i == start) else {
-            panic!("rotate_to_start: point {start} not in tour");
-        };
-        self.order.rotate_left(pos);
-    }
 }
 
 impl fmt::Display for Tour {
@@ -127,6 +94,7 @@ pub fn cycle_length<F: Fn(usize, usize) -> f64>(order: &[usize], dist: F) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bc_geom::Point;
 
     fn unit_square() -> Vec<Point> {
         vec![
@@ -171,25 +139,6 @@ mod tests {
             length: 0.0,
         };
         assert!(!t3.validate(3));
-    }
-
-    #[test]
-    fn rotation_preserves_length() {
-        let pts = unit_square();
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = Tour::from_order(vec![0, 1, 2, 3], &m);
-        t.rotate_to_start(2);
-        assert_eq!(t.order[0], 2);
-        assert!((t.recompute_length(&m) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edges_wrap_around() {
-        let pts = unit_square();
-        let m = DistanceMatrix::from_points(&pts);
-        let t = Tour::from_order(vec![0, 1, 2, 3], &m);
-        let edges: Vec<_> = t.edges().collect();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`units`] | `bc-units` | zero-cost dimensional newtypes ([`units::Joules`], [`units::Meters`], …) used across all public APIs |
 //! | [`geom`] | `bc-geom` | points, disks, smallest enclosing disk (MinDisk), ellipse–circle tangency (Theorems 4–5) |
-//! | [`tsp`] | `bc-tsp` | tour construction, 2-opt / Or-opt, Held–Karp, MST bounds |
+//! | [`tsp`] | `bc-tsp` | tour construction, 2-opt / Or-opt, Held–Karp |
 //! | [`setcover`] | `bc-setcover` | greedy (`ln n + 1`) and exact set cover |
 //! | [`wpt`] | `bc-wpt` | the quadratic charging model (Eq. 1) and charger energy accounting |
 //! | [`wsn`] | `bc-wsn` | sensors, deployments, spatial index |
