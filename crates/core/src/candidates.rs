@@ -15,16 +15,23 @@
 //! * [`CandidateFamily::per_node_exhaustive`] — the literal Algorithm 2
 //!   enumeration with a subset-size cap, retained for cross-validation on
 //!   small instances.
+//!
+//! Both store each candidate's members as a sorted index list, a few
+//! dozen entries at paper densities, rather than an `n`-bit set. Both
+//! drop duplicate member sets and then every candidate whose members are
+//! a subset of another's. That domination check is local: every superset
+//! of a candidate contains the candidate's rarest member, so a sensor →
+//! candidate index lists the only candidates it must be tested against.
 
 use bc_geom::{sed, Disk, Point};
-use bc_setcover::BitSet;
 use bc_wsn::Network;
 
 /// One candidate bundle: a coverable sensor set plus a feasible anchor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
-    /// Member sensor indices as a bitset over the network.
-    pub members: BitSet,
+    /// Member sensor indices into the network: sorted ascending, distinct
+    /// and non-empty.
+    pub members: Vec<usize>,
     /// A point from which every member is within the generation radius.
     pub anchor: Point,
 }
@@ -42,9 +49,12 @@ pub struct CandidateFamily {
 impl CandidateFamily {
     /// Builds the pair-intersection candidate family for radius `r`.
     ///
-    /// Complexity `O(k * q)` where `k` is the number of close pairs and
-    /// `q` the cost of a radius query — quadratic only in the local
-    /// density, thanks to the network's spatial index.
+    /// Enumeration costs `O(k * q)`, where `k` is the number of close
+    /// pairs and `q` the cost of a radius query. Domination pruning costs
+    /// `O(Σ_i p_i * m)`, where `p_i` counts the candidates that share
+    /// candidate `i`'s rarest member and `m` is the largest member count.
+    /// Both grow only with the local density, thanks to the network's
+    /// spatial index, not with `n`.
     ///
     /// # Panics
     ///
@@ -66,35 +76,7 @@ impl CandidateFamily {
     /// Panics if `r` is not positive and finite.
     pub fn pair_intersection_par(net: &Network, r: f64, workers: usize) -> Self {
         assert!(r.is_finite() && r > 0.0, "bundle radius must be positive");
-        let n = net.len();
-        // Intersections of radius-r circles around pairs within 2r; each
-        // sensor's contribution is independent, so the loop fans out.
-        let per_sensor: Vec<Vec<Point>> = crate::par::par_map(n, workers, |i| {
-            let pi = net.sensor(i).pos;
-            let mut pts = Vec::new();
-            for j in net.within_radius(pi, 2.0 * r) {
-                if j <= i {
-                    continue;
-                }
-                let di = Disk::new(pi, r);
-                let dj = Disk::new(net.sensor(j).pos, r);
-                pts.extend(di.circle_intersections(&dj));
-            }
-            pts
-        });
-        let mut anchors: Vec<Point> = Vec::new();
-        // Every sensor position is a candidate anchor (covers at least
-        // itself).
-        anchors.extend(net.positions().iter().copied());
-        for pts in per_sensor {
-            anchors.extend(pts);
-        }
-        // Identical anchors always induce identical member sets, which
-        // the member-set dedup would drop anyway (keeping the first) —
-        // dropping them here saves one coverage query per duplicate.
-        let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new(); // det-ok: membership-only dedup, never iterated
-        anchors.retain(|a| seen.insert((a.x.to_bits(), a.y.to_bits())));
-        let mut fam = Self::from_anchors_par(net, r, &anchors, workers);
+        let mut fam = Self::from_anchors_par(net, r, &pair_anchors(net, r, workers), workers);
         fam.prune_dominated_par(workers);
         fam
     }
@@ -136,8 +118,9 @@ impl CandidateFamily {
                 let pts: Vec<Point> = group.iter().map(|&j| net.sensor(j).pos).collect();
                 let disk = sed::smallest_enclosing_disk(&pts);
                 if disk.radius <= r + bc_geom::EPS {
+                    group.sort_unstable();
                     candidates.push(Candidate {
-                        members: BitSet::from_indices(n, &group),
+                        members: group,
                         anchor: disk.center,
                     });
                 }
@@ -161,7 +144,6 @@ impl CandidateFamily {
     /// the candidate list is identical to the serial build.
     fn from_anchors_par(net: &Network, r: f64, anchors: &[Point], workers: usize) -> Self {
         const CHUNK: usize = 64;
-        let n = net.len();
         let n_chunks = anchors.len().div_ceil(CHUNK);
         let per_chunk: Vec<Vec<Candidate>> = crate::par::par_map(n_chunks, workers, |ci| {
             let mut scratch: Vec<usize> = Vec::new();
@@ -171,8 +153,9 @@ impl CandidateFamily {
                 if scratch.is_empty() {
                     continue;
                 }
+                scratch.sort_unstable();
                 out.push(Candidate {
-                    members: BitSet::from_indices(n, &scratch),
+                    members: scratch.clone(),
                     anchor: a,
                 });
             }
@@ -199,9 +182,13 @@ impl CandidateFamily {
 
     /// Removes duplicate member sets, keeping the first anchor found.
     fn dedup(&mut self) {
-        let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new(); // det-ok: membership-only dedup, never iterated
-        self.candidates
-            .retain(|c| seen.insert(c.members.iter().collect()));
+        let mut seen: std::collections::HashSet<&[usize]> = std::collections::HashSet::new(); // det-ok: membership-only dedup, never iterated
+        let keep: Vec<bool> = self
+            .candidates
+            .iter()
+            .map(|c| seen.insert(&c.members))
+            .collect();
+        retain_flagged(&mut self.candidates, &keep);
     }
 
     /// Removes candidates whose member set is a strict subset of another
@@ -211,40 +198,147 @@ impl CandidateFamily {
     }
 
     /// [`CandidateFamily::prune_dominated`] with the per-candidate
-    /// domination checks fanned out over `workers` threads. Each keep
-    /// decision reads only the immutable set list, so the parallel run is
-    /// identical to the serial one.
+    /// domination checks fanned out over `workers` threads.
+    ///
+    /// Candidate `i` is dropped when another candidate `j` contains all
+    /// of its members and has more members, or as many and a lower index.
+    /// Every such `j` contains `i`'s rarest member, so `i` is tested only
+    /// against that sensor's posting list (the candidates containing it).
+    /// Each keep decision reads only the immutable member lists, so the
+    /// parallel run is identical to the serial one.
     fn prune_dominated_par(&mut self, workers: usize) {
-        let sets: Vec<BitSet> = self.candidates.iter().map(|c| c.members.clone()).collect();
-        let counts: Vec<usize> = sets.iter().map(BitSet::count).collect();
-        let keep: Vec<bool> = crate::par::par_map(sets.len(), workers, |i| {
-            for j in 0..sets.len() {
-                if i != j
-                    && (counts[i] < counts[j] || (counts[i] == counts[j] && i > j))
-                    && sets[i].is_subset_of(&sets[j])
-                {
-                    return false;
-                }
+        let sets: Vec<&[usize]> = self
+            .candidates
+            .iter()
+            .map(|c| c.members.as_slice())
+            .collect();
+        let universe = sets
+            .iter()
+            .filter_map(|m| m.last())
+            .max()
+            .map_or(0, |&s| s + 1);
+        let mut postings: Vec<Vec<usize>> = vec![Vec::new(); universe];
+        for (i, members) in sets.iter().enumerate() {
+            for &s in *members {
+                postings[s].push(i);
             }
-            true
+        }
+        let keep: Vec<bool> = crate::par::par_map(sets.len(), workers, |i| {
+            let mine = sets[i];
+            let rarest = mine.iter().map(|&s| &postings[s]).min_by_key(|p| p.len());
+            rarest.is_none_or(|holders| {
+                !holders.iter().any(|&j| {
+                    i != j
+                        && (mine.len() < sets[j].len() || (mine.len() == sets[j].len() && i > j))
+                        && is_sorted_subset(mine, sets[j])
+                })
+            })
         });
-        let mut it = keep.iter();
-        self.candidates.retain(|_| it.next().copied().unwrap_or(false));
+        retain_flagged(&mut self.candidates, &keep);
     }
+}
+
+/// The pair-intersection anchors: every sensor position, then the
+/// intersections of the radius-`r` circles around each pair within `2r`,
+/// with bit-identical repeats dropped (first kept).
+fn pair_anchors(net: &Network, r: f64, workers: usize) -> Vec<Point> {
+    let n = net.len();
+    // Each sensor's intersections are independent, so the loop fans out.
+    let per_sensor: Vec<Vec<Point>> = crate::par::par_map(n, workers, |i| {
+        let pi = net.sensor(i).pos;
+        let mut pts = Vec::new();
+        for j in net.within_radius(pi, 2.0 * r) {
+            if j <= i {
+                continue;
+            }
+            let di = Disk::new(pi, r);
+            let dj = Disk::new(net.sensor(j).pos, r);
+            pts.extend(di.circle_intersections(&dj));
+        }
+        pts
+    });
+    let mut anchors: Vec<Point> = Vec::new();
+    // Every sensor position is a candidate anchor (covers at least
+    // itself).
+    anchors.extend(net.positions().iter().copied());
+    for pts in per_sensor {
+        anchors.extend(pts);
+    }
+    // Identical anchors always induce identical member sets, which
+    // the member-set dedup would drop anyway (keeping the first) —
+    // dropping them here saves one coverage query per duplicate.
+    let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new(); // det-ok: membership-only dedup, never iterated
+    anchors.retain(|a| seen.insert((a.x.to_bits(), a.y.to_bits())));
+    anchors
+}
+
+/// `true` when every element of `a` is in `b`; both sorted ascending.
+fn is_sorted_subset(a: &[usize], b: &[usize]) -> bool {
+    let mut rest = b.iter();
+    a.iter().all(|x| rest.find(|&y| y >= x) == Some(x))
+}
+
+/// Keeps the candidates whose flag is set; `keep` is in candidate order.
+fn retain_flagged(candidates: &mut Vec<Candidate>, keep: &[bool]) {
+    let mut it = keep.iter();
+    candidates.retain(|_| it.next().copied().unwrap_or(false));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bc_geom::Aabb;
+    use bc_setcover::BitSet;
     use bc_wsn::deploy;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn coverage_union(fam: &CandidateFamily, n: usize) -> usize {
-        let mut u = BitSet::new(n);
+        let mut covered = vec![false; n];
         for c in &fam.candidates {
-            u.union_with(&c.members);
+            for &s in &c.members {
+                covered[s] = true;
+            }
         }
-        u.count()
+        covered.iter().filter(|&&c| c).count()
+    }
+
+    /// The all-pairs domination check that the posting-list pruning
+    /// replaced, kept as its oracle: candidate `i` goes when some other
+    /// candidate's member bitset is a superset with more members, or as
+    /// many and a lower index.
+    fn prune_all_pairs(fam: &CandidateFamily, n: usize) -> Vec<Candidate> {
+        let sets: Vec<BitSet> = fam
+            .candidates
+            .iter()
+            .map(|c| BitSet::from_indices(n, &c.members))
+            .collect();
+        let counts: Vec<usize> = sets.iter().map(BitSet::count).collect();
+        let dominated = |i: usize| {
+            (0..sets.len()).any(|j| {
+                i != j
+                    && (counts[i] < counts[j] || (counts[i] == counts[j] && i > j))
+                    && sets[i].is_subset_of(&sets[j])
+            })
+        };
+        fam.candidates
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !dominated(i))
+            .map(|(_, c)| c.clone())
+            .collect()
+    }
+
+    fn assert_members_invariant(fam: &CandidateFamily) {
+        for c in &fam.candidates {
+            assert!(!c.members.is_empty(), "empty candidate at {:?}", c.anchor);
+            assert!(
+                c.members.windows(2).all(|w| w[0] < w[1]),
+                "members not sorted and distinct: {:?}",
+                c.members
+            );
+        }
     }
 
     #[test]
@@ -260,7 +354,7 @@ mod tests {
         let r = 50.0;
         let fam = CandidateFamily::pair_intersection(&net, r);
         for c in &fam.candidates {
-            for s in c.members.iter() {
+            for &s in &c.members {
                 assert!(
                     net.sensor(s).pos.distance(c.anchor) <= r + 1e-6,
                     "sensor {s} outside candidate disk"
@@ -275,10 +369,10 @@ mod tests {
         // both, but a pair-intersection anchor does.
         let net = deploy::from_coords(&[(0.0, 0.0), (18.0, 0.0)], Aabb::square(100.0), 2.0);
         let fam = CandidateFamily::pair_intersection(&net, 10.0);
-        assert!(fam
-            .candidates
-            .iter()
-            .any(|c| c.members.count() == 2), "missing the pair bundle");
+        assert!(
+            fam.candidates.iter().any(|c| c.members.len() == 2),
+            "missing the pair bundle"
+        );
     }
 
     #[test]
@@ -287,10 +381,11 @@ mod tests {
         let r = 30.0;
         let pair = CandidateFamily::pair_intersection(&net, r);
         let exh = CandidateFamily::per_node_exhaustive(&net, r, 15);
+        assert_members_invariant(&exh);
         // Both families must offer the same maximum coverage per anchor
         // ... at least, the largest candidate should have equal size.
-        let max_pair = pair.candidates.iter().map(|c| c.members.count()).max();
-        let max_exh = exh.candidates.iter().map(|c| c.members.count()).max();
+        let max_pair = pair.candidates.iter().map(|c| c.members.len()).max();
+        let max_exh = exh.candidates.iter().map(|c| c.members.len()).max();
         assert_eq!(max_pair, max_exh);
     }
 
@@ -300,7 +395,7 @@ mod tests {
         let fam = CandidateFamily::pair_intersection(&net, 5.0);
         // Both sensors fit one disk; singletons are dominated and pruned.
         assert_eq!(fam.len(), 1);
-        assert_eq!(fam.candidates[0].members.count(), 2);
+        assert_eq!(fam.candidates[0].members, [0, 1]);
     }
 
     #[test]
@@ -319,13 +414,142 @@ mod tests {
             assert_eq!(par.len(), serial.len(), "workers={workers}");
             for (a, b) in par.candidates.iter().zip(&serial.candidates) {
                 assert_eq!(a.anchor, b.anchor, "workers={workers}");
-                assert_eq!(
-                    a.members.iter().collect::<Vec<_>>(),
-                    b.members.iter().collect::<Vec<_>>(),
-                    "workers={workers}"
-                );
+                assert_eq!(a.members, b.members, "workers={workers}");
             }
         }
+    }
+
+    /// The posting-list pruning keeps exactly the all-pairs survivors, in
+    /// order, on pair-intersection families: uniform, clustered and grid
+    /// deployments plus one with coincident and collinear sensors, at
+    /// three radii and two worker counts.
+    #[test]
+    fn local_pruning_matches_all_pairs_oracle_on_pair_families() {
+        let mut odd = vec![(50.0, 50.0), (50.0, 50.0), (50.0, 50.0), (57.0, 50.0)];
+        odd.extend((0..12).map(|k| (10.0 + 4.0 * f64::from(k), 20.0)));
+        odd.extend((0..6).map(|k| (80.0, 10.0 + 6.0 * f64::from(k))));
+        odd.extend([(30.0, 80.0), (30.0, 80.0), (36.0, 86.0), (42.0, 92.0)]);
+        let nets = [
+            deploy::uniform(90, Aabb::square(120.0), 2.0, 1),
+            deploy::uniform(150, Aabb::square(300.0), 2.0, 2),
+            deploy::uniform(60, Aabb::square(60.0), 2.0, 3),
+            deploy::clusters(120, 4, 12.0, Aabb::square(200.0), 2.0, 4),
+            deploy::perturbed_grid(9, 9, Aabb::square(100.0), 3.0, 2.0, 5),
+            deploy::from_coords(&odd, Aabb::square(100.0), 2.0),
+        ];
+        let mut pruned_somewhere = false;
+        for (k, net) in nets.iter().enumerate() {
+            for r in [6.0, 10.0, 18.0] {
+                for workers in [1usize, 3] {
+                    let raw = CandidateFamily::from_anchors_par(
+                        net,
+                        r,
+                        &pair_anchors(net, r, workers),
+                        workers,
+                    );
+                    assert_members_invariant(&raw);
+                    let want = prune_all_pairs(&raw, net.len());
+                    let mut got = raw.clone();
+                    got.prune_dominated_par(workers);
+                    assert_eq!(
+                        got.candidates, want,
+                        "net {k}, r = {r}, workers = {workers}"
+                    );
+                    assert_eq!(CandidateFamily::pair_intersection_par(net, r, workers), got);
+                    pruned_somewhere |= want.len() < raw.len();
+                }
+            }
+        }
+        assert!(pruned_somewhere, "no case exercised the pruning");
+    }
+
+    /// Random small set systems — nested chains, runs of equal-size sets
+    /// and repeated sets — pruned with and without `dedup` first: the
+    /// posting-list pruning keeps exactly the all-pairs survivors.
+    #[test]
+    fn local_pruning_matches_all_pairs_oracle_on_random_set_systems() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for case in 0..300 {
+            let universe = rng.random_range(1usize..=12);
+            let target = rng.random_range(1usize..=30);
+            let mut sets: Vec<Vec<usize>> = Vec::new();
+            while sets.len() < target {
+                match rng.random_range(0u32..3) {
+                    // A nested chain: prefixes of one shuffled universe.
+                    0 => {
+                        let mut order: Vec<usize> = (0..universe).collect();
+                        order.shuffle(&mut rng);
+                        for len in 1..=rng.random_range(1..=universe) {
+                            sets.push(order[..len].to_vec());
+                        }
+                    }
+                    // Several sets of one size.
+                    1 => {
+                        let size = rng.random_range(1..=universe);
+                        for _ in 0..rng.random_range(2usize..=6) {
+                            let mut order: Vec<usize> = (0..universe).collect();
+                            order.shuffle(&mut rng);
+                            sets.push(order[..size].to_vec());
+                        }
+                    }
+                    // A repeat of an earlier set, or a fresh random one.
+                    _ => match sets.len() {
+                        0 => sets.push(vec![rng.random_range(0..universe)]),
+                        len => sets.push(sets[rng.random_range(0..len)].clone()),
+                    },
+                }
+            }
+            sets.shuffle(&mut rng);
+            let candidates = sets
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut members)| {
+                    members.sort_unstable();
+                    Candidate {
+                        members,
+                        anchor: Point::new(f64::from(case), i as f64),
+                    }
+                })
+                .collect();
+            let raw = CandidateFamily {
+                radius: 1.0,
+                candidates,
+            };
+            let mut deduped = raw.clone();
+            deduped.dedup();
+            for fam in [raw, deduped] {
+                for workers in [1usize, 3] {
+                    let mut got = fam.clone();
+                    got.prune_dominated_par(workers);
+                    assert_eq!(
+                        got.candidates,
+                        prune_all_pairs(&fam, universe),
+                        "case {case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_keeps_the_first_of_each_member_set_in_order() {
+        let cand = |members: Vec<usize>, x: f64| Candidate {
+            members,
+            anchor: Point::new(x, 0.0),
+        };
+        let mut fam = CandidateFamily {
+            radius: 1.0,
+            candidates: vec![
+                cand(vec![0, 1], 0.0),
+                cand(vec![1], 1.0),
+                cand(vec![0, 1], 2.0),
+                cand(vec![2], 3.0),
+                cand(vec![1], 4.0),
+            ],
+        };
+        fam.dedup();
+        let anchors: Vec<f64> = fam.candidates.iter().map(|c| c.anchor.x).collect();
+        assert_eq!(anchors, [0.0, 1.0, 3.0]);
     }
 
     #[test]

@@ -81,7 +81,11 @@ pub(crate) fn cover_bundles(
 /// candidates as disjoint bundles.
 fn from_cover(net: &Network, family: &CandidateFamily, kind: CoverKind) -> Vec<ChargingBundle> {
     let n = net.len();
-    let sets: Vec<BitSet> = family.candidates.iter().map(|c| c.members.clone()).collect();
+    let sets: Vec<BitSet> = family
+        .candidates
+        .iter()
+        .map(|c| BitSet::from_indices(n, &c.members))
+        .collect();
     // Candidate families always cover the network (each sensor is its own
     // anchor); if that invariant were ever broken, fall back to singleton
     // bundles rather than panic — the output must still cover everyone.
@@ -106,7 +110,12 @@ fn materialise(net: &Network, family: &CandidateFamily, selected: &[usize]) -> V
     let mut bundles = Vec::with_capacity(selected.len());
     for &ci in selected {
         let cand: &Candidate = &family.candidates[ci];
-        let members: Vec<usize> = cand.members.iter().filter(|&s| !assigned[s]).collect();
+        let members: Vec<usize> = cand
+            .members
+            .iter()
+            .copied()
+            .filter(|&s| !assigned[s])
+            .collect();
         if members.is_empty() {
             continue;
         }

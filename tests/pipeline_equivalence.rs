@@ -6,7 +6,7 @@
 
 use bundle_charging::core::context::{ContextCache, PlanContext};
 use bundle_charging::core::planner::Algorithm;
-use bundle_charging::core::{contracts, ChargingPlan, PlannerConfig};
+use bundle_charging::core::{contracts, CandidateFamily, ChargingPlan, PlannerConfig};
 use bundle_charging::geom::Aabb;
 use bundle_charging::wsn::{deploy, Network};
 
@@ -176,4 +176,47 @@ fn candidate_family_at_n1000_is_pinned_and_worker_invariant() {
         parallel.candidates().candidates,
         "the family must not depend on the worker count"
     );
+}
+
+/// FNV-1a over a candidate family in family order: each candidate
+/// contributes its anchor's `x` and `y` bits, its member count, then its
+/// member indices, as little-endian `u64`s.
+fn family_hash(family: &CandidateFamily) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for c in &family.candidates {
+        eat(c.anchor.x.to_bits());
+        eat(c.anchor.y.to_bits());
+        eat(c.members.len() as u64);
+        for &s in &c.members {
+            eat(s as u64);
+        }
+    }
+    h
+}
+
+/// The whole candidate family, not only its size, pinned on the 300 m
+/// field at r = 10 m (seed 1000): n = 1000 as above, and n = 1500, the
+/// benchmark's plan-dense shape. Greedy cover breaks ties by lowest
+/// index, so a reordered family can change plans with its size intact.
+#[test]
+fn candidate_family_contents_and_order_are_pinned() {
+    for (n, len, hash) in [
+        (1000, 1298, 0x5145_233a_62ac_9e0f_u64),
+        (1500, 2689, 0x81a1_e5b0_4cca_bcd5),
+    ] {
+        let net = deploy::uniform(n, Aabb::square(FIELD_SIDE_M), 2.0, BASE_SEED);
+        let cfg = PlannerConfig::paper_sim(RADIUS_M);
+        for workers in [1, 2] {
+            let ctx = PlanContext::new(net.clone(), cfg.clone()).with_workers(workers);
+            let family = ctx.candidates();
+            assert_eq!(family.len(), len, "n = {n}, workers = {workers}");
+            assert_eq!(family_hash(family), hash, "n = {n}, workers = {workers}");
+        }
+    }
 }

@@ -126,7 +126,11 @@ fn theorem1_obg_equals_set_cover() {
     let net = deploy::uniform(18, Aabb::square(150.0), 2.0, 2);
     let r = 35.0;
     let fam = bundle_charging::core::CandidateFamily::pair_intersection(&net, r);
-    let sets: Vec<BitSet> = fam.candidates.iter().map(|c| c.members.clone()).collect();
+    let sets: Vec<BitSet> = fam
+        .candidates
+        .iter()
+        .map(|c| BitSet::from_indices(net.len(), &c.members))
+        .collect();
     let inst = Instance::new(net.len(), sets).unwrap();
     let exact = exact_cover(&inst, None).unwrap();
     let greedy = greedy_cover(&inst);
