@@ -56,7 +56,8 @@ fn bench_tangency(c: &mut Criterion) {
 fn bench_tsp(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsp");
     for n in [50usize, 150] {
-        let m = DistanceMatrix::from_points(&point_cloud(n));
+        let pts = point_cloud(n);
+        let m = DistanceMatrix::from_points(&pts);
         g.bench_function(format!("nn_{n}"), |b| {
             b.iter(|| construct::nearest_neighbor(black_box(&m), 0))
         });
@@ -71,7 +72,7 @@ fn bench_tsp(c: &mut Criterion) {
             b.iter(|| {
                 let mut t = construct::nearest_neighbor(black_box(&m), 0);
                 improve::two_opt(&mut t, &m);
-                improve::or_opt(&mut t, &m);
+                improve::or_opt(&mut t, &m, &pts);
                 t
             })
         });

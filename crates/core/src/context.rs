@@ -460,7 +460,8 @@ impl PlanStage for ScCover {
 
 /// CSS cover: sensor-level TSP (solved over the shared sensor matrix —
 /// `bc_tsp::solve` is exactly `from_points` + `solve_matrix`), then the
-/// Combine and Skip passes.
+/// Combine and Skip passes. The TSP's Or-opt work is counted as the order
+/// stage's is.
 struct CssCover;
 
 impl PlanStage for CssCover {
@@ -473,7 +474,9 @@ impl PlanStage for CssCover {
         if net.is_empty() {
             return;
         }
-        let tour = bc_tsp::solve_matrix(ctx.sensor_matrix(), &ctx.config().tsp);
+        let (tour, work) =
+            bc_tsp::solve_matrix(ctx.sensor_matrix(), net.positions(), &ctx.config().tsp);
+        count_or_opt(work);
         state.stops = crate::planner::css_combine_skip(net, ctx.config(), &tour.order);
     }
 }
@@ -518,13 +521,23 @@ impl PlanStage for TourOrder {
 
     fn run(&self, ctx: &PlanContext, state: &mut StageState) {
         let stops = std::mem::take(&mut state.stops);
-        state.plan = Some(crate::planner::order_into_plan(
+        let (plan, work) = crate::planner::order_into_plan(
             stops,
             ctx.network(),
             &ctx.config().tsp,
             ctx.config().include_base,
-        ));
+        );
+        count_or_opt(work);
+        state.plan = Some(plan);
     }
+}
+
+/// Work attribution for the ordering hotspot, beside tighten's
+/// `gs_evals`: Or-opt moves applied and insertion positions scored,
+/// counted on the innermost open span (the stage).
+fn count_or_opt(work: bc_tsp::OrOptWork) {
+    bc_obs::counter("plan", "order.or_moves", work.moves, &[]);
+    bc_obs::counter("plan", "order.or_scored", work.scored, &[]);
 }
 
 /// CSS order: like [`TourOrder`], except an empty network short-circuits

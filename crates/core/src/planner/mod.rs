@@ -30,25 +30,26 @@ pub(crate) use bc_opt::optimize_tour_with_workers;
 pub(crate) use css::{combine_skip as css_combine_skip, substitute as css_substitute};
 
 use bc_geom::Point;
-use bc_tsp::{solve, SolveConfig};
+use bc_tsp::{solve, OrOptWork, SolveConfig};
 use bc_wsn::Network;
 
 use crate::{ChargingPlan, PlanError, PlannerConfig, Stop};
 
 /// Orders a bag of stops into a closed tour with the TSP pipeline,
 /// optionally prepending the network's base station as a zero-dwell
-/// way-point, and returns the finished plan.
+/// way-point, and returns the finished plan with the Or-opt work the
+/// ordering took.
 pub(crate) fn order_into_plan(
     mut stops: Vec<Stop>,
     net: &Network,
     tsp: &SolveConfig,
     include_base: bool,
-) -> ChargingPlan {
+) -> (ChargingPlan, OrOptWork) {
     if include_base {
         stops.push(Stop::waypoint(net.base()));
     }
     let anchors: Vec<Point> = stops.iter().map(Stop::anchor).collect();
-    let tour = solve(&anchors, tsp);
+    let (tour, work) = solve(&anchors, tsp);
     let mut ordered: Vec<Stop> = Vec::with_capacity(stops.len());
     let mut slots: Vec<Option<Stop>> = stops.into_iter().map(Some).collect();
     for &i in &tour.order {
@@ -66,7 +67,7 @@ pub(crate) fn order_into_plan(
             ordered.rotate_left(pos);
         }
     }
-    ChargingPlan::new(ordered, net.len())
+    (ChargingPlan::new(ordered, net.len()), work)
 }
 
 /// Fallible planner dispatcher: validates the configuration and the

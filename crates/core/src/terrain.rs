@@ -174,14 +174,17 @@ pub fn plan_with_terrain(
     // Order the stops by the routed metric, and also by the Euclidean
     // metric re-priced on the terrain; keep whichever drives less (the
     // local searches can land in different optima, and the Euclidean
-    // order is often already good when few legs detour).
+    // order is often already good when few legs detour). A routed path is
+    // never shorter than the straight line (the disconnected fallback *is*
+    // the straight line), so both matrices meet `solve_matrix`'s
+    // precondition over the anchors.
     let anchors: Vec<Point> = stops.iter().map(Stop::anchor).collect();
     let routed = DistanceMatrix::from_fn(anchors.len(), |i, j| {
         terrain.distance(anchors[i], anchors[j])
     });
     let euclid = DistanceMatrix::from_points(&anchors); // context-ok: stop anchors, not the cached sensor matrix
-    let tour_r = solve_matrix(&routed, &cfg.tsp);
-    let tour_e = solve_matrix(&euclid, &cfg.tsp);
+    let (tour_r, _) = solve_matrix(&routed, &anchors, &cfg.tsp);
+    let (tour_e, _) = solve_matrix(&euclid, &anchors, &cfg.tsp);
     let routed_len = |order: &[usize]| -> f64 {
         bc_tsp::tour::cycle_length(order, |a, b| routed.dist(a, b))
     };

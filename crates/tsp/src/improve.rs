@@ -1,5 +1,8 @@
 //! Local-search tour improvement: 2-opt and Or-opt.
 
+use bc_geom::Point;
+
+use crate::grid::PointGrid;
 use crate::{DistanceMatrix, Tour};
 
 /// Runs 2-opt to local optimality: repeatedly reverses a tour segment when
@@ -39,15 +42,73 @@ pub fn two_opt(tour: &mut Tour, m: &DistanceMatrix) -> bool {
     any
 }
 
+/// Slack (metres) added to the removal gain in Or-opt's distance bounds,
+/// so that floating-point rounding can never drop a winning insertion.
+/// The bounds' own rounding error is about `1e-16` of the distances
+/// involved.
+const QUERY_PAD: f64 = 1e-6;
+
+/// Work done by one [`or_opt`] run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OrOptWork {
+    /// Segment relocations applied.
+    pub moves: u64,
+    /// Insertion positions scored (both orientations priced).
+    pub scored: u64,
+}
+
 /// Runs Or-opt to local optimality: relocates segments of 1, 2 or 3
 /// consecutive points to a better position (in either orientation).
-/// Returns `true` if any improvement was made.
-pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix) -> bool {
+/// Returns the moves applied and the insertion positions scored.
+///
+/// For each segment length in turn, starts are visited in tour order;
+/// the first start with an improving insertion applies the one a scan of
+/// every edge `(u, v)` in tour order after the segment would meet first,
+/// and the pass moves on to the next segment length. Passes repeat until
+/// one applies no move.
+///
+/// Only edges that can win are scored. Moving the segment `first..last`
+/// between `u` and `v` saves length only if `|u first| + |last v| - |u v|`
+/// or `|u last| + |first v| - |u v|` is below the removal gain `g`, so
+/// `u` lies within `g + |u v|` of `first` or of `last`, and `|u v|` is at
+/// most the longest tour edge `L`. A static grid over `points` yields the
+/// `u` within `g + L` of either end, and each is kept if it lies within
+/// `g + |u v|`; the moves, the final order and the length bits are those
+/// of the full `O(n)`-per-start scan.
+///
+/// # Precondition
+///
+/// `m.dist(i, j) >= points[i].distance(points[j])` for all `i`, `j`: the
+/// metric never undercuts the straight line, as with Euclidean matrices
+/// and obstacle-routed ones. Debug builds check it, up to rounding, on
+/// the tour's edges.
+///
+/// # Panics
+///
+/// Panics if `points.len() != m.len()`.
+pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWork {
+    assert_eq!(
+        points.len(),
+        m.len(),
+        "or_opt needs one point per matrix row"
+    );
     let n = tour.order.len();
+    let mut work = OrOptWork::default();
     if n < 4 {
-        return false;
+        return work;
     }
-    let mut any = false;
+    debug_assert!(
+        (0..n).all(|p| {
+            let (a, b) = (tour.order[p], tour.order[(p + 1) % n]);
+            m.dist(a, b) >= points[a].distance(points[b]) - QUERY_PAD / 2.0
+        }),
+        "or_opt: the metric undercuts the straight line"
+    );
+    let grid = PointGrid::new(points);
+    let mut pos_of = vec![0; n];
+    let mut edge = vec![0.0; n];
+    let mut longest = index_tour(&tour.order, m, &mut pos_of, &mut edge);
+    let mut ks: Vec<usize> = Vec::new();
     let mut improved = true;
     while improved {
         improved = false;
@@ -66,32 +127,65 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix) -> bool {
                 if removal_gain <= 1e-10 {
                     continue;
                 }
-                // Try inserting between every other edge (u, v).
-                for k in 0..n {
+                // Scan offsets k (edge (u, v) at position base + k) of
+                // the edges whose u lies within g + |u v| of either
+                // segment end. Offsets from n - seg_len - 1 on are the
+                // edges that touch the segment, which the scan skips.
+                // (`m.dist(end, u)` reads along one row; the matrix is
+                // symmetric.)
+                let base = (start + seg_len) % n;
+                let reach = removal_gain + QUERY_PAD;
+                ks.clear();
+                // A one-point segment has one end.
+                for &end in &[first, last][..seg_len.min(2)] {
+                    grid.visit_box(points[end], reach + longest, |u| {
+                        let pos = pos_of[u];
+                        let k = if pos >= base {
+                            pos - base
+                        } else {
+                            pos + n - base
+                        };
+                        if k + seg_len + 1 < n && m.dist(end, u) <= reach + edge[pos] {
+                            ks.push(k);
+                        }
+                    });
+                }
+                ks.sort_unstable();
+                ks.dedup();
+                for &k in &ks {
                     let pos = (start + seg_len + k) % n;
                     let u = tour.order[pos];
                     let v = tour.order[(pos + 1) % n];
-                    // Skip edges that touch the segment itself.
-                    if within_cyclic(pos, start, seg_len, n)
-                        || within_cyclic((pos + 1) % n, start, seg_len, n)
-                    {
-                        continue;
-                    }
+                    work.scored += 1;
                     let fwd = m.dist(u, first) + m.dist(last, v) - m.dist(u, v);
                     let rev = m.dist(u, last) + m.dist(first, v) - m.dist(u, v);
                     let (cost, reversed) = if fwd <= rev { (fwd, false) } else { (rev, true) };
                     if cost < removal_gain - 1e-10 {
                         relocate(&mut tour.order, start, seg_len, pos, reversed);
                         tour.length -= removal_gain - cost;
+                        longest = index_tour(&tour.order, m, &mut pos_of, &mut edge);
+                        work.moves += 1;
                         improved = true;
-                        any = true;
                         continue 'outer;
                     }
                 }
             }
         }
     }
-    any
+    work
+}
+
+/// Fills `pos_of[point] = tour position` and `edge[pos]` = the length
+/// under `m` of the edge leaving position `pos`, and returns the longest.
+fn index_tour(order: &[usize], m: &DistanceMatrix, pos_of: &mut [usize], edge: &mut [f64]) -> f64 {
+    let n = order.len();
+    let mut longest = 0.0f64;
+    for (pos, &u) in order.iter().enumerate() {
+        pos_of[u] = pos;
+        edge[pos] = m.dist(u, order[(pos + 1) % n]);
+        longest = longest.max(edge[pos]);
+    }
+    longest
 }
 
 /// Whether cyclic position `pos` falls inside the segment starting at
@@ -163,7 +257,7 @@ mod tests {
         let mut t = nearest_neighbor(&m, 0);
         let before = t.length;
         two_opt(&mut t, &m);
-        or_opt(&mut t, &m);
+        or_opt(&mut t, &m, &pts);
         assert!(t.validate(50));
         assert!(t.length <= before + 1e-9);
         assert!(
@@ -189,8 +283,9 @@ mod tests {
         let pts = scattered(30);
         let m = DistanceMatrix::from_points(&pts);
         let mut t = nearest_neighbor(&m, 0);
-        or_opt(&mut t, &m);
-        assert!(!or_opt(&mut t, &m));
+        let work = or_opt(&mut t, &m, &pts);
+        assert!(work.moves > 0 && work.scored >= work.moves);
+        assert_eq!(or_opt(&mut t, &m, &pts).moves, 0);
         assert!(t.validate(30));
     }
 
@@ -201,7 +296,7 @@ mod tests {
         let mut t = nearest_neighbor(&m, 0);
         let len = t.length;
         assert!(!two_opt(&mut t, &m));
-        assert!(!or_opt(&mut t, &m));
+        assert_eq!(or_opt(&mut t, &m, &pts), OrOptWork::default());
         assert_eq!(t.length, len);
     }
 

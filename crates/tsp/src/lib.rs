@@ -8,7 +8,8 @@
 //! * [`DistanceMatrix`] — dense symmetric Euclidean distances;
 //! * [`Tour`] — a validated cyclic permutation with length accounting;
 //! * [`construct`] — nearest-neighbour construction;
-//! * [`improve`] — 2-opt and Or-opt local search;
+//! * [`improve`] — 2-opt and Or-opt local search (Or-opt scores only the
+//!   insertions a grid over the points says can win);
 //! * [`exact`] — Held–Karp dynamic programming for small instances.
 //!
 //! The one-stop entry point is [`solve`]: Held–Karp up to
@@ -27,7 +28,7 @@
 //!     Point::new(10.0, 10.0),
 //!     Point::new(0.0, 10.0),
 //! ];
-//! let tour = solve(&pts, &SolveConfig::default());
+//! let (tour, _work) = solve(&pts, &SolveConfig::default());
 //! assert!((tour.length - 40.0).abs() < 1e-9);
 //! ```
 
@@ -35,10 +36,12 @@
 
 pub mod construct;
 pub mod exact;
+mod grid;
 pub mod improve;
 pub mod matrix;
 pub mod tour;
 
+pub use improve::OrOptWork;
 pub use matrix::DistanceMatrix;
 pub use tour::Tour;
 
@@ -67,12 +70,14 @@ impl Default for SolveConfig {
     }
 }
 
-/// Computes a short closed tour through `points`.
+/// Computes a short closed tour through `points`, with the Or-opt work
+/// it took.
 ///
 /// Small instances (at most `config.exact_threshold` points) are solved
 /// exactly with Held–Karp; larger ones use nearest-neighbour construction
 /// followed by the configured local-search passes. An empty input yields
-/// an empty tour.
+/// an empty tour. Exactly [`DistanceMatrix::from_points`] followed by
+/// [`solve_matrix`].
 ///
 /// # Example
 ///
@@ -83,26 +88,41 @@ impl Default for SolveConfig {
 /// let pts: Vec<Point> = (0..20)
 ///     .map(|i| Point::new((i as f64 * 1.7).sin() * 50.0, (i as f64 * 2.3).cos() * 50.0))
 ///     .collect();
-/// let tour = solve(&pts, &SolveConfig::default());
+/// let (tour, _work) = solve(&pts, &SolveConfig::default());
 /// assert_eq!(tour.order.len(), 20);
 /// ```
-pub fn solve(points: &[Point], config: &SolveConfig) -> Tour {
-    let n = points.len();
-    if n == 0 {
-        return Tour::empty();
-    }
+pub fn solve(points: &[Point], config: &SolveConfig) -> (Tour, OrOptWork) {
     let m = DistanceMatrix::from_points(points);
-    solve_matrix(&m, config)
+    solve_matrix(&m, points, config)
 }
 
-/// Like [`solve`] but over a pre-built distance matrix.
-pub fn solve_matrix(m: &DistanceMatrix, config: &SolveConfig) -> Tour {
+/// Like [`solve`] but over a pre-built distance matrix, which may be any
+/// metric that never undercuts the straight line between `points`.
+///
+/// `points[i]` is the position of matrix row `i`; [`improve::or_opt`]
+/// buckets them in a grid to score only the insertions that can win, so
+/// the tour is the one the full insertion scan would build. The
+/// precondition is `m.dist(i, j) >= points[i].distance(points[j])` for
+/// all `i`, `j`; it holds with equality for [`DistanceMatrix::from_points`]
+/// and for its [`DistanceMatrix::submatrix`] views paired with the same
+/// subset of points, and for shortest-path matrices around obstacles.
+///
+/// # Panics
+///
+/// Panics if `points.len() != m.len()`.
+pub fn solve_matrix(
+    m: &DistanceMatrix,
+    points: &[Point],
+    config: &SolveConfig,
+) -> (Tour, OrOptWork) {
+    assert_eq!(points.len(), m.len(), "solve_matrix needs one point per matrix row");
     let n = m.len();
+    let mut work = OrOptWork::default();
     if n == 0 {
-        return Tour::empty();
+        return (Tour::empty(), work);
     }
     if n <= config.exact_threshold && n <= exact::HELD_KARP_MAX {
-        return exact::held_karp(m);
+        return (exact::held_karp(m), work);
     }
     let mut tour = construct::nearest_neighbor(m, 0);
     let mut improved = true;
@@ -111,11 +131,14 @@ pub fn solve_matrix(m: &DistanceMatrix, config: &SolveConfig) -> Tour {
         if config.two_opt && improve::two_opt(&mut tour, m) {
             improved = true;
         }
-        if config.or_opt && improve::or_opt(&mut tour, m) {
-            improved = true;
+        if config.or_opt {
+            let pass = improve::or_opt(&mut tour, m, points);
+            improved |= pass.moves > 0;
+            work.moves += pass.moves;
+            work.scored += pass.scored;
         }
     }
-    tour
+    (tour, work)
 }
 
 #[cfg(test)]
@@ -124,8 +147,8 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert_eq!(solve(&[], &SolveConfig::default()).order.len(), 0);
-        let t = solve(&[Point::new(1.0, 1.0)], &SolveConfig::default());
+        assert_eq!(solve(&[], &SolveConfig::default()).0.order.len(), 0);
+        let (t, _) = solve(&[Point::new(1.0, 1.0)], &SolveConfig::default());
         assert_eq!(t.order, vec![0]);
         assert_eq!(t.length, 0.0);
     }
@@ -138,7 +161,7 @@ mod tests {
             Point::new(10.0, 0.0),
             Point::new(10.0, 10.0),
         ];
-        let t = solve(&pts, &SolveConfig::default());
+        let (t, _) = solve(&pts, &SolveConfig::default());
         assert!((t.length - 40.0).abs() < 1e-9);
     }
 
@@ -155,9 +178,11 @@ mod tests {
             or_opt: false,
             exact_threshold: 0,
         };
-        let nn = solve(&pts, &construction_only);
-        let full = solve(&pts, &SolveConfig::default());
+        let (nn, nn_work) = solve(&pts, &construction_only);
+        let (full, full_work) = solve(&pts, &SolveConfig::default());
         assert!(full.length <= nn.length + 1e-9);
+        assert_eq!(nn_work, OrOptWork::default());
+        assert!(full_work.scored >= full_work.moves);
     }
 
     #[test]
@@ -168,8 +193,8 @@ mod tests {
                 Point::new((a * 3.7).sin() * 30.0, (a * 5.1).cos() * 30.0)
             })
             .collect();
-        let exact = solve(&pts, &SolveConfig::default()); // n <= threshold -> exact
-        let heur = solve(
+        let (exact, _) = solve(&pts, &SolveConfig::default()); // n <= threshold -> exact
+        let (heur, _) = solve(
             &pts,
             &SolveConfig {
                 exact_threshold: 0,

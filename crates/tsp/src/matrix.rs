@@ -4,9 +4,11 @@ use bc_geom::Point;
 
 /// A dense symmetric matrix of pairwise distances.
 ///
-/// Stored as a flat row-major `Vec<f64>`; all planner instances in this
-/// system are at most a few hundred points, where the dense representation
-/// is both fastest and simplest.
+/// Stored as a flat row-major `Vec<f64>` of `n²` entries. The planners
+/// build one over a plan's stop anchors (about 1.3k stops, 13 MB, for a
+/// paper-density network of 2000 sensors) and, for SC and CSS, one over
+/// every sensor (32 MB at 2000 sensors, 800 MB at 10k), so memory grows
+/// as the square of the instance size.
 ///
 /// # Example
 ///

@@ -96,6 +96,12 @@ fn span_tree_attributes_tighten_time_to_named_children() {
             + node.children.iter().map(gs_evals).sum::<u64>()
     }
     assert!(gs_evals(tighten) > 0, "no golden-section evaluations counted");
+    // Or-opt's work lands on the order stage itself, which opens no child.
+    let Some(order) = snap.node(&["plan.run", "plan.stage.order"]) else {
+        panic!("no plan.run -> plan.stage.order path in\n{}", snap.collapsed())
+    };
+    let or_scored = order.counters.get("plan.order.or_scored").copied().unwrap_or(0);
+    assert!(or_scored > 0, "no Or-opt insertions counted under the order stage");
 }
 
 /// Runs the three instrumented subsystems under a thread-local JSONL

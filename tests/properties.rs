@@ -64,7 +64,7 @@ proptest! {
         let mut t = construct::nearest_neighbor(&m, 0);
         let before = t.length;
         improve::two_opt(&mut t, &m);
-        improve::or_opt(&mut t, &m);
+        improve::or_opt(&mut t, &m, &pts);
         prop_assert!(t.validate(pts.len()));
         prop_assert!(t.length <= before + 1e-9);
         prop_assert!((t.recompute_length(&m) - t.length).abs() < 1e-6);
