@@ -22,10 +22,10 @@
 //!
 //! # Determinism
 //!
-//! The parallel stages (candidate enumeration, BC-OPT's per-anchor
-//! tangency sweep) fan out over index-sharded scoped threads and reduce
-//! in index order, so a plan is byte-identical for any worker count —
-//! `workers` is a throughput knob, never a semantics knob.
+//! The parallel stage (candidate enumeration) fans out over
+//! index-sharded scoped threads and reduces in index order, so a plan is
+//! byte-identical for any worker count — `workers` is a throughput knob,
+//! never a semantics knob. BC-OPT's tighten stage runs serially.
 //!
 //! # Invalidation
 //!
@@ -574,8 +574,11 @@ impl PlanStage for CssSubstitute {
     }
 }
 
-/// BC-OPT tighten: the Algorithm 3 anchor-relocation sweeps, with the
-/// per-anchor tangency search fanned out over the context's workers.
+/// BC-OPT tighten: the Algorithm 3 anchor-relocation sweeps, serial on
+/// the planning thread, with no per-anchor fan-out. A sweep whose inputs
+/// are unchanged since it last left its stop in place is skipped; its
+/// answer would again be "no relocation", so the plan is bit-identical
+/// (the argument is on `planner::bc_opt::optimize_tour`).
 struct BcOptTighten;
 
 impl PlanStage for BcOptTighten {
@@ -587,7 +590,7 @@ impl PlanStage for BcOptTighten {
         if let Some(plan) = state.plan.as_mut() {
             let cfg = ctx.config();
             let before = plan.metrics(&cfg.energy).total_energy_j;
-            crate::planner::optimize_tour_with_workers(plan, ctx.network(), cfg, ctx.workers());
+            crate::planner::optimize_tour(plan, ctx.network(), cfg);
             crate::contracts::debug_assert_no_regression(
                 before,
                 plan.metrics(&cfg.energy).total_energy_j,

@@ -13,46 +13,62 @@
 //! the extra charging energy caused by the now-longer worst charging
 //! distance (the Eq. 7–8 trade-off, evaluated exactly rather than through
 //! the paper's first-order approximation).
+//!
+//! The sweeps run serially on the caller's thread, and a sweep whose
+//! answer is already known is skipped (see [`optimize_tour`]).
 
 use bc_geom::{tangency, Disk, Point, Segment};
-use bc_units::{Joules, Meters};
+use bc_units::{Joules, Meters, Seconds};
 use bc_wsn::Network;
 
 use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
 /// Applies the Algorithm 3 anchor-relocation sweeps to an ordered plan,
-/// in place (the BC-OPT Tighten stage), with the per-anchor `d`-sweep
-/// evaluations fanned out over `workers` scoped threads. The
-/// Gauss–Seidel outer structure (anchor `i` sees its neighbours'
-/// already-relocated positions) is inherently sequential; only the
-/// independent candidate evaluations within one anchor's sweep run in
-/// parallel, and they are reduced in step order, so the result is
-/// identical for any worker count.
-pub(crate) fn optimize_tour_with_workers(
-    plan: &mut ChargingPlan,
-    net: &Network,
-    cfg: &PlannerConfig,
-    workers: usize,
-) {
+/// in place (the BC-OPT Tighten stage). The rounds are Gauss–Seidel:
+/// anchor `i` sees its neighbours' already-relocated positions.
+///
+/// A stop's sweep is skipped when it would provably repeat. Its
+/// evaluations depend only on the stop's members, its fixed SED centre,
+/// its two neighbour anchors and `cfg`; its verdict also reads the stop's
+/// own anchor and dwell, which only its own relocation changes. So when a
+/// sweep left its stop in place and both neighbour anchors still have the
+/// bits that sweep saw, the next sweep would return "no relocation" again
+/// (the `d_max <= EPS` prune included). Bits, not `==`, because
+/// `-0.0 == 0.0`. The plan is therefore the one the unskipped loop builds,
+/// bit for bit.
+pub(crate) fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &PlannerConfig) {
     let n = plan.stops.len();
     if n < 2 {
         return;
     }
+    // Each member's position and demand, read once: every sweep step
+    // prices its dwell from them.
+    let members: Vec<Vec<(Point, Joules)>> = plan
+        .stops
+        .iter()
+        .map(|stop| {
+            let sensors = stop.bundle.sensors.iter().map(|&i| net.sensor(i));
+            sensors.map(|s| (s.pos, s.demand)).collect()
+        })
+        .collect();
     // The relocation circles stay centred on each bundle's original
     // (smallest-enclosing-disk) center, per Theorem 4.
     let centers: Vec<Point> = plan
         .stops
         .iter()
-        .map(|s| {
-            if s.bundle.is_empty() {
+        .zip(&members)
+        .map(|(s, m)| {
+            if m.is_empty() {
                 s.anchor()
             } else {
-                let pts: Vec<Point> =
-                    s.bundle.sensors.iter().map(|&i| net.sensor(i).pos).collect();
+                let pts: Vec<Point> = m.iter().map(|&(pos, _)| pos).collect();
                 bc_geom::sed::smallest_enclosing_disk(&pts).center
             }
         })
         .collect();
+    // Per stop, the bits of the neighbour anchors its last sweep saw,
+    // kept only while that sweep left the stop in place.
+    let mut settled: Vec<Option<[u64; 4]>> = vec![None; n];
 
     for _round in 0..cfg.opt_max_rounds {
         // Causal profiling: one child span per Gauss–Seidel round under
@@ -63,25 +79,34 @@ pub(crate) fn optimize_tour_with_workers(
             bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.round"));
         let mut changed = false;
         let mut relocations = 0u64;
-        #[allow(clippy::needless_range_loop)] // i indexes stops, centers and cyclic neighbours
+        let mut skipped = 0u64;
+        #[allow(clippy::needless_range_loop)] // i indexes stops, members, centers and neighbours
         for i in 0..n {
-            if plan.stops[i].bundle.is_empty() {
+            if members[i].is_empty() {
                 continue; // never move the base way-point
             }
             let prev = plan.stops[(i + n - 1) % n].anchor();
             let next = plan.stops[(i + 1) % n].anchor();
-            if let Some((anchor, _gain)) =
-                best_relocation(&plan.stops[i], centers[i], prev, next, net, cfg, workers)
-            {
-                let members = plan.stops[i].bundle.sensors.clone();
-                let bundle = ChargingBundle::with_anchor(members, anchor, net);
-                plan.stops[i] = Stop::for_bundle(bundle, net, &cfg.charging);
-                changed = true;
-                relocations += 1;
+            let seen = [prev.x, prev.y, next.x, next.y].map(f64::to_bits);
+            if settled[i] == Some(seen) {
+                skipped += 1;
+                continue;
+            }
+            match best_relocation(&plan.stops[i], &members[i], centers[i], prev, next, cfg) {
+                Some((anchor, _gain)) => {
+                    let sensors = plan.stops[i].bundle.sensors.clone();
+                    let bundle = ChargingBundle::with_anchor(sensors, anchor, net);
+                    plan.stops[i] = Stop::for_bundle(bundle, net, &cfg.charging);
+                    settled[i] = None;
+                    changed = true;
+                    relocations += 1;
+                }
+                None => settled[i] = Some(seen),
             }
         }
         if let Some(mut span) = round_span.take() {
             bc_obs::counter("plan", "tighten.relocations", relocations, &[]);
+            bc_obs::counter("plan", "tighten.sweeps_skipped", skipped, &[]);
             span.add_field("relocations", relocations);
             span.add_field("changed", changed);
             span.finish();
@@ -94,17 +119,18 @@ pub(crate) fn optimize_tour_with_workers(
 
 /// Evaluates the `d`-sweep for one stop and returns the best relocated
 /// anchor with its energy gain, or `None` when no relocation beats the
-/// current position.
+/// current position. `members` holds the stop's member positions and
+/// demands; each step's dwell is [`ChargingBundle::dwell_time`] at the
+/// step's point, folded from them in the same order.
 fn best_relocation(
     stop: &Stop,
+    members: &[(Point, Joules)],
     center: Point,
     prev: Point,
     next: Point,
-    net: &Network,
     cfg: &PlannerConfig,
-    workers: usize,
 ) -> Option<(Point, Joules)> {
-    let energy = &cfg.energy;
+    let (energy, charging) = (&cfg.energy, &cfg.charging);
     let current_legs = prev.distance(stop.anchor()) + stop.anchor().distance(next);
     let current_cost =
         energy.movement_energy(Meters(current_legs)) + energy.charging_energy(stop.dwell);
@@ -118,27 +144,22 @@ fn best_relocation(
     }
     let steps = cfg.opt_distance_steps.max(1);
     // One span per anchor's d-sweep (they fold by name in the tree
-    // recorder), opened on this orchestrator thread only — the par_map
-    // worker closures stay emission-free, which is what keeps span-tree
-    // snapshots byte-identical across worker counts.
-    let sweep_span =
-        bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.sweep"));
-    // Fan out only when one sweep is expensive enough to amortise the
-    // thread spawns; the gate changes throughput, never the result.
-    let eff_workers = if workers > 1 && stop.bundle.sensors.len() * steps >= 192 {
-        workers
-    } else {
-        1
-    };
-    let evals: Vec<(Point, Joules)> = crate::par::par_map(steps, eff_workers, |idx| {
-        let k = idx + 1;
+    // recorder).
+    let sweep_span = bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.sweep"));
+    let mut best: Option<(Point, Joules)> = None;
+    for k in 1..=steps {
         let d = d_max * k as f64 / steps as f64; // cast-ok: sweep-step ratio
         let t = tangency::min_focal_sum_on_circle(prev, next, &Disk::new(center, d));
-        let bundle = ChargingBundle::with_anchor(stop.bundle.sensors.clone(), t.point, net);
-        let dwell = bundle.dwell_time(net, &cfg.charging);
+        let dwell = members
+            .iter()
+            .map(|&(pos, demand)| charging.charge_time(Meters(t.point.distance(pos)), demand))
+            .fold(Seconds(0.0), Seconds::max);
         let cost = energy.movement_energy(Meters(t.focal_sum)) + energy.charging_energy(dwell);
-        (t.point, cost)
-    });
+        let gain = current_cost - cost;
+        if gain > Joules(1e-9) && best.as_ref().is_none_or(|&(_, g)| gain > g) {
+            best = Some((t.point, gain));
+        }
+    }
     if let Some(span) = sweep_span {
         // Work attribution for the tighten hotspot: candidate anchors
         // examined and the golden-section evaluations behind them
@@ -152,13 +173,6 @@ fn best_relocation(
             &[],
         );
         span.finish();
-    }
-    let mut best: Option<(Point, Joules)> = None;
-    for (point, cost) in evals {
-        let gain = current_cost - cost;
-        if gain > Joules(1e-9) && best.as_ref().is_none_or(|&(_, g)| gain > g) {
-            best = Some((point, gain));
-        }
     }
     best
 }

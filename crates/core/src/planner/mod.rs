@@ -26,7 +26,7 @@ mod bc_opt;
 mod css;
 
 pub(crate) use bc::stops_for_bundles;
-pub(crate) use bc_opt::optimize_tour_with_workers;
+pub(crate) use bc_opt::optimize_tour;
 pub(crate) use css::{combine_skip as css_combine_skip, substitute as css_substitute};
 
 use bc_geom::Point;

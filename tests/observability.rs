@@ -91,11 +91,27 @@ fn span_tree_attributes_tighten_time_to_named_children() {
     let attribution = 1.0 - tighten.self_s / tighten.total_s.max(1e-12);
     assert!(attribution >= 0.90, "tighten attribution {attribution:.4} below 0.90");
     // Work counters attach to the innermost open span (the sweep).
-    fn gs_evals(node: &TreeNode) -> u64 {
-        node.counters.get("plan.tighten.gs_evals").copied().unwrap_or(0)
-            + node.children.iter().map(gs_evals).sum::<u64>()
+    fn total(node: &TreeNode, key: &str) -> u64 {
+        node.counters.get(key).copied().unwrap_or(0)
+            + node.children.iter().map(|c| total(c, key)).sum::<u64>()
     }
-    assert!(gs_evals(tighten) > 0, "no golden-section evaluations counted");
+    let gs_evals = total(tighten, "plan.tighten.gs_evals");
+    assert!(gs_evals > 0, "no golden-section evaluations counted");
+    // Every round accounts for every charging stop exactly once: its
+    // sweep ran, was pruned, or was skipped as a provable repeat.
+    let spans = |path: &[&str]| snap.node(path).map_or(0, |n| n.count);
+    let round = ["plan.run", "plan.stage.tighten", "plan.tighten.round"];
+    let rounds = spans(&round);
+    let sweeps = spans(&[&round[..], &["plan.tighten.sweep"]].concat());
+    let pruned = total(tighten, "plan.tighten.anchors_pruned");
+    let skipped = total(tighten, "plan.tighten.sweeps_skipped");
+    assert!(skipped > 0, "no sweep was skipped as a repeat");
+    let stops = u64::try_from(traced.num_charging_stops()).unwrap_or(u64::MAX);
+    assert_eq!(
+        sweeps + pruned + skipped,
+        rounds * stops,
+        "{sweeps} swept + {pruned} pruned + {skipped} skipped, {rounds} rounds of {stops} stops"
+    );
     // Or-opt's work lands on the order stage itself, which opens no child.
     let Some(order) = snap.node(&["plan.run", "plan.stage.order"]) else {
         panic!("no plan.run -> plan.stage.order path in\n{}", snap.collapsed())
