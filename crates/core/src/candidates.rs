@@ -3,27 +3,24 @@
 //! Algorithm 2 of the paper builds, per node, "all potential charging
 //! bundle candidates" from its radius-`r` neighbours and keeps those whose
 //! smallest enclosing disk fits in `r`. Enumerating every neighbour subset
-//! is exponential, so this module provides two families:
+//! is exponential, so [`CandidateFamily::pair_intersection`] builds the
+//! classical exact discretisation of geometric disk cover instead:
+//! candidate anchor positions are every sensor position plus every
+//! intersection point of the radius-`r` circles around sensor pairs at
+//! most `2r` apart. Every *maximal* set of sensors coverable by a
+//! radius-`r` disk appears in this family, so greedy and exact set cover
+//! over it match cover over the full (exponential) family. The literal
+//! per-node enumeration, with a subset-size cap, is the unit-test oracle
+//! it is cross-validated against on small instances.
 //!
-//! * [`CandidateFamily::pair_intersection`] — the classical exact
-//!   discretisation of geometric disk cover: candidate anchor positions
-//!   are every sensor position plus every intersection point of the
-//!   radius-`r` circles around sensor pairs at most `2r` apart. Every
-//!   *maximal* set of sensors coverable by a radius-`r` disk appears in
-//!   this family, so greedy and exact set cover over it match cover over
-//!   the full (exponential) family.
-//! * [`CandidateFamily::per_node_exhaustive`] — the literal Algorithm 2
-//!   enumeration with a subset-size cap, retained for cross-validation on
-//!   small instances.
-//!
-//! Both store each candidate's members as a sorted index list, a few
-//! dozen entries at paper densities, rather than an `n`-bit set. Both
-//! drop duplicate member sets and then every candidate whose members are
+//! The family stores each candidate's members as a sorted index list, a
+//! few dozen entries at paper densities, rather than an `n`-bit set. It
+//! drops duplicate member sets and then every candidate whose members are
 //! a subset of another's. That domination check is local: every superset
 //! of a candidate contains the candidate's rarest member, so a sensor →
 //! candidate index lists the only candidates it must be tested against.
 
-use bc_geom::{sed, Disk, Point};
+use bc_geom::{Disk, Point};
 use bc_wsn::Network;
 
 /// One candidate bundle: a coverable sensor set plus a feasible anchor.
@@ -81,67 +78,12 @@ impl CandidateFamily {
         fam
     }
 
-    /// Builds candidates by enumerating, per node, every subset of its
-    /// radius-`r` neighbourhood up to `max_subset` members and keeping the
-    /// subsets whose smallest enclosing disk has radius at most `r` — the
-    /// literal reading of Algorithm 2, lines 1–6.
-    ///
-    /// Exponential in the neighbourhood size; intended for small/dense
-    /// validation instances only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not positive and finite or `max_subset == 0`.
-    pub fn per_node_exhaustive(net: &Network, r: f64, max_subset: usize) -> Self {
-        assert!(r.is_finite() && r > 0.0, "bundle radius must be positive");
-        assert!(max_subset > 0, "subset cap must be positive");
-        let n = net.len();
-        let mut candidates = Vec::new();
-        for i in 0..n {
-            // Neighbours within 2r can share a radius-r disk with i.
-            let mut nbrs = net.within_radius(net.sensor(i).pos, 2.0 * r);
-            nbrs.retain(|&j| j != i);
-            // Enumerate subsets of the neighbourhood, always including i.
-            let k = nbrs.len().min(16); // hard safety cap on enumeration width
-            let nbrs = &nbrs[..k];
-            let limit: u32 = 1 << nbrs.len();
-            for mask in 0..limit {
-                if (mask.count_ones() as usize) + 1 > max_subset { // cast-ok: popcount fits usize
-                    continue;
-                }
-                let mut group = vec![i];
-                for (b, &j) in nbrs.iter().enumerate() {
-                    if mask & (1 << b) != 0 {
-                        group.push(j);
-                    }
-                }
-                let pts: Vec<Point> = group.iter().map(|&j| net.sensor(j).pos).collect();
-                let disk = sed::smallest_enclosing_disk(&pts);
-                if disk.radius <= r + bc_geom::EPS {
-                    group.sort_unstable();
-                    candidates.push(Candidate {
-                        members: group,
-                        anchor: disk.center,
-                    });
-                }
-            }
-        }
-        let mut fam = CandidateFamily { radius: r, candidates };
-        fam.dedup();
-        fam.prune_dominated();
-        fam
-    }
-
     /// Builds the family induced by an explicit list of anchor positions:
-    /// each anchor's candidate covers every sensor within `r` of it.
-    pub fn from_anchors(net: &Network, r: f64, anchors: &[Point]) -> Self {
-        Self::from_anchors_par(net, r, anchors, 1)
-    }
-
-    /// [`CandidateFamily::from_anchors`] with the coverage queries run in
-    /// contiguous chunks over `workers` threads; each chunk reuses one
-    /// radius-query scratch buffer, and chunks are flattened in order so
-    /// the candidate list is identical to the serial build.
+    /// each anchor's candidate covers every sensor within `r` of it. The
+    /// coverage queries run in contiguous chunks over `workers` threads;
+    /// each chunk reuses one radius-query scratch buffer, and chunks are
+    /// flattened in order so the candidate list is identical to the
+    /// serial build.
     fn from_anchors_par(net: &Network, r: f64, anchors: &[Point], workers: usize) -> Self {
         const CHUNK: usize = 64;
         let n_chunks = anchors.len().div_ceil(CHUNK);
@@ -192,13 +134,8 @@ impl CandidateFamily {
     }
 
     /// Removes candidates whose member set is a strict subset of another
-    /// candidate's — they can never be preferred by a minimum cover.
-    fn prune_dominated(&mut self) {
-        self.prune_dominated_par(1);
-    }
-
-    /// [`CandidateFamily::prune_dominated`] with the per-candidate
-    /// domination checks fanned out over `workers` threads.
+    /// candidate's — they can never be preferred by a minimum cover. The
+    /// per-candidate domination checks fan out over `workers` threads.
     ///
     /// Candidate `i` is dropped when another candidate `j` contains all
     /// of its members and has more members, or as many and a lower index.
@@ -287,7 +224,7 @@ fn retain_flagged(candidates: &mut Vec<Candidate>, keep: &[bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_geom::Aabb;
+    use bc_geom::{sed, Aabb};
     use bc_setcover::BitSet;
     use bc_wsn::deploy;
     use rand::rngs::SmallRng;
@@ -328,6 +265,58 @@ mod tests {
             .filter(|&(i, _)| !dominated(i))
             .map(|(_, c)| c.clone())
             .collect()
+    }
+
+    /// The literal reading of Algorithm 2, lines 1–6, kept as an oracle
+    /// for the pair-intersection family: enumerates, per node, every
+    /// subset of its radius-`r` neighbourhood up to `max_subset` members
+    /// and keeps the subsets whose smallest enclosing disk has radius at
+    /// most `r`.
+    ///
+    /// Exponential in the neighbourhood size; intended for small/dense
+    /// validation instances only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not positive and finite or `max_subset == 0`.
+    fn per_node_exhaustive(net: &Network, r: f64, max_subset: usize) -> CandidateFamily {
+        assert!(r.is_finite() && r > 0.0, "bundle radius must be positive");
+        assert!(max_subset > 0, "subset cap must be positive");
+        let n = net.len();
+        let mut candidates = Vec::new();
+        for i in 0..n {
+            // Neighbours within 2r can share a radius-r disk with i.
+            let mut nbrs = net.within_radius(net.sensor(i).pos, 2.0 * r);
+            nbrs.retain(|&j| j != i);
+            // Enumerate subsets of the neighbourhood, always including i.
+            let k = nbrs.len().min(16); // hard safety cap on enumeration width
+            let nbrs = &nbrs[..k];
+            let limit: u32 = 1 << nbrs.len();
+            for mask in 0..limit {
+                if (mask.count_ones() as usize) + 1 > max_subset { // cast-ok: popcount fits usize
+                    continue;
+                }
+                let mut group = vec![i];
+                for (b, &j) in nbrs.iter().enumerate() {
+                    if mask & (1 << b) != 0 {
+                        group.push(j);
+                    }
+                }
+                let pts: Vec<Point> = group.iter().map(|&j| net.sensor(j).pos).collect();
+                let disk = sed::smallest_enclosing_disk(&pts);
+                if disk.radius <= r + bc_geom::EPS {
+                    group.sort_unstable();
+                    candidates.push(Candidate {
+                        members: group,
+                        anchor: disk.center,
+                    });
+                }
+            }
+        }
+        let mut fam = CandidateFamily { radius: r, candidates };
+        fam.dedup();
+        fam.prune_dominated_par(1);
+        fam
     }
 
     fn assert_members_invariant(fam: &CandidateFamily) {
@@ -380,7 +369,7 @@ mod tests {
         let net = deploy::uniform(15, Aabb::square(100.0), 2.0, 3);
         let r = 30.0;
         let pair = CandidateFamily::pair_intersection(&net, r);
-        let exh = CandidateFamily::per_node_exhaustive(&net, r, 15);
+        let exh = per_node_exhaustive(&net, r, 15);
         assert_members_invariant(&exh);
         // Both families must offer the same maximum coverage per anchor
         // ... at least, the largest candidate should have equal size.

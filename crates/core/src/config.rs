@@ -6,8 +6,6 @@ use bc_tsp::SolveConfig;
 use bc_units::{Meters, Watts};
 use bc_wpt::{ChargingModel, EnergyModel};
 
-use crate::generation::BundleStrategy;
-
 /// A [`PlannerConfig`] field was rejected by [`PlannerConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -25,11 +23,6 @@ pub enum ConfigError {
     BadChargingLaw {
         /// Explanation from [`bc_wpt::Law::validate`].
         reason: String,
-    },
-    /// A count field that must be positive is zero.
-    EmptyField {
-        /// Name of the offending field.
-        field: &'static str,
     },
 }
 
@@ -52,9 +45,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadChargingLaw { reason } => {
                 write!(f, "invalid charging law: {reason}")
-            }
-            ConfigError::EmptyField { field } => {
-                write!(f, "{field} must be positive")
             }
         }
     }
@@ -93,7 +83,7 @@ pub enum DwellPolicy {
 /// use bc_units::Meters;
 ///
 /// let mut cfg = PlannerConfig::paper_sim(20.0);
-/// cfg.opt_distance_steps = 64; // finer BC-OPT anchor sweep
+/// cfg.include_base = true; // route the tour through the base station
 /// assert_eq!(cfg.bundle_radius, Meters(20.0));
 /// ```
 #[derive(Debug, Clone)]
@@ -104,19 +94,12 @@ pub struct PlannerConfig {
     pub charging: ChargingModel,
     /// Charger energy accounting (`E_m`, `p_c`).
     pub energy: EnergyModel,
-    /// Bundle generation strategy used by BC / BC-OPT.
-    pub bundle_strategy: BundleStrategy,
     /// TSP pipeline settings.
     pub tsp: SolveConfig,
     /// Include the base station as a zero-dwell tour stop. The paper's
     /// simulations optimise the tour among charging positions only, so
     /// this defaults to `false`.
     pub include_base: bool,
-    /// Number of displacement radii `d` BC-OPT tries per anchor
-    /// (Algorithm 3's `for d = 0 : max` discretisation).
-    pub opt_distance_steps: usize,
-    /// Maximum full sweeps BC-OPT makes over the tour before stopping.
-    pub opt_max_rounds: usize,
     /// How BC sets dwell times (SC, CSS and BC-OPT always use realized
     /// distances).
     pub dwell_policy: DwellPolicy,
@@ -130,11 +113,8 @@ impl PlannerConfig {
             bundle_radius: Meters(bundle_radius),
             charging: ChargingModel::paper_sim(),
             energy: EnergyModel::paper_sim(),
-            bundle_strategy: BundleStrategy::Greedy,
             tsp: SolveConfig::default(),
             include_base: false,
-            opt_distance_steps: 24,
-            opt_max_rounds: 8,
             dwell_policy: DwellPolicy::default(),
         }
     }
@@ -146,19 +126,15 @@ impl PlannerConfig {
             bundle_radius: Meters(bundle_radius),
             charging: ChargingModel::paper_testbed(),
             energy: EnergyModel::paper_testbed(),
-            bundle_strategy: BundleStrategy::Greedy,
             tsp: SolveConfig::default(),
             include_base: false,
-            opt_distance_steps: 24,
-            opt_max_rounds: 8,
             dwell_policy: DwellPolicy::default(),
         }
     }
 
     /// Checks that the configuration can drive a planner at all: the
-    /// bundle radius is a positive finite number, the charging model has
-    /// positive finite source power and a valid decay law, and the
-    /// BC-OPT sweep counts are non-zero.
+    /// bundle radius is a positive finite number and the charging model
+    /// has positive finite source power and a valid decay law.
     ///
     /// [`crate::planner::try_run`] calls this before dispatching, so a
     /// bad configuration surfaces as a typed error instead of a `NaN`
@@ -181,16 +157,6 @@ impl PlannerConfig {
             .law()
             .validate()
             .map_err(|reason| ConfigError::BadChargingLaw { reason })?;
-        if self.opt_distance_steps == 0 {
-            return Err(ConfigError::EmptyField {
-                field: "opt_distance_steps",
-            });
-        }
-        if self.opt_max_rounds == 0 {
-            return Err(ConfigError::EmptyField {
-                field: "opt_max_rounds",
-            });
-        }
         Ok(())
     }
 }
@@ -217,21 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_sweep_fields() {
-        let mut cfg = PlannerConfig::paper_sim(10.0);
-        cfg.opt_distance_steps = 0;
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::EmptyField {
-                field: "opt_distance_steps"
-            })
-        );
-        let mut cfg = PlannerConfig::paper_sim(10.0);
-        cfg.opt_max_rounds = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::EmptyField { .. })));
-    }
-
-    #[test]
     fn error_messages_are_informative() {
         let err = PlannerConfig::paper_sim(-3.0).validate().unwrap_err();
         assert!(err.to_string().contains("-3"));
@@ -249,8 +200,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = PlannerConfig::paper_sim(10.0);
-        assert!(cfg.opt_distance_steps > 0);
-        assert!(cfg.opt_max_rounds > 0);
         assert!(!cfg.include_base);
     }
 }

@@ -52,7 +52,7 @@
 //! ```
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,6 @@ use bc_units::{Joules, Seconds};
 use bc_wpt::ReceivePowerTable;
 use bc_wsn::Network;
 
-use crate::generation::BundleStrategy;
 use crate::planner::Algorithm;
 use crate::{CandidateFamily, ChargingBundle, ChargingPlan, Metrics, PlanError, PlannerConfig, Stop};
 
@@ -219,12 +218,10 @@ impl StagedPlan {
 /// on: a deadline can shorten a BC-OPT run to its BC prefix, but can
 /// never surface a half-tightened tour.
 ///
-/// Three exhaustion sources compose (any one trips the budget):
+/// Two exhaustion sources compose (either one trips the budget):
 ///
 /// * a wall-clock **deadline** ([`StageBudget::with_deadline`] /
 ///   [`StageBudget::with_timeout`]) — the production path;
-/// * a shared **cancel flag** ([`StageBudget::with_cancel_flag`]) — for
-///   external cancellation (shutdown, client gone);
 /// * a deterministic **check countdown** ([`StageBudget::after_checks`])
 ///   — exhausts after a fixed number of boundary checks, so tests can
 ///   cut a pipeline at an exact stage without racing a clock.
@@ -233,7 +230,6 @@ impl StagedPlan {
 #[derive(Debug, Clone, Default)]
 pub struct StageBudget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
     checks_left: Option<Arc<AtomicUsize>>,
 }
 
@@ -257,14 +253,6 @@ impl StageBudget {
         self.with_deadline(bc_obs::wall::now() + timeout)
     }
 
-    /// Exhausts when `flag` is set (builder style). The flag is shared:
-    /// the caller keeps a clone and may set it from any thread.
-    #[must_use]
-    pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// A deterministic budget that reports exhausted on the `n+1`-th
     /// boundary check: exactly `n` stages run, independent of wall
     /// clock. Intended for tests of the degradation path.
@@ -281,14 +269,9 @@ impl StageBudget {
         self.deadline
     }
 
-    /// Whether the budget is spent. Deadline and cancel-flag checks are
-    /// pure reads; the check countdown consumes one check per call.
+    /// Whether the budget is spent. The deadline check is a pure read;
+    /// the check countdown consumes one check per call.
     pub fn exhausted(&self) -> bool {
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Acquire) {
-                return true;
-            }
-        }
         if let Some(deadline) = self.deadline {
             if bc_obs::wall::now() >= deadline {
                 return true;
@@ -323,13 +306,6 @@ pub struct BudgetedPlan {
     pub stages_run: usize,
     /// How many stages the algorithm's pipeline has in total.
     pub stages_total: usize,
-}
-
-impl BudgetedPlan {
-    /// Number of pipeline stages the budget cut off.
-    pub fn stages_skipped(&self) -> usize {
-        self.stages_total - self.stages_run
-    }
 }
 
 /// The pipeline position of a [`PlanStage`].
@@ -428,9 +404,7 @@ impl PlanStage for WarmArtifacts {
                 let _ = ctx.sensor_matrix();
             }
             Algorithm::Bc | Algorithm::BcOpt => {
-                if ctx.config().bundle_strategy != BundleStrategy::Grid {
-                    let _ = ctx.candidates();
-                }
+                let _ = ctx.candidates();
             }
         }
     }
@@ -481,8 +455,8 @@ impl PlanStage for CssCover {
     }
 }
 
-/// BC / BC-OPT cover: set cover over the shared candidate family (or the
-/// grid partition), then dwell-policy stop construction.
+/// BC / BC-OPT cover: greedy set cover over the shared candidate family
+/// (Algorithm 2), then dwell-policy stop construction.
 struct BcCover;
 
 impl PlanStage for BcCover {
@@ -496,15 +470,7 @@ impl PlanStage for BcCover {
         let bundles = if net.is_empty() {
             Vec::new()
         } else {
-            match cfg.bundle_strategy {
-                BundleStrategy::Grid => crate::generation::grid_bundles(net, cfg.bundle_radius),
-                BundleStrategy::Greedy => {
-                    crate::generation::cover_bundles(net, ctx.candidates(), false)
-                }
-                BundleStrategy::Optimal => {
-                    crate::generation::cover_bundles(net, ctx.candidates(), true)
-                }
-            }
+            crate::generation::cover_bundles(net, ctx.candidates(), false)
         };
         state.stops = crate::planner::stops_for_bundles(bundles, net, cfg);
     }
@@ -980,11 +946,6 @@ impl ContextCache {
         self.ctx.counters()
     }
 
-    /// Sets the worker count for the current and future revisions.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.ctx.workers = workers.max(1);
-    }
-
     /// Plans with the current revision's context.
     ///
     /// # Errors
@@ -1157,7 +1118,6 @@ mod tests {
             let budgeted = ctx.plan_budgeted(algo, &StageBudget::none()).unwrap();
             assert!(budgeted.completed, "{algo}");
             assert_eq!(budgeted.stages_run, budgeted.stages_total);
-            assert_eq!(budgeted.stages_skipped(), 0);
             let plan = budgeted.plan.expect("complete run yields a plan").plan;
             assert_eq!(plan, ctx.plan(algo).unwrap().plan, "{algo}");
         }
@@ -1192,26 +1152,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_and_past_deadline_cut_immediately() {
-        use std::sync::atomic::AtomicBool;
-
+    fn past_deadline_cuts_immediately() {
         let ctx = ctx(20, 20.0, 3);
-        let flag = Arc::new(AtomicBool::new(true));
-        let cancelled = StageBudget::none().with_cancel_flag(Arc::clone(&flag));
-        let out = ctx.plan_budgeted(Algorithm::Bc, &cancelled).unwrap();
-        assert_eq!(out.stages_run, 0);
-        assert!(out.plan.is_none());
-
         let expired = StageBudget::none().with_timeout(Duration::ZERO);
         assert!(expired.deadline().is_some());
         let out = ctx.plan_budgeted(Algorithm::Sc, &expired).unwrap();
         assert_eq!(out.stages_run, 0);
+        assert!(out.plan.is_none());
 
-        // An unset flag and a generous deadline do not interfere.
-        flag.store(false, Ordering::Release);
-        let roomy = StageBudget::none()
-            .with_cancel_flag(flag)
-            .with_timeout(Duration::from_secs(3600));
+        // A generous deadline does not interfere.
+        let roomy = StageBudget::none().with_timeout(Duration::from_secs(3600));
         let out = ctx.plan_budgeted(Algorithm::Bc, &roomy).unwrap();
         assert!(out.completed);
     }

@@ -23,6 +23,13 @@ use bc_wsn::Network;
 
 use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
+/// Number of displacement radii `d` tried per anchor (Algorithm 3's
+/// `for d = 0 : max` discretisation).
+const DISTANCE_STEPS: usize = 24;
+
+/// Maximum full sweeps over the tour before stopping.
+const MAX_ROUNDS: usize = 8;
+
 /// Applies the Algorithm 3 anchor-relocation sweeps to an ordered plan,
 /// in place (the BC-OPT Tighten stage). The rounds are Gauss–Seidel:
 /// anchor `i` sees its neighbours' already-relocated positions.
@@ -70,7 +77,7 @@ pub(crate) fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &Planne
     // kept only while that sweep left the stop in place.
     let mut settled: Vec<Option<[u64; 4]>> = vec![None; n];
 
-    for _round in 0..cfg.opt_max_rounds {
+    for _round in 0..MAX_ROUNDS {
         // Causal profiling: one child span per Gauss–Seidel round under
         // the owning stage span, carrying the per-round relocation count.
         // Gated on `active()` so the disabled path does not even read the
@@ -142,13 +149,12 @@ fn best_relocation(
         bc_obs::counter("plan", "tighten.anchors_pruned", 1, &[]);
         return None;
     }
-    let steps = cfg.opt_distance_steps.max(1);
     // One span per anchor's d-sweep (they fold by name in the tree
     // recorder).
     let sweep_span = bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.sweep"));
     let mut best: Option<(Point, Joules)> = None;
-    for k in 1..=steps {
-        let d = d_max * k as f64 / steps as f64; // cast-ok: sweep-step ratio
+    for k in 1..=DISTANCE_STEPS {
+        let d = d_max * k as f64 / DISTANCE_STEPS as f64; // cast-ok: sweep-step ratio
         let t = tangency::min_focal_sum_on_circle(prev, next, &Disk::new(center, d));
         let dwell = members
             .iter()
@@ -165,11 +171,11 @@ fn best_relocation(
         // examined and the golden-section evaluations behind them
         // (Theorem 5's search does a fixed number per candidate).
         let as_u64 = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
-        bc_obs::counter("plan", "tighten.candidates", as_u64(steps), &[]);
+        bc_obs::counter("plan", "tighten.candidates", as_u64(DISTANCE_STEPS), &[]);
         bc_obs::counter(
             "plan",
             "tighten.gs_evals",
-            as_u64(steps * tangency::EVALS_PER_SEARCH),
+            as_u64(DISTANCE_STEPS * tangency::EVALS_PER_SEARCH),
             &[],
         );
         span.finish();
@@ -248,15 +254,6 @@ mod tests {
         let cfg = PlannerConfig::paper_sim(20.0);
         let plan = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
         assert_eq!(plan.num_charging_stops(), 1);
-        assert!(plan.validate(&net, &cfg.charging).is_ok());
-    }
-
-    #[test]
-    fn strategy_ablation_runs() {
-        let net = deploy::uniform(30, Aabb::square(400.0), 2.0, 3);
-        let mut cfg = PlannerConfig::paper_sim(30.0);
-        cfg.bundle_strategy = crate::BundleStrategy::Grid;
-        let plan = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
         assert!(plan.validate(&net, &cfg.charging).is_ok());
     }
 }

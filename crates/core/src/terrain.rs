@@ -21,7 +21,7 @@ use bc_units::{Meters, Seconds};
 use bc_wsn::Network;
 
 use crate::planner::Algorithm;
-use crate::{generate_bundles, ChargingPlan, Metrics, PlannerConfig, Stop};
+use crate::{generate_bundles, BundleStrategy, ChargingPlan, Metrics, PlannerConfig, Stop};
 
 /// A field with impassable polygon obstacles.
 #[derive(Debug, Clone)]
@@ -143,7 +143,7 @@ pub fn plan_with_terrain(
             })
             .collect(),
         _ => crate::planner::stops_for_bundles(
-            generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy),
+            generate_bundles(net, cfg.bundle_radius, BundleStrategy::Greedy),
             net,
             cfg,
         ),

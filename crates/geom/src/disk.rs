@@ -111,11 +111,6 @@ impl Disk {
         self.center.distance(other.center) + other.radius <= self.radius + EPS
     }
 
-    /// Whether the two disks share at least one point.
-    pub fn intersects(&self, other: &Disk) -> bool {
-        self.center.distance(other.center) <= self.radius + other.radius + EPS
-    }
-
     /// The (0, 1, or 2) intersection points of the two disks' boundary
     /// circles.
     ///

@@ -7,8 +7,8 @@
 //! * [`Disk`] and Welzl's expected-linear-time **smallest enclosing disk**
 //!   (the paper's `MinDisk`, Algorithm 1), including the *decisional*
 //!   variant used by the bundle generator ([`sed::fits_in_radius`]);
-//! * [`Ellipse`] in foci form and the **ellipse–circle tangency search**
-//!   (Theorems 4 and 5 of the paper) used by the BC-OPT tour optimizer
+//! * the **ellipse–circle tangency search** (Theorems 4 and 5 of the
+//!   paper) used by the BC-OPT tour optimizer
 //!   ([`tangency::min_focal_sum_on_circle`]);
 //! * axis-aligned boxes (deployment fields, grid partitioning) and
 //!   polygon obstacles with visibility-graph shortest paths around them.
@@ -27,7 +27,6 @@
 
 pub mod aabb;
 pub mod disk;
-pub mod ellipse;
 pub mod point;
 pub mod polygon;
 pub mod sed;
@@ -37,7 +36,6 @@ pub mod visibility;
 
 pub use aabb::Aabb;
 pub use disk::Disk;
-pub use ellipse::Ellipse;
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError};
 pub use segment::Segment;

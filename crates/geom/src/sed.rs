@@ -54,38 +54,6 @@ pub fn fits_in_radius(points: &[Point], r: f64) -> bool {
     smallest_enclosing_disk(points).radius <= r + EPS
 }
 
-/// Brute-force reference: tries every disk supported by one, two or three
-/// input points and returns the smallest one enclosing all points.
-///
-/// `O(n^4)`; used by tests and available for verification of the fast path.
-pub fn smallest_enclosing_disk_brute(points: &[Point]) -> Disk {
-    match points.len() {
-        0 => return Disk::point(Point::ORIGIN),
-        1 => return Disk::point(points[0]),
-        _ => {}
-    }
-    let mut best: Option<Disk> = None;
-    let mut consider = |d: Disk| {
-        if points.iter().all(|&p| d.contains(p)) {
-            match best {
-                Some(b) if b.radius <= d.radius => {}
-                _ => best = Some(d),
-            }
-        }
-    };
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            consider(Disk::from_diameter(points[i], points[j]));
-            for k in (j + 1)..points.len() {
-                if let Some(d) = Disk::circumscribing(points[i], points[j], points[k]) {
-                    consider(d);
-                }
-            }
-        }
-    }
-    best.unwrap_or_else(|| Disk::point(points[0]))
-}
-
 /// Welzl's incremental construction on an already-shuffled slice.
 fn welzl_incremental(pts: &[Point]) -> Disk {
     let mut d = Disk::from_diameter(pts[0], pts[1]);
@@ -140,7 +108,6 @@ fn circum_or_fallback(a: Point, b: Point, c: Point) -> Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     fn assert_encloses(d: &Disk, pts: &[Point]) {
         for &p in pts {
@@ -209,27 +176,6 @@ mod tests {
         let d = smallest_enclosing_disk(&pts);
         assert!(d.radius < 1e-12);
         assert!(d.center.distance(Point::new(1.0, 1.0)) < 1e-12);
-    }
-
-    #[test]
-    fn matches_brute_force_on_random_instances() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
-        for n in [3usize, 4, 5, 8, 12, 20] {
-            for _ in 0..20 {
-                let pts: Vec<Point> = (0..n)
-                    .map(|_| Point::new(rng.random_range(-10.0..10.0), rng.random_range(-10.0..10.0)))
-                    .collect();
-                let fast = smallest_enclosing_disk(&pts);
-                let brute = smallest_enclosing_disk_brute(&pts);
-                assert_encloses(&fast, &pts);
-                assert!(
-                    (fast.radius - brute.radius).abs() < 1e-7,
-                    "n={n}: fast {} vs brute {}",
-                    fast.radius,
-                    brute.radius
-                );
-            }
-        }
     }
 
     #[test]

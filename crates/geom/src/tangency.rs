@@ -12,13 +12,11 @@
 //!
 //! [`min_focal_sum_on_circle`] implements the fast search (a coarse bracket
 //! over a table of fixed sample directions + golden-section refinement,
-//! logarithmic in the output precision);
-//! [`min_focal_sum_on_circle_exhaustive`] is the `O(h)` reference sweep the
-//! theorems were designed to avoid, retained for verification.
+//! logarithmic in the output precision).
 
 use std::sync::LazyLock;
 
-use crate::{Disk, Ellipse, Point};
+use crate::{Disk, Point};
 
 /// Result of a tangency search on a circle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +64,8 @@ static COARSE_DIRS: LazyLock<[Point; COARSE_SAMPLES]> =
 /// `O(log h)` bisector-guided search, implemented as a derivative-free
 /// golden-section refinement of a coarse bracket (the golden-section
 /// update and the bisector sign test of Theorem 5 locate the same
-/// stationary point; see [`focal_sum_derivative`]). A circle of positive
-/// radius costs exactly [`EVALS_PER_SEARCH`] focal-sum evaluations.
+/// stationary point). A circle of positive radius costs exactly
+/// [`EVALS_PER_SEARCH`] focal-sum evaluations.
 ///
 /// For a degenerate circle (`radius == 0`) the center itself is returned.
 ///
@@ -154,116 +152,9 @@ fn search(f1: Point, f2: Point, circle: &Disk) -> (Tangency, usize) {
     )
 }
 
-/// Reference `O(h)` exhaustive sweep at discretisation `h`: evaluates the
-/// focal sum at `h` equally spaced angles and returns the best sample.
-///
-/// This is the brute-force search Theorems 4–5 replace; tests compare the
-/// fast search against it.
-///
-/// # Panics
-///
-/// Panics if `h == 0`.
-pub fn min_focal_sum_on_circle_exhaustive(
-    f1: Point,
-    f2: Point,
-    circle: &Disk,
-    h: usize,
-) -> Tangency {
-    assert!(h > 0, "discretisation level must be positive");
-    let mut best = Tangency {
-        point: circle.boundary_point(0.0),
-        theta: 0.0,
-        focal_sum: f64::INFINITY,
-    };
-    for i in 0..h {
-        let theta = i as f64 * std::f64::consts::TAU / h as f64; // cast-ok: sample index to angle
-        let p = circle.boundary_point(theta);
-        let s = p.distance(f1) + p.distance(f2);
-        if s < best.focal_sum {
-            best = Tangency {
-                point: p,
-                theta,
-                focal_sum: s,
-            };
-        }
-    }
-    best
-}
-
-/// Derivative of the focal sum along the circle at angle `theta`:
-/// `d/d_theta [ |P(theta) - f1| + |P(theta) - f2| ]`.
-///
-/// The derivative vanishes exactly when the tangent of the circle is
-/// perpendicular to the bisector of the focal rays — i.e. when the radius
-/// `C_i P` bisects the angle `f1 - P - f2`, which is Theorem 5's
-/// characterisation of the optimum. Exposed so tests (and alternative
-/// bisection-based searches) can verify the property.
-pub fn focal_sum_derivative(f1: Point, f2: Point, circle: &Disk, theta: f64) -> f64 {
-    let p = circle.boundary_point(theta);
-    let tangent = Point::new(-theta.sin(), theta.cos()) * circle.radius;
-    let mut d = 0.0;
-    for f in [f1, f2] {
-        if let Some(u) = (p - f).normalized() {
-            d += tangent.dot(u);
-        }
-    }
-    d
-}
-
-/// Angle (radians) between the inward radius direction at `p` and the
-/// bisector of the focal rays — the residual of Theorem 5's optimality
-/// condition. Near zero iff `p` is a stationary point of the focal sum on
-/// the circle.
-pub fn bisector_residual(f1: Point, f2: Point, circle: &Disk, p: Point) -> f64 {
-    let radius_dir = match (circle.center - p).normalized() {
-        Some(v) => v,
-        None => return 0.0,
-    };
-    let u = (p - f1).normalized().unwrap_or(Point::ORIGIN);
-    let v = (p - f2).normalized().unwrap_or(Point::ORIGIN);
-    let bisector = match (u + v).normalized() {
-        Some(b) => b,
-        None => return 0.0,
-    };
-    // The circle lies outside the tangent ellipse, so at the optimum the
-    // ellipse's outward normal (the focal bisector) points from `p`
-    // toward the circle center: the two directions are parallel.
-    let cosang = radius_dir.dot(bisector).clamp(-1.0, 1.0);
-    cosang.acos()
-}
-
-/// The ellipse through the tangency point with the given foci — the level
-/// set of Theorem 4. Useful for visualisation and verification: the circle
-/// lies entirely outside (or on) this ellipse.
-pub fn tangent_ellipse(f1: Point, f2: Point, circle: &Disk) -> Ellipse {
-    let t = min_focal_sum_on_circle(f1, f2, circle);
-    Ellipse::new(f1, f2, t.focal_sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matches_exhaustive_sweep() {
-        let cases = [
-            (Point::new(-10.0, 0.0), Point::new(10.0, 0.0), Point::new(0.0, 5.0), 2.0),
-            (Point::new(0.0, 0.0), Point::new(7.0, 3.0), Point::new(2.0, 9.0), 1.5),
-            (Point::new(-1.0, -1.0), Point::new(1.0, 1.0), Point::new(8.0, -4.0), 3.0),
-            (Point::new(5.0, 5.0), Point::new(5.0, 5.0), Point::new(0.0, 0.0), 2.0),
-        ];
-        for (f1, f2, c, r) in cases {
-            let circle = Disk::new(c, r);
-            let fast = min_focal_sum_on_circle(f1, f2, &circle);
-            let slow = min_focal_sum_on_circle_exhaustive(f1, f2, &circle, 20_000);
-            assert!(
-                fast.focal_sum <= slow.focal_sum + 1e-6,
-                "fast {} worse than sweep {}",
-                fast.focal_sum,
-                slow.focal_sum
-            );
-        }
-    }
 
     fn bits(p: Point) -> [u64; 2] {
         [p.x.to_bits(), p.y.to_bits()]
@@ -323,24 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_vanishes_at_optimum() {
-        let circle = Disk::new(Point::new(1.0, 6.0), 2.0);
-        let (f1, f2) = (Point::new(-8.0, 0.0), Point::new(9.0, -1.0));
-        let t = min_focal_sum_on_circle(f1, f2, &circle);
-        let d = focal_sum_derivative(f1, f2, &circle, t.theta);
-        assert!(d.abs() < 1e-6, "derivative at optimum: {d}");
-    }
-
-    #[test]
-    fn theorem5_bisector_property_holds() {
-        let circle = Disk::new(Point::new(0.0, 8.0), 3.0);
-        let (f1, f2) = (Point::new(-6.0, 0.0), Point::new(10.0, 2.0));
-        let t = min_focal_sum_on_circle(f1, f2, &circle);
-        let residual = bisector_residual(f1, f2, &circle, t.point);
-        assert!(residual < 1e-5, "bisector residual {residual}");
-    }
-
-    #[test]
     fn zero_radius_returns_center() {
         let c = Point::new(2.0, 3.0);
         let t = min_focal_sum_on_circle(Point::ORIGIN, Point::new(10.0, 0.0), &Disk::new(c, 0.0));
@@ -354,18 +227,6 @@ mod tests {
         let (f1, f2) = (Point::new(-10.0, 0.0), Point::new(10.0, 0.0));
         let t = min_focal_sum_on_circle(f1, f2, &Disk::new(Point::new(0.0, 0.0), 1.0));
         assert!((t.focal_sum - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tangent_ellipse_excludes_circle_interior() {
-        let circle = Disk::new(Point::new(0.0, 7.0), 2.0);
-        let (f1, f2) = (Point::new(-5.0, 0.0), Point::new(5.0, 0.0));
-        let e = tangent_ellipse(f1, f2, &circle);
-        // Every circle boundary point has focal sum >= the tangent level.
-        for i in 0..256 {
-            let p = circle.boundary_point(i as f64 * std::f64::consts::TAU / 256.0);
-            assert!(e.focal_sum(p) >= e.focal_sum_constant() - 1e-9);
-        }
     }
 
     #[test]

@@ -17,10 +17,11 @@ pub const REQUIRED_DENIES: [&str; 4] = [
 /// determinism passes scope rules by crate name, so a crate added to
 /// the workspace but missing here would silently escape them;
 /// [`check_registration_completeness`] turns that silence into a
-/// `lint-table-drift` finding instead.
-pub const REGISTERED_CRATES: [&str; 17] = [
-    "bench", "benchcheck", "campaign", "core", "des", "geom", "lint", "obs",
-    "serve", "setcover", "sim", "testbed", "tsp", "units", "wpt", "wsn", "xtask",
+/// `lint-table-drift` finding instead, and [`check_registered_crates_exist`]
+/// does the same for a name left behind by a deleted crate.
+pub const REGISTERED_CRATES: [&str; 16] = [
+    "benchcheck", "campaign", "core", "des", "geom", "lint", "obs", "serve",
+    "setcover", "sim", "testbed", "tsp", "units", "wpt", "wsn", "xtask",
 ];
 
 /// Checks every scanned `crates/*` directory is registered in
@@ -52,6 +53,25 @@ pub fn check_registration_completeness(
         }
     }
     out
+}
+
+/// Checks every name in [`REGISTERED_CRATES`] still has a `crates/<name>`
+/// directory under `root`, so the manifest cannot outlive a deleted crate.
+pub fn check_registered_crates_exist(root: &Path) -> Vec<Diagnostic> {
+    let crates_root = root.join("crates");
+    REGISTERED_CRATES
+        .iter()
+        .filter(|name| !crates_root.join(name).is_dir())
+        .map(|name| {
+            drift(
+                format!("crates/{name}"),
+                format!(
+                    "`{name}` is registered in the bc-lint manifest \
+                     (manifest::REGISTERED_CRATES) but has no crates/{name} directory"
+                ),
+            )
+        })
+        .collect()
 }
 
 /// Checks the root manifest still denies the required clippy lints.

@@ -5,8 +5,8 @@
 //! which the old substring scanner had to exempt because their sources
 //! quote the banned patterns. Token-aware sanitization blanks those
 //! quotes, so the lint stack now lints itself. `vendor/` stubs,
-//! `tests/`, `examples/` and `benches/` stay exempt (test and demo code
-//! may panic freely; clippy.toml grants unit tests the same exemption).
+//! `tests/` and `examples/` stay exempt (test and demo code may panic
+//! freely; clippy.toml grants unit tests the same exemption).
 
 use crate::manifest;
 use crate::report::Report;
@@ -76,5 +76,6 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     diagnostics.extend(manifest::check_lint_table(root));
     diagnostics.extend(manifest::check_crate_lint_optin(root, &crate_dirs(root)));
     diagnostics.extend(manifest::check_registration_completeness(root, &crate_dirs(root)));
+    diagnostics.extend(manifest::check_registered_crates_exist(root));
     Ok(Report::new(files.len(), diagnostics))
 }

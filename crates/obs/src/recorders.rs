@@ -290,12 +290,6 @@ impl StatsSnapshot {
         self.events.get(key).copied().unwrap_or(0)
     }
 
-    /// How many distinct series the snapshot holds.
-    #[must_use]
-    pub fn series_count(&self) -> usize {
-        self.counters.len() + self.spans.len() + self.histograms.len() + self.events.len()
-    }
-
     /// Folds `other` into `self`, series by series: counters and event
     /// counts add, spans and histograms merge via their own `merge`.
     ///

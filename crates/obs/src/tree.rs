@@ -217,12 +217,6 @@ pub struct TreeNode {
 }
 
 impl TreeNode {
-    /// Sum of every counter delta attributed to this node.
-    #[must_use]
-    pub fn counter_total(&self) -> u64 {
-        self.counters.values().sum()
-    }
-
     fn render_json(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         let inner = "  ".repeat(indent + 1);

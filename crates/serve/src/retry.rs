@@ -36,11 +36,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
     /// Total attempts this policy permits (initial try + retries).
     pub fn max_attempts(&self) -> u32 {
         self.max_retries + 1

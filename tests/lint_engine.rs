@@ -58,6 +58,32 @@ fn every_workspace_crate_is_registered_with_the_lint_engine() {
 }
 
 #[test]
+fn every_registered_crate_exists_on_disk() {
+    // The reverse drift: a name left in the lint manifest after its crate
+    // was deleted is a lint-table-drift finding too.
+    let stale = bc_lint::manifest::check_registered_crates_exist(workspace_root());
+    assert!(
+        stale.is_empty(),
+        "bc-lint manifest::REGISTERED_CRATES names missing crates:\n{}",
+        stale
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    // And the check actually fires: under a root with no crates/
+    // directory, every registered name is reported.
+    let empty_root = workspace_root().join("crates/not-a-workspace-root");
+    let diags = bc_lint::manifest::check_registered_crates_exist(&empty_root);
+    assert_eq!(diags.len(), bc_lint::manifest::REGISTERED_CRATES.len());
+    for (diag, name) in diags.iter().zip(bc_lint::manifest::REGISTERED_CRATES) {
+        assert_eq!(diag.rule, bc_lint::RuleId::LintTableDrift);
+        assert_eq!(diag.file, format!("crates/{name}"));
+        assert!(diag.excerpt.contains(name), "{}", diag.excerpt);
+    }
+}
+
+#[test]
 fn json_report_is_byte_stable_and_validates() {
     let a = bc_lint::run_workspace(workspace_root()).unwrap().render_json();
     let b = bc_lint::run_workspace(workspace_root()).unwrap().render_json();

@@ -55,7 +55,7 @@ fn optimize_tour_with_workers(
         })
         .collect();
 
-    for _round in 0..cfg.opt_max_rounds {
+    for _round in 0..8 {
         let mut changed = false;
         #[allow(clippy::needless_range_loop)] // i indexes stops, centers and cyclic neighbours
         for i in 0..n {
@@ -99,7 +99,7 @@ fn best_relocation(
     if d_max <= bundle_charging::geom::EPS {
         return None;
     }
-    let steps = cfg.opt_distance_steps.max(1);
+    let steps = 24;
     // Fan out only when one sweep is expensive enough to amortise the
     // thread spawns; the gate changes throughput, never the result.
     let eff_workers = if workers > 1 && stop.bundle.sensors.len() * steps >= 192 {
