@@ -270,12 +270,6 @@ impl CampaignReport {
             .collect()
     }
 
-    /// The merged snapshot as deterministic JSON.
-    #[must_use]
-    pub fn merged_json(&self) -> String {
-        self.merged.to_json()
-    }
-
     /// The full campaign outcome as one deterministic JSON document:
     /// per-seed results (simulation quantities and typed failures) plus
     /// the merged snapshot. Byte-identical across worker counts and

@@ -85,8 +85,9 @@ pub enum ExecError {
     Config(ConfigError),
     /// The fault model is invalid.
     Faults(FaultModelError),
-    /// The remainder could not be split into sorties under the
-    /// executor's sortie budget (only [`RecoveryPolicy::ReturnToBase`]).
+    /// The remainder could not be split into sorties (only
+    /// [`RecoveryPolicy::ReturnToBase`]; its sortie budget is
+    /// `f64::MAX / 2`, so only a stop energy beyond that fails the split).
     Sortie(SortieError),
     /// The charger speed is not a positive finite number.
     BadSpeed {
@@ -255,6 +256,11 @@ impl ExecutionReport {
     }
 }
 
+/// The energy bound of each [`RecoveryPolicy::ReturnToBase`] sortie:
+/// half of `f64::MAX`, unbounded in effect yet small enough that sums of
+/// sortie energies stay finite. The split only minimises detour energy.
+const RETURN_SORTIE_BUDGET_J: f64 = f64::MAX / 2.0;
+
 /// The tour item queue: plan stops still to visit (tagged with their
 /// original stop index) plus recovery visits to the base station.
 #[derive(Debug, Clone)]
@@ -273,20 +279,17 @@ pub struct Executor<'a> {
     cfg: &'a PlannerConfig,
     speed_mps: f64,
     policy: RecoveryPolicy,
-    sortie_budget_j: f64,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with a 1 m/s charger, the
-    /// [`RecoveryPolicy::SkipAndContinue`] policy and an unconstrained
-    /// sortie budget.
+    /// Creates an executor with a 1 m/s charger and the
+    /// [`RecoveryPolicy::SkipAndContinue`] policy.
     pub fn new(net: &'a Network, cfg: &'a PlannerConfig) -> Self {
         Executor {
             net,
             cfg,
             speed_mps: 1.0,
             policy: RecoveryPolicy::SkipAndContinue,
-            sortie_budget_j: f64::MAX / 2.0,
         }
     }
 
@@ -302,22 +305,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Bounds the energy of each recovery sortie flown by
-    /// [`RecoveryPolicy::ReturnToBase`] (J).
-    pub fn with_sortie_budget(mut self, budget_j: f64) -> Self {
-        self.sortie_budget_j = budget_j;
-        self
-    }
-
     /// Executes one round of `plan` against the faults of `round`.
     ///
     /// # Errors
     ///
     /// Returns an [`ExecError`] when the configuration, fault model,
-    /// speed or plan is invalid, or (under
-    /// [`RecoveryPolicy::ReturnToBase`] with a finite sortie budget) when
-    /// a recovery sortie cannot fit the budget. Faults themselves never
-    /// error — they are recovered from and reported.
+    /// speed or plan is invalid. Faults themselves never error — they
+    /// are recovered from and reported.
     pub fn execute(
         &self,
         plan: &ChargingPlan,
@@ -369,10 +363,10 @@ struct ExecState {
     schedule: FaultSchedule,
     pending: VecDeque<Item>,
     /// Context over the current network revision
-    /// ([`RecoveryPolicy::ReplanRemaining`] shrinks it through the
-    /// cache, which invalidates the cached planning artifacts), plus the
-    /// original index of each of its sensors.
-    cache: crate::context::ContextCache,
+    /// ([`RecoveryPolicy::ReplanRemaining`] shrinks it, which resets the
+    /// cached planning artifacts), plus the original index of each of
+    /// its sensors.
+    ctx: crate::context::PlanContext,
     orig_of: Vec<usize>,
     dead: Vec<bool>,
     charged: Vec<bool>,
@@ -384,7 +378,6 @@ struct ExecState {
     attempts_cleared: Vec<bool>,
     model_max_retries: u32,
     model_backoff_s: f64,
-    sortie_budget_j: f64,
     step: usize,
     pos: Option<Point>,
     start_pos: Option<Point>,
@@ -432,7 +425,7 @@ impl ExecState {
             round,
             policy: exec.policy,
             pending,
-            cache: crate::context::ContextCache::new(exec.net.clone(), exec.cfg.clone()),
+            ctx: crate::context::PlanContext::new(exec.net.clone(), exec.cfg.clone()),
             orig_of: (0..exec.net.len()).collect(),
             dead: vec![false; exec.net.len()],
             charged: vec![false; exec.net.len()],
@@ -441,7 +434,6 @@ impl ExecState {
             attempts_cleared: vec![false; plan.stops.len()],
             model_max_retries: faults.max_retries,
             model_backoff_s: faults.backoff_s.0,
-            sortie_budget_j: exec.sortie_budget_j,
             schedule,
             step: 0,
             pos: None,
@@ -597,7 +589,7 @@ impl ExecState {
             }
             self.charged[orig] = true;
             served.push(orig);
-            delivered += self.cache.network().sensor(m).demand;
+            delivered += self.ctx.network().sensor(m).demand;
         }
         self.duration_s += dwell;
         self.latency_s += dwell - stop.dwell;
@@ -767,8 +759,8 @@ impl ExecState {
                 emptied += 1;
             } else {
                 let bundle =
-                    ChargingBundle::with_anchor(members, stop.bundle.anchor, self.cache.network());
-                stop.dwell = bundle.dwell_time(self.cache.network(), &exec.cfg.charging);
+                    ChargingBundle::with_anchor(members, stop.bundle.anchor, self.ctx.network());
+                stop.dwell = bundle.dwell_time(self.ctx.network(), &exec.cfg.charging);
                 stop.bundle = bundle;
             }
         }
@@ -782,9 +774,8 @@ impl ExecState {
     }
 
     /// Rebuilds the unvisited remainder without sensor `ci` via
-    /// [`crate::replan::remove_sensor`] (through the context cache, so
-    /// the cached artifacts are invalidated), retagging the rebuilt
-    /// stops.
+    /// [`crate::replan::remove_sensor`] (through the planning context, so
+    /// its cached artifacts are reset), retagging the rebuilt stops.
     fn replan_remaining(&mut self, _exec: &Executor<'_>, ci: usize) -> Result<(), ExecError> {
         let old: Vec<(usize, Stop)> = self
             .pending
@@ -796,9 +787,9 @@ impl ExecState {
             .collect();
         let remaining = ChargingPlan::new(
             old.iter().map(|(_, s)| s.clone()).collect(),
-            self.cache.network().len(),
+            self.ctx.network().len(),
         );
-        let new_plan = self.cache.remove_sensor(&remaining, ci)?;
+        let new_plan = self.ctx.remove_sensor(&remaining, ci)?;
         self.orig_of.remove(ci);
         self.replans += 1;
         if bc_obs::active() {
@@ -807,7 +798,7 @@ impl ExecState {
                 "replan",
                 &[
                     bc_obs::Field::new("round", self.round),
-                    bc_obs::Field::new("revision", self.cache.revision()),
+                    bc_obs::Field::new("revision", self.ctx.revision()),
                     bc_obs::Field::new("stops", new_plan.stops.len()),
                 ],
             );
@@ -853,7 +844,7 @@ impl ExecState {
             &remaining,
             exec.net.base(),
             &exec.cfg.energy,
-            self.sortie_budget_j,
+            RETURN_SORTIE_BUDGET_J,
         )
         .map_err(ExecError::Sortie)?;
         for sortie in &sp.sorties {

@@ -59,10 +59,7 @@ pub mod tighten;
 pub use bundle::ChargingBundle;
 pub use candidates::{Candidate, CandidateFamily};
 pub use config::{ConfigError, DwellPolicy, PlannerConfig};
-pub use context::{
-    BudgetedPlan, BuildCounters, ContextCache, PlanContext, PlanStage, StageBudget, StageKind,
-    StageState, StageTimings, StagedPlan,
-};
+pub use context::{BudgetedPlan, PlanContext, StageBudget, StagedPlan};
 pub use contracts::ContractViolation;
 pub use execute::{ExecError, ExecutedStop, ExecutionReport, Executor, RecoveryPolicy};
 pub use faults::{FaultModel, FaultModelError, FaultSchedule};

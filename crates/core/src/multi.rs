@@ -133,7 +133,7 @@ pub fn try_plan_fleet(
         if let Some(parent) = &parent {
             ctx.seed_sensor_matrix(parent.sensor_matrix().submatrix(&members));
         }
-        let plan = ctx.plan(algo)?.into_plan();
+        let plan = ctx.plan(algo)?.plan;
         for &i in &members {
             final_assignment[i] = region_idx;
         }

@@ -1,15 +1,16 @@
 //! Deterministic scoped-thread fan-out for the parallel pipeline stages.
 //!
-//! Mirrors the worker-pool shape of `bc-sim`'s runner (scoped threads, an
-//! atomic work counter, per-slot results) so the crate gains parallelism
-//! without any new runtime dependency. Determinism is structural: task
-//! `i`'s result always lands in slot `i`, and callers reduce the slots in
-//! index order, so the output is byte-identical for any worker count.
+//! Scoped threads, an atomic work counter and per-slot results give the
+//! workspace parallelism without any runtime dependency. Determinism is
+//! structural: task `i`'s result always lands in slot `i`, and callers
+//! reduce the slots in index order, so the output is byte-identical for
+//! any worker count.
 //!
-//! This module is the workspace's sanctioned thread-spawn point (the
-//! `det-thread-spawn` lint bans `std::thread` elsewhere): bc-campaign's
-//! seed-sweep driver fans out through [`par_map`] rather than rolling its
-//! own pool.
+//! This module is the workspace's one worker pool and sanctioned
+//! thread-spawn point (the `det-thread-spawn` lint bans `std::thread`
+//! elsewhere): bc-campaign's seed-sweep driver and `bc-sim`'s
+//! `runner::repeat` fan out through [`par_map`] rather than rolling
+//! their own pools.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

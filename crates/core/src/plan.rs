@@ -63,7 +63,7 @@ pub struct ChargingPlan {
 
 /// Scalar summary of a plan under an energy model — the quantities
 /// plotted in Figs. 6 and 12–16.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Number of charging stops (bundles).
     pub num_stops: usize,
@@ -79,23 +79,6 @@ pub struct Metrics {
     pub total_energy_j: Joules,
     /// Total charging time divided by the number of sensors.
     pub avg_charge_time_per_sensor_s: Seconds,
-    /// Per-stage planner wall-times, when the plan came from the staged
-    /// pipeline ([`crate::context::StagedPlan::metrics`]); `None` for
-    /// plans built directly. Excluded from equality: timings describe
-    /// the run that produced the plan, not the plan itself.
-    pub stage_timings: Option<crate::context::StageTimings>,
-}
-
-impl PartialEq for Metrics {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_stops == other.num_stops
-            && self.tour_length_m == other.tour_length_m
-            && self.charge_time_s == other.charge_time_s
-            && self.move_energy_j == other.move_energy_j
-            && self.charge_energy_j == other.charge_energy_j
-            && self.total_energy_j == other.total_energy_j
-            && self.avg_charge_time_per_sensor_s == other.avg_charge_time_per_sensor_s
-    }
 }
 
 /// A plan failed validation, or a planning operation was given input it
@@ -238,7 +221,6 @@ impl ChargingPlan {
             } else {
                 dwell / self.num_sensors as f64 // cast-ok: sensor count to mean divisor
             },
-            stage_timings: None,
         }
     }
 

@@ -80,8 +80,6 @@ pub(crate) fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &Planne
     for _round in 0..MAX_ROUNDS {
         // Causal profiling: one child span per Gauss–Seidel round under
         // the owning stage span, carrying the per-round relocation count.
-        // Gated on `active()` so the disabled path does not even read the
-        // wall clock per round (the NullRecorder inertness bench).
         let mut round_span =
             bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.round"));
         let mut changed = false;

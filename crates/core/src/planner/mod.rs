@@ -18,8 +18,8 @@
 //! * [`Algorithm::BcOpt`] — BC followed by the Algorithm 3 anchor
 //!   relocation driven by the Theorem 4/5 tangency search.
 //!
-//! This module holds the stage bodies; [`crate::context::stages_for`]
-//! composes them into each algorithm's pipeline.
+//! This module holds the stage bodies; [`crate::context::PlanContext::plan`]
+//! tables how each algorithm's pipeline composes them.
 
 mod bc;
 mod bc_opt;
@@ -108,7 +108,7 @@ pub fn try_run(
 ) -> Result<ChargingPlan, PlanError> {
     crate::context::PlanContext::new(net.clone(), cfg.clone())
         .plan(algo)
-        .map(crate::context::StagedPlan::into_plan)
+        .map(|staged| staged.plan)
 }
 
 /// The four compared algorithms. `Ord` follows declaration order

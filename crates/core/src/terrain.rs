@@ -112,7 +112,6 @@ impl TerrainRoute {
             } else {
                 dwell / plan.num_sensors as f64 // cast-ok: sensor count to mean divisor
             },
-            stage_timings: None,
         }
     }
 }

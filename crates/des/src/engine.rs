@@ -13,7 +13,7 @@
 //! # Round realization
 //!
 //! When the low-battery population reaches the trigger while the fleet is
-//! idle, a `Dispatch` event plans a round **through [`ContextCache`]** (so
+//! idle, a `Dispatch` event plans a round **through one [`PlanContext`]** (so
 //! replans reuse cached candidate/distance/power artifacts) and unrolls it
 //! into per-charger *segments* (leg → backoff → dwell). Three modes:
 //!
@@ -34,11 +34,13 @@
 //!   (stall-stretched legs, retry backoff, degradation-stretched
 //!   dwells, abandoned stops) and pinned hardware deaths fire as
 //!   `FaultDeath` events when the owning stop is reached; dead sensors are
-//!   then removed from the cached network before the next plan.
+//!   then removed from the context's network before the next plan. Fleet
+//!   rounds apply skip-style recovery only, so [`Scenario::validate`]
+//!   rejects faults on a fleet with any other [`Scenario::recovery`].
 //!
 //! A low-battery crossing that fires *mid-round* for a sensor with no
 //! remaining scheduled service marks the plan stale; the next dispatch
-//! re-plans through the cache and counts a replan.
+//! re-plans through the context and counts a replan.
 
 use crate::clock::{Clock, Time};
 use crate::event::Event;
@@ -47,7 +49,7 @@ use crate::queue::EventQueue;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::state::SensorBank;
 use crate::trace::{TraceRecord, TraceRing};
-use bc_core::context::ContextCache;
+use bc_core::context::PlanContext;
 use bc_core::execute::{ExecError, Executor};
 use bc_core::faults::FaultModel;
 use bc_core::plan::ChargingPlan;
@@ -146,7 +148,7 @@ pub struct DesReport {
     /// Total energy spent above the fault-free cost of each round.
     pub extra_energy_j: Joules,
     /// Plans rebuilt after the first (low-battery staleness triggers and
-    /// post-death network repairs), all through the context cache.
+    /// post-death network repairs), all through the planning context.
     pub replans: usize,
     /// Recovery visits to the base station across all rounds.
     pub base_returns: usize,
@@ -263,7 +265,7 @@ struct Engine<'a> {
     low_count: usize,
     dispatch_pending: bool,
 
-    cache: ContextCache,
+    ctx: PlanContext,
     plan: ChargingPlan,
     /// Current network index → original sensor index.
     orig_of: Vec<usize>,
@@ -311,8 +313,8 @@ impl<'a> Engine<'a> {
             .map(|s| Sensor::new(s.id, s.pos, capacity.get()))
             .collect();
         let demand_net = Network::new(demand_sensors, sc.net.field(), sc.net.base());
-        let cache = ContextCache::new(demand_net, sc.planner.clone());
-        let plan = cache.plan(sc.algorithm)?.into_plan();
+        let ctx = PlanContext::new(demand_net, sc.planner.clone());
+        let plan = ctx.plan(sc.algorithm)?.plan;
         let mode = if sc.faults.is_some() && sc.fleet.size == 1 {
             Mode::ExecutorRound
         } else {
@@ -330,7 +332,7 @@ impl<'a> Engine<'a> {
             sensors: SensorBank::new(n, capacity),
             low_count: 0,
             dispatch_pending: false,
-            cache,
+            ctx,
             plan,
             orig_of: (0..n).collect(),
             needs_replan: false,
@@ -606,18 +608,18 @@ impl<'a> Engine<'a> {
         {
             return Ok(());
         }
-        // Repair the cached network first: sensors lost to hardware faults
-        // are removed (bumping the cache revision), then a staleness
-        // trigger rebuilds the plan — both through the context cache.
+        // Repair the context's network first: sensors lost to hardware
+        // faults are removed (bumping its revision), then a staleness
+        // trigger rebuilds the plan — both through the planning context.
         for orig in std::mem::take(&mut self.pending_removals) {
             if let Some(ci) = self.orig_of.iter().position(|&o| o == orig) {
-                self.plan = self.cache.remove_sensor(&self.plan, ci)?;
+                self.plan = self.ctx.remove_sensor(&self.plan, ci)?;
                 self.orig_of.remove(ci);
                 self.replans += 1;
             }
         }
         if self.needs_replan {
-            self.plan = self.cache.plan(self.sc.algorithm)?.into_plan();
+            self.plan = self.ctx.plan(self.sc.algorithm)?.plan;
             self.needs_replan = false;
             self.replans += 1;
         }
@@ -674,7 +676,7 @@ impl<'a> Engine<'a> {
     fn executor_round(&mut self) -> Result<Vec<Vec<Segment>>, DesError> {
         let fm = self.sc.faults.clone().unwrap_or_else(FaultModel::none);
         let round_seed = u64::try_from(self.rounds - 1).unwrap_or(u64::MAX);
-        let report = Executor::new(self.cache.network(), self.cache.config())
+        let report = Executor::new(self.ctx.network(), self.ctx.config())
             .with_speed(self.sc.speed_mps.get())
             .with_policy(self.sc.recovery)
             .execute_with_dead(&self.plan, &fm, round_seed, &self.hw_dead_list)?;
@@ -1352,6 +1354,13 @@ mod tests {
         assert!(matches!(
             run(&sc),
             Err(DesError::Scenario(ScenarioError::Horizon(_)))
+        ));
+        let sc = scenario(5, 1)
+            .with_fleet(3, DispatchPolicy::RoundRobin)
+            .with_faults(FaultModel::with_rate(1, 0.2), RecoveryPolicy::ReturnToBase);
+        assert!(matches!(
+            run(&sc),
+            Err(DesError::Scenario(ScenarioError::FleetRecovery(RecoveryPolicy::ReturnToBase)))
         ));
     }
 

@@ -24,8 +24,8 @@
 //! - a fleet of N mobile chargers with pluggable dispatch policies
 //!   ([`fleet::DispatchPolicy`]) and per-charger ledgers
 //!   ([`fleet::ChargerLedger`]), contract-checked against the run total;
-//! - low-battery **replan triggers** that go through
-//!   `bc_core::context::ContextCache`, so replans reuse cached planning
+//! - low-battery **replan triggers** that go through one
+//!   `bc_core::context::PlanContext`, so replans reuse cached planning
 //!   artifacts;
 //! - a [`scenario::Scenario`] description type and a bounded
 //!   [`trace::TraceRing`] of the event tail for observability.

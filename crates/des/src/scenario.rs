@@ -64,7 +64,11 @@ pub struct Scenario {
     pub planner: PlannerConfig,
     /// Fault model replayed each round (`None` = perfect execution).
     pub faults: Option<FaultModel>,
-    /// Recovery policy for fault-injected rounds.
+    /// Recovery policy for fault-injected rounds. Only a single charger
+    /// runs its rounds through the executor that applies the policy; a
+    /// fleet (`fleet.size > 1`) recovers skip-style, so with faults on a
+    /// fleet [`Scenario::validate`] accepts only
+    /// [`RecoveryPolicy::SkipAndContinue`].
     pub recovery: RecoveryPolicy,
     /// The charger fleet.
     pub fleet: FleetConfig,
@@ -114,7 +118,10 @@ impl Scenario {
         self
     }
 
-    /// Injects faults into every round.
+    /// Injects faults into every round, recovered from with `recovery`.
+    /// A fleet of more than one charger supports only
+    /// [`RecoveryPolicy::SkipAndContinue`]; [`Scenario::validate`]
+    /// rejects any other policy there.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultModel, recovery: RecoveryPolicy) -> Self {
         self.faults = Some(faults);
@@ -151,6 +158,9 @@ impl Scenario {
         }
         if let Some(fm) = &self.faults {
             fm.validate().map_err(ScenarioError::Faults)?;
+            if self.fleet.size > 1 && self.recovery != RecoveryPolicy::SkipAndContinue {
+                return Err(ScenarioError::FleetRecovery(self.recovery));
+            }
         }
         Ok(())
     }
@@ -175,6 +185,10 @@ pub enum ScenarioError {
     FleetSize,
     /// The fault model is invalid.
     Faults(FaultModelError),
+    /// A fleet of more than one charger was given faults and a recovery
+    /// policy other than [`RecoveryPolicy::SkipAndContinue`], which its
+    /// rounds would not apply.
+    FleetRecovery(RecoveryPolicy),
 }
 
 impl fmt::Display for ScenarioError {
@@ -190,6 +204,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::TriggerCount => write!(f, "trigger count must be at least 1"),
             ScenarioError::FleetSize => write!(f, "fleet must contain at least one charger"),
             ScenarioError::Faults(e) => write!(f, "invalid fault model: {e}"),
+            ScenarioError::FleetRecovery(p) => {
+                write!(f, "a charger fleet under faults supports only skip recovery, got {p}")
+            }
         }
     }
 }

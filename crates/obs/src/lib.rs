@@ -1,14 +1,14 @@
 //! Unified structured tracing and metrics for the bundle-charging
 //! workspace.
 //!
-//! Before this crate, instrumentation lived on four islands — per-stage
-//! wall times in `bc-core::context`, recovery metrics in
-//! `bc-core::execute`, the bounded `TraceRing` in `bc-des`, and ad-hoc
-//! summaries in `bc-sim` — none of which shared an event model. `bc-obs`
-//! gives them one: every subsystem emits [`ObsEvent`]s through a single
-//! thread-safe [`Recorder`], and what happens to those events (dropped,
-//! aggregated, streamed as JSONL) is the recorder's choice, not the
-//! emitter's.
+//! Every subsystem — the staged planner in `bc-core::context`, the fault
+//! executor in `bc-core::execute`, the `bc-des` engine and the `bc-serve`
+//! service — emits [`ObsEvent`]s through a single thread-safe
+//! [`Recorder`], and what happens to those events (dropped, aggregated,
+//! streamed as JSONL, folded into a span tree) is the recorder's choice,
+//! not the emitter's. The recorder is the one store of every count and
+//! time: planning stage times are the `plan.stage.*` spans and artifact
+//! builds the `plan.build.*` counters, with no second copy beside them.
 //!
 //! # Event model
 //!
@@ -55,7 +55,7 @@
 //!
 //! Everything in an event except [`Value::Wall`] durations is a pure
 //! function of the (seeded) inputs. [`recorders::JsonlRecorder`] masks
-//! `Wall` values by default, so two runs of the same seed produce
+//! `Wall` values, so two runs of the same seed produce
 //! byte-identical JSONL streams — the property the determinism test in
 //! `tests/observability.rs` pins.
 //!
@@ -231,9 +231,8 @@ impl ObsEvent<'_> {
 /// must key on names, not ids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanCtx {
-    /// For a completed [`Kind::Span`] opened through [`ScopedSpan`]: the
-    /// span's own id. `None` for every other event (including flat
-    /// [`span`] emissions, which are treated as instantaneous leaves).
+    /// For a completed [`Kind::Span`] (always opened through
+    /// [`ScopedSpan`]): the span's own id. `None` for every other event.
     pub id: Option<u64>,
     /// The innermost span open on this thread when the event was
     /// emitted: a completed span's parent, or the span a counter /
@@ -404,19 +403,6 @@ pub fn histogram(scope: &'static str, name: &'static str, sample: f64, fields: &
     dispatch(&ObsEvent { scope, name, kind: Kind::Histogram, value: Value::F64(sample), fields });
 }
 
-/// Emits a completed span of `elapsed_s` wall-clock seconds.
-///
-/// The caller owns the measurement (one `Instant` at the call site) so a
-/// single timing can feed both the event stream and any legacy
-/// aggregate — `StageTimings` in `bc-core` is exactly such a view.
-#[inline]
-pub fn span(scope: &'static str, name: &'static str, elapsed_s: f64, fields: &[Field]) {
-    if !active() {
-        return;
-    }
-    dispatch(&ObsEvent { scope, name, kind: Kind::Span, value: Value::Wall(elapsed_s), fields });
-}
-
 /// Emits a point event.
 #[inline]
 pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
@@ -432,12 +418,9 @@ pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
 /// while the guard is open — child spans, counters, histograms — carries
 /// this span's id as its [`SpanCtx::parent`].
 ///
-/// The guard always measures wall time (the caller may want the elapsed
-/// seconds even with recording disabled — `run_stages_budgeted` feeds
-/// the same measurement into `StageTimings`), but it only touches the
-/// span stack and emits an event when recording was [`active`] at
-/// `enter` time. An unarmed guard is fully inert: no id is assigned, no
-/// stack frame is pushed, nothing is emitted — the NullRecorder
+/// The guard is armed only when recording was [`active`] at `enter`
+/// time. An unarmed guard is fully inert: it reads no clock, assigns no
+/// id, pushes no stack frame and emits nothing — the NullRecorder
 /// bit-identity check extends to the span stack through this property.
 ///
 /// Closing pops the stack defensively by searching for the guard's own
@@ -454,26 +437,33 @@ pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
 ///     inner.finish();
 /// }
 /// outer.add_field("algo", "bc_opt");
-/// let _elapsed_s = outer.finish();
+/// outer.finish();
 /// ```
 #[must_use = "dropping the guard immediately measures nothing"]
 pub struct ScopedSpan {
     scope: &'static str,
     name: &'static str,
-    started: std::time::Instant,
     fields: Vec<Field>,
-    /// `Some((id, parent, depth))` when the guard is armed (recording
-    /// was active at enter); `None` keeps the guard inert.
-    frame: Option<(u64, Option<u64>, usize)>,
-    done: bool,
+    /// Present while the guard is armed (recording was active at enter)
+    /// and not yet closed; `None` keeps the guard inert.
+    frame: Option<Frame>,
+}
+
+/// An armed span's stack position and start time.
+#[derive(Clone, Copy)]
+struct Frame {
+    id: u64,
+    parent: Option<u64>,
+    depth: usize,
+    started: std::time::Instant,
 }
 
 impl ScopedSpan {
     /// Starts a causal span now. When recording is [`active`], assigns a
-    /// fresh span id and pushes it onto this thread's span stack;
-    /// otherwise the guard is inert (time is still measured).
+    /// fresh span id, pushes it onto this thread's span stack and reads
+    /// the clock; otherwise the guard is inert.
     pub fn enter(scope: &'static str, name: &'static str) -> Self {
-        let frame = if active() {
+        let frame = active().then(|| {
             let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
             let (parent, depth) = SPAN_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
@@ -482,18 +472,9 @@ impl ScopedSpan {
                 stack.push(id);
                 (parent, depth)
             });
-            Some((id, parent, depth))
-        } else {
-            None
-        };
-        ScopedSpan {
-            scope,
-            name,
-            started: crate::wall::now(),
-            fields: Vec::new(),
-            frame,
-            done: false,
-        }
+            Frame { id, parent, depth, started: crate::wall::now() }
+        });
+        ScopedSpan { scope, name, fields: Vec::new(), frame }
     }
 
     /// Whether this guard will emit an event on close (recording was
@@ -507,7 +488,7 @@ impl ScopedSpan {
     /// This span's id, when armed. Exposed for tests that pin parentage.
     #[must_use]
     pub fn id(&self) -> Option<u64> {
-        self.frame.map(|(id, _, _)| id)
+        self.frame.map(|f| f.id)
     }
 
     /// Attaches a field to the eventual span event. No-op when unarmed.
@@ -517,20 +498,19 @@ impl ScopedSpan {
         }
     }
 
-    /// Ends the span, emits it (when armed), and returns the elapsed
-    /// wall-clock seconds — measured unconditionally so the caller can
-    /// feed legacy aggregates from the same reading.
-    pub fn finish(mut self) -> f64 {
-        self.done = true;
-        let elapsed = self.started.elapsed().as_secs_f64();
-        self.close(elapsed);
-        elapsed
+    /// Ends the span and emits it (when armed); dropping the guard does
+    /// the same.
+    pub fn finish(self) {
+        drop(self);
     }
+}
 
-    fn close(&mut self, elapsed_s: f64) {
-        let Some((id, parent, depth)) = self.frame.take() else {
+impl Drop for ScopedSpan {
+    fn drop(&mut self) {
+        let Some(Frame { id, parent, depth, started }) = self.frame.take() else {
             return;
         };
+        let elapsed_s = started.elapsed().as_secs_f64();
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|&open| open == id) {
@@ -547,15 +527,6 @@ impl ScopedSpan {
             },
             SpanCtx { id: Some(id), parent, depth },
         );
-    }
-}
-
-impl Drop for ScopedSpan {
-    fn drop(&mut self) {
-        if !self.done {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            self.close(elapsed);
-        }
     }
 }
 
@@ -643,8 +614,8 @@ mod tests {
             assert_eq!(s.id(), None);
             assert_eq!(span_stack_depth(), 0, "inert guard must not touch the stack");
             s.add_field("k", 1u64);
-            let elapsed = s.finish();
-            assert!(elapsed >= 0.0, "time is still measured when disabled");
+            s.finish();
+            assert_eq!(span_stack_depth(), 0);
         })
         .join()
         .unwrap();

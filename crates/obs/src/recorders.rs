@@ -380,49 +380,34 @@ fn join_map<V>(
 /// Streams one JSON object per event to a writer, newline-delimited.
 ///
 /// Field order is fixed (`scope`, `name`, `kind`, `value`, then `fields`
-/// in emission order). In the default deterministic mode, wall-clock
-/// [`Value::Wall`] payloads render as `null`, so two runs of the same
-/// seed produce byte-identical streams; [`JsonlRecorder::with_wall_clock`]
-/// keeps the real durations for human consumption.
+/// in emission order). Wall-clock [`Value::Wall`] payloads render as
+/// `null`, so two runs of the same seed produce byte-identical streams.
 #[derive(Debug)]
 pub struct JsonlRecorder<W: Write + Send> {
     sink: Mutex<W>,
-    wall_clock: bool,
 }
 
 impl<W: Write + Send> JsonlRecorder<W> {
     /// A deterministic stream into `sink` (wall durations masked).
     pub fn new(sink: W) -> Self {
-        JsonlRecorder { sink: Mutex::new(sink), wall_clock: false }
-    }
-
-    /// A stream that keeps real wall-clock durations (not byte-stable
-    /// across runs).
-    pub fn with_wall_clock(sink: W) -> Self {
-        JsonlRecorder { sink: Mutex::new(sink), wall_clock: true }
+        JsonlRecorder { sink: Mutex::new(sink) }
     }
 
     /// Unwraps the sink (flushing is the caller's business).
     pub fn into_inner(self) -> W {
         self.sink.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    fn render_value(&self, out: &mut String, value: Value) {
-        match value {
-            Value::None => out.push_str("null"),
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => number_into(out, v),
-            Value::Wall(v) => {
-                if self.wall_clock {
-                    number_into(out, v);
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => escape_into(out, s),
-            Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-        }
+/// Renders one JSONL value; wall durations are masked to `null`.
+fn render_jsonl_value(out: &mut String, value: Value) {
+    match value {
+        Value::None | Value::Wall(_) => out.push_str("null"),
+        Value::U64(v) => out.push_str(&v.to_string()),
+        Value::I64(v) => out.push_str(&v.to_string()),
+        Value::F64(v) => number_into(out, v),
+        Value::Str(s) => escape_into(out, s),
+        Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
     }
 }
 
@@ -436,7 +421,7 @@ impl<W: Write + Send> Recorder for JsonlRecorder<W> {
         line.push_str(",\"kind\":");
         escape_into(&mut line, event.kind.label());
         line.push_str(",\"value\":");
-        self.render_value(&mut line, event.value);
+        render_jsonl_value(&mut line, event.value);
         line.push_str(",\"fields\":{");
         for (i, f) in event.fields.iter().enumerate() {
             if i > 0 {
@@ -444,7 +429,7 @@ impl<W: Write + Send> Recorder for JsonlRecorder<W> {
             }
             escape_into(&mut line, f.key);
             line.push(':');
-            self.render_value(&mut line, f.value);
+            render_jsonl_value(&mut line, f.value);
         }
         line.push_str("}}\n");
         let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
@@ -630,14 +615,6 @@ mod tests {
              \"fields\":{\"algo\":\"bc-opt\",\"stops\":7}}"
         );
         assert!(!text.contains("123.456"), "wall durations must be masked");
-    }
-
-    #[test]
-    fn jsonl_wall_clock_mode_keeps_durations() {
-        let r = JsonlRecorder::with_wall_clock(Vec::new());
-        r.record(&ev(Kind::Span, Value::Wall(0.5), &[]));
-        let text = String::from_utf8(r.into_inner()).unwrap();
-        assert!(text.contains("\"value\":0.5"));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! uses them only to pair children with parents while spans are in
 //! flight, then *folds by name*: all completions of `plan.stage.tighten`
 //! under the same parent path collapse into one node with a count, a
-//! summed total, and merged counters. Counters and flat spans emitted
-//! while a span is open attach to that span (the innermost open one);
-//! events with no open span land in the snapshot's `unattributed` map.
+//! summed total, and merged counters. Counters emitted while a span is
+//! open attach to that span (the innermost open one); counters with no
+//! open span land in the snapshot's `unattributed` map.
 //!
 //! # Determinism
 //!
@@ -59,9 +59,9 @@ struct TreeState {
 /// Only [`Kind::Span`] and [`Kind::Counter`] events shape the tree;
 /// histograms and point events pass through untouched (pair this
 /// recorder with a [`crate::recorders::StatsRecorder`] in a fanout when
-/// you want both views). Spans emitted without a [`SpanCtx`] id — the
-/// flat [`crate::span`] helper — become leaf nodes under whichever span
-/// was open at emission.
+/// you want both views). A span recorded without a [`SpanCtx`] id (by
+/// calling [`Recorder::record`] directly) becomes a leaf under the span
+/// its context names, or a root.
 #[derive(Debug, Default)]
 pub struct SpanTreeRecorder {
     state: Mutex<TreeState>,
@@ -103,21 +103,16 @@ impl SpanTreeRecorder {
                     _ => 0.0,
                 };
                 let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                let node = match ctx.id {
-                    Some(id) => Pending {
-                        name: event.key(),
-                        total_s,
-                        children: state.pending.remove(&id).unwrap_or_default(),
-                        counters: state.open_counters.remove(&id).unwrap_or_default(),
-                    },
-                    // Flat span: an instantaneous leaf with no id of its
-                    // own, so nothing can have parented under it.
-                    None => Pending {
-                        name: event.key(),
-                        total_s,
-                        children: Vec::new(),
-                        counters: BTreeMap::new(),
-                    },
+                // A span without an id is a leaf: nothing can have
+                // parented under it.
+                let node = Pending {
+                    name: event.key(),
+                    total_s,
+                    children: ctx.id.and_then(|id| state.pending.remove(&id)).unwrap_or_default(),
+                    counters: ctx
+                        .id
+                        .and_then(|id| state.open_counters.remove(&id))
+                        .unwrap_or_default(),
                 };
                 match ctx.parent {
                     Some(parent) => state.pending.entry(parent).or_default().push(node),
@@ -381,7 +376,7 @@ impl SpanTreeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter, span, with_local, ScopedSpan};
+    use crate::{counter, with_local, ScopedSpan};
     use std::sync::Arc;
 
     fn build_sample(tree: &Arc<SpanTreeRecorder>) {
@@ -390,7 +385,7 @@ mod tests {
             for _round in 0..3 {
                 let stage = ScopedSpan::enter("plan", "stage.tighten");
                 counter("plan", "tighten.gs_iters", 112, &[]);
-                span("plan", "tighten.sweep", 0.0, &[]);
+                ScopedSpan::enter("plan", "tighten.sweep").finish();
                 stage.finish();
             }
             let other = ScopedSpan::enter("plan", "stage.cover");
@@ -401,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn folds_rounds_counters_and_flat_leaves() {
+    fn folds_rounds_counters_and_leaves() {
         let tree = Arc::new(SpanTreeRecorder::deterministic());
         build_sample(&tree);
         let snap = tree.snapshot();
@@ -416,7 +411,7 @@ mod tests {
         assert_eq!(tighten.count, 3, "three rounds fold into one node");
         assert_eq!(tighten.counters["plan.tighten.gs_iters"], 336);
         let sweep = snap.node(&["plan.run", "plan.stage.tighten", "plan.tighten.sweep"]).unwrap();
-        assert_eq!(sweep.count, 3, "flat spans leaf under the open span");
+        assert_eq!(sweep.count, 3, "leaf spans fold under the open span");
         assert_eq!(snap.unattributed["plan.orphan"], 1);
         assert_eq!(snap.node_count(), 4);
     }

@@ -1,4 +1,4 @@
-//! Deadline-aware planning service over [`bc_core`]'s `ContextCache`.
+//! Deadline-aware planning service over [`bc_core`]'s `PlanContext`.
 //!
 //! The paper's planners are batch algorithms; the ROADMAP's north star
 //! is a system that serves them under heavy traffic. This crate is the

@@ -1,6 +1,6 @@
 //! Registered networks and their panic-isolated plan caches.
 //!
-//! Each registered network gets a [`NetEntry`]: a `Mutex<ContextCache>`
+//! Each registered network gets a [`NetEntry`]: a `Mutex<PlanContext>`
 //! plus the immutable template `(Network, PlannerConfig)` it was
 //! registered with. The mutex (not an `RwLock`) is deliberate — std's
 //! `RwLock` only poisons on panics under a *write* guard, so a panic
@@ -12,7 +12,7 @@
 //! state. The next holder of the entry's lock — a waiting worker, or
 //! the panicking worker's own catch arm via [`NetEntry::repair`] — sees
 //! the poison while it holds the guard, so it discards the cache,
-//! reinstalls a fresh `ContextCache` from the template, clears the
+//! reinstalls a fresh `PlanContext` from the template, clears the
 //! poison flag, and bumps the entry's generation (invalidating
 //! single-flight keys minted against the dead cache). Only a holder of
 //! the guard can poison the mutex, so checking and repairing under it
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bc_core::planner::Algorithm;
-use bc_core::{ContextCache, PlannerConfig, StageBudget, StagedPlan};
+use bc_core::{PlanContext, PlannerConfig, StageBudget};
 use bc_wsn::Network;
 
 use crate::sync::{lock_recover, read_recover, write_recover};
@@ -37,7 +37,7 @@ pub struct NetEntry {
     id: NetworkId,
     template_net: Network,
     template_cfg: PlannerConfig,
-    cache: Mutex<ContextCache>,
+    cache: Mutex<PlanContext>,
     /// Bumped every rebuild; part of the single-flight key so results
     /// computed against a discarded cache are never shared forward.
     generation: AtomicU64,
@@ -48,7 +48,7 @@ impl NetEntry {
     fn new(id: NetworkId, net: Network, cfg: PlannerConfig) -> Self {
         NetEntry {
             id,
-            cache: Mutex::new(ContextCache::new(net.clone(), cfg.clone())),
+            cache: Mutex::new(PlanContext::new(net.clone(), cfg.clone())),
             template_net: net,
             template_cfg: cfg,
             generation: AtomicU64::new(0),
@@ -80,7 +80,7 @@ impl NetEntry {
     /// `(generation, revision)` — the cache-identity part of a
     /// single-flight key.
     pub fn flight_revision(&self) -> (u64, u64) {
-        let rev = self.with_cache(ContextCache::revision);
+        let rev = self.with_cache(PlanContext::revision);
         (self.generation(), rev)
     }
 
@@ -90,12 +90,12 @@ impl NetEntry {
     /// Note `f` runs while the lock is held — a panic inside `f`
     /// poisons the entry, which is exactly how the chaos harness
     /// injects poison.
-    pub fn with_cache<R>(&self, f: impl FnOnce(&ContextCache) -> R) -> R {
+    pub fn with_cache<R>(&self, f: impl FnOnce(&PlanContext) -> R) -> R {
         f(&self.lock_cache())
     }
 
     /// Mutable variant of [`Self::with_cache`] for replan mutations.
-    pub fn with_cache_mut<R>(&self, f: impl FnOnce(&mut ContextCache) -> R) -> R {
+    pub fn with_cache_mut<R>(&self, f: impl FnOnce(&mut PlanContext) -> R) -> R {
         f(&mut self.lock_cache())
     }
 
@@ -117,10 +117,10 @@ impl NetEntry {
     /// template is the last state known to be consistent. Callers that
     /// need the mutations must resubmit them; the generation bump tells
     /// them to.
-    fn lock_cache(&self) -> MutexGuard<'_, ContextCache> {
+    fn lock_cache(&self) -> MutexGuard<'_, PlanContext> {
         let mut guard = lock_recover(&self.cache);
         if self.cache.is_poisoned() {
-            *guard = ContextCache::new(self.template_net.clone(), self.template_cfg.clone());
+            *guard = PlanContext::new(self.template_net.clone(), self.template_cfg.clone());
             self.cache.clear_poison();
             self.rebuilds.fetch_add(1, Ordering::AcqRel);
             self.generation.fetch_add(1, Ordering::AcqRel);
@@ -129,19 +129,6 @@ impl NetEntry {
             }
         }
         guard
-    }
-
-    /// Budget-aware planning against the live cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`bc_core::PlanError`] from validation.
-    pub fn plan_budgeted(
-        &self,
-        algo: Algorithm,
-        budget: &StageBudget,
-    ) -> Result<bc_core::BudgetedPlan, bc_core::PlanError> {
-        self.with_cache(|cache| cache.plan_budgeted(algo, budget))
     }
 
     /// Budget-aware planning with release-mode contract re-validation.
@@ -174,15 +161,6 @@ impl NetEntry {
             }
             Ok((out, cache.revision()))
         })
-    }
-
-    /// Unbudgeted planning (used by replan to obtain a base plan).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`bc_core::PlanError`] from validation.
-    pub fn plan(&self, algo: Algorithm) -> Result<StagedPlan, bc_core::PlanError> {
-        self.with_cache(|cache| cache.plan(algo))
     }
 }
 
@@ -255,7 +233,7 @@ mod tests {
     fn register_and_plan() {
         let (reg, id) = registry_with_net();
         let entry = reg.get(id).unwrap();
-        let staged = entry.plan(Algorithm::Bc).unwrap();
+        let staged = entry.with_cache(|c| c.plan(Algorithm::Bc)).unwrap();
         assert!(staged.plan.num_charging_stops() > 0);
         assert_eq!(entry.flight_revision(), (0, 0));
         assert!(reg.get(id + 1).is_none());
@@ -273,7 +251,7 @@ mod tests {
         assert_eq!(reg.poisoned_entries(), 1);
 
         // The next user transparently rebuilds and proceeds.
-        let staged = entry.plan(Algorithm::Sc).unwrap();
+        let staged = entry.with_cache(|c| c.plan(Algorithm::Sc)).unwrap();
         let net = entry.with_cache(|c| c.network().clone());
         assert!(staged
             .plan
@@ -298,7 +276,7 @@ mod tests {
         let n0 = entry.with_cache(|c| c.network().len());
         // Mutate: drop one sensor, revision moves.
         entry.with_cache_mut(|cache| {
-            let base = cache.plan(Algorithm::Bc).unwrap().into_plan();
+            let base = cache.plan(Algorithm::Bc).unwrap().plan;
             cache.remove_sensor(&base, 0).unwrap();
         });
         assert_eq!(entry.flight_revision(), (0, 1));

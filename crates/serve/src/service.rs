@@ -598,7 +598,7 @@ fn execute(shared: &Shared, job: &Job) -> Result<PlanResponse, ServeError> {
 
     if let RequestKind::RemoveSensor(sensor) = job.req.kind {
         entry.with_cache_mut(|cache| {
-            let base = cache.plan(Algorithm::Bc)?.into_plan();
+            let base = cache.plan(Algorithm::Bc)?.plan;
             cache.remove_sensor(&base, sensor)?;
             Ok::<(), ServeError>(())
         })?;

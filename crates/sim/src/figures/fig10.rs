@@ -39,7 +39,7 @@ fn bc_and_opt(net: &Network, cfg: &PlannerConfig) -> (ChargingPlan, ChargingPlan
     let plan = |algo: Algorithm| {
         ctx.plan(algo)
             .unwrap_or_else(|e| panic!("fig10 {algo}: {e}"))
-            .into_plan()
+            .plan
     };
     (plan(Algorithm::Bc), plan(Algorithm::BcOpt))
 }

@@ -40,7 +40,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
         let plan = |algo: Algorithm| {
             ctx.plan(algo)
                 .unwrap_or_else(|e| panic!("fig16 {algo}: {e}"))
-                .into_plan()
+                .plan
         };
         let sc = plan(Algorithm::Sc);
         let bc = plan(Algorithm::Bc);

@@ -93,6 +93,7 @@ pub(crate) fn sweep_algorithms(
             .map(|&a| {
                 ctx.plan(a)
                     .unwrap_or_else(|e| panic!("{a}: {e}"))
+                    .plan
                     .metrics(&cfg.energy)
             })
             .collect()

@@ -1,16 +1,15 @@
 //! Parallel execution of seeded experiment runs.
 
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use bc_core::Metrics;
 
 use crate::Summary;
 
 /// Runs `f(seed)` for `runs` consecutive seeds starting at `base_seed`,
-/// spread across the machine's cores, and returns the results in seed
-/// order.
+/// spread across the machine's cores by [`bc_core::par::par_map`], and
+/// returns the results in seed order.
 ///
 /// Every figure's "each point is an average of N runs with different
 /// random seeds" (Section VI-A) goes through here, which keeps results
@@ -19,71 +18,28 @@ use crate::Summary;
 ///
 /// # Panics
 ///
-/// If `f` panics for some seed, the panic is re-raised on the calling
-/// thread with the offending seed in the message (rather than silently
-/// dropping that run's slot).
+/// If `f` panics for some seed, every other seed still runs, then the
+/// panic of the lowest failing seed is re-raised on the calling thread
+/// with that seed in the message (rather than silently dropping that
+/// run's slot).
 pub fn repeat<R, F>(runs: usize, base_seed: u64, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
-    if runs == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(runs);
-    if workers <= 1 {
-        return (0..runs)
-            .map(|i| {
-                let seed = base_seed + i as u64; // cast-ok: run index to seed offset
-                catch_unwind(AssertUnwindSafe(|| f(seed))).unwrap_or_else(|payload| {
-                    panic!(
-                        "experiment worker panicked for seed {seed}: {}",
-                        panic_message(&*payload)
-                    )
-                })
-            })
-            .collect();
-    }
-    let mut slots: Vec<Option<R>> = (0..runs).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    let failed: Mutex<Option<(u64, String)>> = Mutex::new(None);
-    let slot_refs: Vec<Mutex<&mut Option<R>>> = slots.iter_mut().map(Mutex::new).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= runs {
-                    break;
-                }
-                let seed = base_seed + i as u64; // cast-ok: run index to seed offset
-                match catch_unwind(AssertUnwindSafe(|| f(seed))) {
-                    Ok(r) => **slot_refs[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r),
-                    Err(payload) => {
-                        let msg = panic_message(&*payload);
-                        let mut slot = failed.lock().unwrap_or_else(PoisonError::into_inner);
-                        // Keep the lowest seed for a deterministic report.
-                        if slot.as_ref().is_none_or(|(s0, _)| seed < *s0) {
-                            *slot = Some((seed, msg));
-                        }
-                    }
-                }
-            });
-        }
+    let seed = |i: usize| base_seed + i as u64; // cast-ok: run index to seed offset
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let outcomes = bc_core::par::par_map(runs, workers, |i| {
+        catch_unwind(AssertUnwindSafe(|| f(seed(i)))).map_err(|payload| panic_message(&*payload))
     });
-    if let Some((seed, msg)) = failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        panic!("experiment worker panicked for seed {seed}: {msg}");
-    }
-    slots
+    // Outcomes are in seed order, so the first failure is the lowest seed.
+    outcomes
         .into_iter()
-        .map(|s| match s {
-            Some(r) => r,
-            // Every index below `runs` was claimed by exactly one worker
-            // and workers only exit after filling their slot or recording
-            // a failure (which panicked above).
-            None => unreachable!("all runs completed"),
+        .enumerate()
+        .map(|(i, outcome)| {
+            outcome.unwrap_or_else(|msg| {
+                panic!("experiment worker panicked for seed {}: {msg}", seed(i))
+            })
         })
         .collect()
 }
@@ -184,7 +140,6 @@ mod tests {
             charge_energy_j: Joules(0.0),
             total_energy_j: Joules(e),
             avg_charge_time_per_sensor_s: Seconds(1.0),
-            stage_timings: None,
         };
         let s = average_metrics(&[m(10.0), m(20.0)]);
         assert_eq!(s.total_energy_j.mean, 15.0);

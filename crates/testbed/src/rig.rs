@@ -61,11 +61,6 @@ impl RigReport {
         self.move_energy_j + self.charge_energy_j
     }
 
-    /// Total mission time.
-    pub fn total_time_s(&self) -> Seconds {
-        self.drive_time_s + self.charge_time_s
-    }
-
     /// Whether every sensor harvested at least its demand.
     pub fn all_fully_charged(&self) -> bool {
         self.fraction_charged() >= 1.0

@@ -4,10 +4,13 @@
 //! shared [`PlanContext`] must build each expensive artifact exactly once no
 //! matter how many algorithms consume it.
 
-use bundle_charging::core::context::{ContextCache, PlanContext};
+use std::sync::Arc;
+
+use bundle_charging::core::context::PlanContext;
 use bundle_charging::core::planner::Algorithm;
 use bundle_charging::core::{contracts, CandidateFamily, ChargingPlan, PlannerConfig};
 use bundle_charging::geom::Aabb;
+use bundle_charging::obs::recorders::{StatsRecorder, StatsSnapshot};
 use bundle_charging::wsn::{deploy, Network};
 
 /// Section VI-A default scenario: n = 100 sensors on a 300 m dense
@@ -128,36 +131,50 @@ fn pipeline_matches_legacy_on_default_scenario() {
     }
 }
 
+/// Runs `f` under a thread-local stats recorder and returns its result
+/// with what it recorded: artifact builds are the `plan.build.*`
+/// counters.
+fn recorded<R>(f: impl FnOnce() -> R) -> (R, StatsSnapshot) {
+    let stats = Arc::new(StatsRecorder::new());
+    let out = bundle_charging::obs::with_local(stats.clone(), f);
+    (out, stats.snapshot())
+}
+
 /// One shared context serving all four algorithms builds the candidate
 /// family, the distance matrix and the receive-power table exactly once.
 #[test]
 fn shared_context_builds_artifacts_once() {
     let (net, cfg) = scenario(BASE_SEED);
     let ctx = PlanContext::new(net, cfg);
-    for algo in Algorithm::ALL {
-        ctx.plan(algo).expect("pipeline plan");
-    }
-    assert_eq!(ctx.counters().candidate_builds(), 1, "candidate family rebuilt");
-    assert_eq!(ctx.counters().matrix_builds(), 1, "distance matrix rebuilt");
-    assert_eq!(ctx.counters().power_table_builds(), 1, "power table rebuilt");
+    let ((), snap) = recorded(|| {
+        for algo in Algorithm::ALL {
+            ctx.plan(algo).expect("pipeline plan");
+        }
+    });
+    assert_eq!(snap.counter("plan.build.candidates"), 1, "candidate family rebuilt");
+    assert_eq!(snap.counter("plan.build.matrix"), 1, "distance matrix rebuilt");
+    assert_eq!(snap.counter("plan.build.power_table"), 1, "power table rebuilt");
 }
 
-/// A [`ContextCache`] advances its revision on every network mutation
-/// and its counters accumulate one candidate build per revision that
-/// planned a bundle algorithm.
+/// A [`PlanContext`] advances its revision on every network mutation
+/// and builds the candidate family once more per revision that planned
+/// a bundle algorithm.
 #[test]
 fn cache_revisions_track_network_mutations() {
     let (net, cfg) = scenario(BASE_SEED + 1);
-    let mut cache = ContextCache::new(net, cfg);
-    assert_eq!(cache.revision(), 0);
-    let plan = cache.plan(Algorithm::Bc).expect("initial plan").plan;
-    assert_eq!(cache.counters().candidate_builds(), 1);
-    let plan2 = cache.remove_sensor(&plan, 0).expect("replan after removal");
-    assert_eq!(cache.revision(), 1);
-    contracts::check_cover(&plan2, cache.network()).expect("replan covers every sensor");
-    // The next full plan on the new revision rebuilds once, not twice.
-    cache.plan(Algorithm::Bc).expect("replan on revision 1");
-    assert_eq!(cache.counters().candidate_builds(), 2);
+    let mut ctx = PlanContext::new(net, cfg);
+    assert_eq!(ctx.revision(), 0);
+    let (plan, snap) = recorded(|| ctx.plan(Algorithm::Bc).expect("initial plan").plan);
+    assert_eq!(snap.counter("plan.build.candidates"), 1);
+    let plan2 = ctx.remove_sensor(&plan, 0).expect("replan after removal");
+    assert_eq!(ctx.revision(), 1);
+    contracts::check_cover(&plan2, ctx.network()).expect("replan covers every sensor");
+    // The next full plans on the new revision rebuild once, not twice.
+    let ((), snap) = recorded(|| {
+        ctx.plan(Algorithm::Bc).expect("replan on revision 1");
+        ctx.plan(Algorithm::BcOpt).expect("second plan on revision 1");
+    });
+    assert_eq!(snap.counter("plan.build.candidates"), 1);
 }
 
 /// The candidate family at n = 1000 on the same 300 m field (seed 1000,

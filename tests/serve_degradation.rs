@@ -25,13 +25,21 @@
 
 use proptest::prelude::*;
 
-use bundle_charging::core::context::stages_for;
 use bundle_charging::core::contracts;
 use bundle_charging::core::planner::{try_run, Algorithm};
 use bundle_charging::core::{PlanContext, PlannerConfig, StageBudget};
 use bundle_charging::geom::Aabb;
 use bundle_charging::units::Joules;
 use bundle_charging::wsn::deploy;
+
+/// Stages in each algorithm's pipeline: Candidates, Cover and Order, plus
+/// Tighten for CSS and BC-OPT.
+fn stage_count(algo: Algorithm) -> usize {
+    match algo {
+        Algorithm::Sc | Algorithm::Bc => 3,
+        Algorithm::Css | Algorithm::BcOpt => 4,
+    }
+}
 
 /// The serve ladder, highest fidelity first (mirrors `bc-serve`).
 fn ladder(algo: Algorithm) -> Vec<Algorithm> {
@@ -59,7 +67,8 @@ proptest! {
         for algo in Algorithm::ALL {
             let budget = StageBudget::after_checks(checks);
             let out = ctx.plan_budgeted(algo, &budget).expect("valid input");
-            let total = stages_for(algo).len();
+            let total = stage_count(algo);
+            prop_assert_eq!(out.stages_total, total, "{}: pipeline length", algo);
             prop_assert_eq!(
                 out.completed,
                 out.stages_run == total,
