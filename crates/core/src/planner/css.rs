@@ -18,8 +18,8 @@ use bc_wsn::Network;
 use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
 /// The Combine and Skip passes over a sensor-level tour order, returning
-/// the surviving stops (unordered). The CSS Cover stage supplies a tour
-/// solved on the context's cached distance matrix.
+/// the surviving stops (unordered). The CSS Cover stage supplies the
+/// sensor-level tour from [`bc_tsp::solve`].
 pub(crate) fn combine_skip(net: &Network, cfg: &PlannerConfig, tour_order: &[usize]) -> Vec<Stop> {
     let r = cfg.bundle_radius;
 

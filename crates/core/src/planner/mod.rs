@@ -76,8 +76,8 @@ pub(crate) fn order_into_plan(
 ///
 /// Runs the staged pipeline of [`crate::context::PlanContext`] over a
 /// one-shot context; callers planning repeatedly over the same network
-/// should hold a `PlanContext` themselves so the cached artifacts are
-/// reused across calls.
+/// should hold a `PlanContext` themselves so the cached candidate family
+/// is reused across calls.
 ///
 /// # Example
 ///

@@ -25,8 +25,8 @@
 //!   ([`fleet::DispatchPolicy`]) and per-charger ledgers
 //!   ([`fleet::ChargerLedger`]), contract-checked against the run total;
 //! - low-battery **replan triggers** that go through one
-//!   `bc_core::context::PlanContext`, so replans reuse cached planning
-//!   artifacts;
+//!   `bc_core::context::PlanContext`, so replans reuse the cached
+//!   candidate family;
 //! - a [`scenario::Scenario`] description type and a bounded
 //!   [`trace::TraceRing`] of the event tail for observability.
 //!

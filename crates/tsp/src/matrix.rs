@@ -6,9 +6,10 @@ use bc_geom::Point;
 ///
 /// Stored as a flat row-major `Vec<f64>` of `n²` entries. The planners
 /// build one over a plan's stop anchors (about 1.3k stops, 13 MB, for a
-/// paper-density network of 2000 sensors) and, for SC and CSS, one over
-/// every sensor (32 MB at 2000 sensors, 800 MB at 10k), so memory grows
-/// as the square of the instance size.
+/// paper-density network of 2000 sensors) and, for CSS's sensor-level
+/// tour, one over every sensor (32 MB at 2000 sensors, 800 MB at 10k),
+/// so memory grows as the square of the instance size. Neither is kept
+/// past the tour it prices.
 ///
 /// # Example
 ///
@@ -79,22 +80,6 @@ impl DistanceMatrix {
         assert!(i < self.n && j < self.n, "index out of bounds");
         self.data[i * self.n + j]
     }
-
-    /// The restriction of the matrix to `indices`, in the given order.
-    ///
-    /// Entry `(a, b)` of the result equals `self.dist(indices[a],
-    /// indices[b])` exactly (values are copied, not recomputed), so a
-    /// sub-tour solved on the view is bit-identical to one solved on a
-    /// matrix built directly from the corresponding point subset.
-    /// Repeated indices are allowed and produce zero off-diagonal
-    /// distance between their copies' mirrored entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn submatrix(&self, indices: &[usize]) -> DistanceMatrix {
-        DistanceMatrix::from_fn(indices.len(), |a, b| self.dist(indices[a], indices[b]))
-    }
 }
 
 #[cfg(test)]
@@ -138,36 +123,6 @@ mod tests {
         assert_eq!(m.dist(0, 2), 2.0);
         assert_eq!(m.dist(2, 0), 2.0);
         assert_eq!(m.dist(1, 1), 0.0);
-    }
-
-    #[test]
-    fn submatrix_copies_exact_distances() {
-        let pts: Vec<Point> = (0..7)
-            .map(|i| Point::new((i as f64 * 1.37).sin() * 40.0, (i as f64 * 2.11).cos() * 40.0))
-            .collect();
-        let m = DistanceMatrix::from_points(&pts);
-        let pick = [5, 0, 3];
-        let sub = m.submatrix(&pick);
-        let direct = DistanceMatrix::from_points(&[pts[5], pts[0], pts[3]]);
-        assert_eq!(sub, direct);
-        for a in 0..3 {
-            for b in 0..3 {
-                assert_eq!(sub.dist(a, b), m.dist(pick[a], pick[b]));
-            }
-        }
-    }
-
-    #[test]
-    fn submatrix_of_empty_selection() {
-        let m = DistanceMatrix::from_points(&[Point::ORIGIN, Point::new(1.0, 0.0)]);
-        assert!(m.submatrix(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn submatrix_rejects_out_of_bounds() {
-        let m = DistanceMatrix::from_points(&[Point::ORIGIN]);
-        let _ = m.submatrix(&[0, 1]);
     }
 
     #[test]

@@ -39,10 +39,8 @@ pub mod energy;
 pub mod friis;
 pub mod law;
 pub mod params;
-pub mod table;
 
 pub use bc_units::{Joules, JoulesPerMeter, Meters, Meters2, MetersPerSecond, Seconds, Watts};
 pub use energy::EnergyModel;
 pub use friis::ChargingModel;
 pub use law::Law;
-pub use table::ReceivePowerTable;

@@ -24,8 +24,8 @@ fn assert_contracts(plan: &ChargingPlan, net: &Network, cfg: &PlannerConfig, wha
 
 /// Plans all four algorithms on `ctx` and on a fresh context over the
 /// same network, and asserts equal plans. Called before the first
-/// mutation it also builds all three cached artifacts, so a later call
-/// catches any artifact the mutation failed to reset.
+/// mutation it also builds the cached candidate family, so a later call
+/// catches a family the mutation failed to reset.
 fn assert_plans_match_fresh(ctx: &PlanContext, cfg: &PlannerConfig, what: &str) {
     let fresh = PlanContext::new(ctx.network().clone(), cfg.clone());
     for algo in Algorithm::ALL {

@@ -271,7 +271,8 @@ fn grid_or_opt_replays_the_full_scan_on_submatrix_views() {
     let m = DistanceMatrix::from_points(&pts);
     let pick: Vec<usize> = (0..pts.len()).filter(|i| i % 3 != 1).collect();
     let sub_pts: Vec<Point> = pick.iter().map(|&i| pts[i]).collect();
-    assert!(assert_replays("submatrix", &m.submatrix(&pick), &sub_pts) > 0);
+    let sub = DistanceMatrix::from_fn(pick.len(), |a, b| m.dist(pick[a], pick[b]));
+    assert!(assert_replays("submatrix", &sub, &sub_pts) > 0);
 }
 
 #[test]
