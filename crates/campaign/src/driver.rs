@@ -45,7 +45,10 @@ impl TraceConfig {
     /// Traces under `dir`, rotated at `max_file_bytes`.
     #[must_use]
     pub fn new(dir: &Path, max_file_bytes: u64) -> Self {
-        TraceConfig { dir: dir.to_path_buf(), max_file_bytes }
+        TraceConfig {
+            dir: dir.to_path_buf(),
+            max_file_bytes,
+        }
     }
 }
 
@@ -67,7 +70,11 @@ impl CampaignConfig {
     /// A stats-only campaign on `workers` threads.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        CampaignConfig { workers, trace: None, execution_order: None }
+        CampaignConfig {
+            workers,
+            trace: None,
+            execution_order: None,
+        }
     }
 
     /// Streams per-seed traces as rotated JSONL under `trace.dir`.
@@ -283,7 +290,10 @@ impl CampaignReport {
             self.completed(),
             self.failed()
         ));
-        out.push_str(&format!("  \"events_total\": {},\n", self.events_processed_total()));
+        out.push_str(&format!(
+            "  \"events_total\": {},\n",
+            self.events_processed_total()
+        ));
         out.push_str("  \"results\": [");
         for (i, sr) in self.seeds.iter().enumerate() {
             if i > 0 {
@@ -413,7 +423,11 @@ where
             merged.merge(&s.snapshot);
         }
     }
-    Ok(CampaignReport { seeds: seeds_out, merged, workers: cfg.workers.max(1) })
+    Ok(CampaignReport {
+        seeds: seeds_out,
+        merged,
+        workers: cfg.workers.max(1),
+    })
 }
 
 fn run_one_seed<F>(seed: u64, cfg: &CampaignConfig, make: &F) -> SeedResult

@@ -90,9 +90,9 @@ impl RotatingJsonl {
 impl Write for RotatingJsonl {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let len = buf.len() as u64; // cast-ok: byte count widens losslessly
-        // The caller (JsonlRecorder) hands us one whole line per call,
-        // so rotating *before* an overflowing write keeps every file a
-        // valid JSONL document.
+                                    // The caller (JsonlRecorder) hands us one whole line per call,
+                                    // so rotating *before* an overflowing write keeps every file a
+                                    // valid JSONL document.
         if self.written > 0 && self.written + len > self.max_bytes {
             self.rotate()?;
         }
@@ -111,7 +111,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bc-campaign-sinks-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("bc-campaign-sinks-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -127,7 +128,11 @@ mod tests {
             w.write_all(line.as_bytes()).unwrap();
         }
         let paths = w.finish().unwrap();
-        assert_eq!(paths.len(), 5, "64-byte cap on 32-byte lines -> 2 lines/file");
+        assert_eq!(
+            paths.len(),
+            5,
+            "64-byte cap on 32-byte lines -> 2 lines/file"
+        );
         let mut total = 0;
         for p in &paths {
             let text = fs::read_to_string(p).unwrap();
@@ -143,7 +148,8 @@ mod tests {
     fn oversized_line_lands_alone() {
         let dir = tmp_dir("oversize");
         let mut w = RotatingJsonl::create(&dir, "trace", 8).unwrap();
-        w.write_all(b"{\"k\":\"a-line-much-longer-than-the-cap\"}\n").unwrap();
+        w.write_all(b"{\"k\":\"a-line-much-longer-than-the-cap\"}\n")
+            .unwrap();
         w.write_all(b"{\"k\":1}\n").unwrap();
         let paths = w.finish().unwrap();
         assert_eq!(paths.len(), 2);

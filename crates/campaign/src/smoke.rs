@@ -65,24 +65,40 @@ fn fnv_fold(h: &mut u64, bytes: &[u8]) {
 /// Drives one backend through fill → hold → drain and measures
 /// events/sec plus a pop-sequence checksum.
 #[must_use]
-pub fn bench_queue(backend: QueueBackend, pending: usize, hold_ops: usize, seed: u64) -> QueueBench {
+pub fn bench_queue(
+    backend: QueueBackend,
+    pending: usize,
+    hold_ops: usize,
+    seed: u64,
+) -> QueueBench {
     let mut fill = SplitMix(seed);
     let mut hold = SplitMix(seed ^ 0x5851_f42d_4c95_7f2d);
     let mut q = EventQueue::with_backend(backend);
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
     let t0 = wall::now();
     for _ in 0..pending {
-        q.schedule(Time::at(clock::seconds(fill.next_f64() * FILL_SPAN_S)), Event::Dispatch);
+        q.schedule(
+            Time::at(clock::seconds(fill.next_f64() * FILL_SPAN_S)),
+            Event::Dispatch,
+        );
     }
     for _ in 0..hold_ops {
         let Some(sch) = q.pop() else { break };
-        fnv_fold(&mut checksum, &sch.at.seconds().get().to_bits().to_le_bytes());
+        fnv_fold(
+            &mut checksum,
+            &sch.at.seconds().get().to_bits().to_le_bytes(),
+        );
         fnv_fold(&mut checksum, &sch.seq.to_le_bytes());
-        let at = sch.at.advance(clock::seconds(hold.next_f64() * HOLD_SPAN_S));
+        let at = sch
+            .at
+            .advance(clock::seconds(hold.next_f64() * HOLD_SPAN_S));
         q.schedule(at, sch.event);
     }
     while let Some(sch) = q.pop() {
-        fnv_fold(&mut checksum, &sch.at.seconds().get().to_bits().to_le_bytes());
+        fnv_fold(
+            &mut checksum,
+            &sch.at.seconds().get().to_bits().to_le_bytes(),
+        );
         fnv_fold(&mut checksum, &sch.seq.to_le_bytes());
     }
     let elapsed_s = t0.elapsed().as_secs_f64().max(1e-12);
@@ -104,8 +120,8 @@ pub fn bench_queue(backend: QueueBackend, pending: usize, hold_ops: usize, seed:
 #[must_use]
 pub fn smoke_scenario(sensors: usize, horizon_hours: f64, seed: u64) -> Scenario {
     let net = deploy::uniform(sensors, Aabb::square(200.0), 2.0, seed);
-    let mut sc = Scenario::paper_sim(net, 30.0, Algorithm::BcOpt)
-        .with_queue(QueueBackend::Calendar);
+    let mut sc =
+        Scenario::paper_sim(net, 30.0, Algorithm::BcOpt).with_queue(QueueBackend::Calendar);
     sc.horizon_s = clock::hours(horizon_hours);
     sc.trace_capacity = 0;
     sc

@@ -107,7 +107,10 @@ impl CandidateFamily {
         for chunk in per_chunk {
             candidates.extend(chunk);
         }
-        let mut fam = CandidateFamily { radius: r, candidates };
+        let mut fam = CandidateFamily {
+            radius: r,
+            candidates,
+        };
         fam.dedup();
         fam
     }
@@ -293,7 +296,8 @@ mod tests {
             let nbrs = &nbrs[..k];
             let limit: u32 = 1 << nbrs.len();
             for mask in 0..limit {
-                if (mask.count_ones() as usize) + 1 > max_subset { // cast-ok: popcount fits usize
+                if (mask.count_ones() as usize) + 1 > max_subset {
+                    // cast-ok: popcount fits usize
                     continue;
                 }
                 let mut group = vec![i];
@@ -313,7 +317,10 @@ mod tests {
                 }
             }
         }
-        let mut fam = CandidateFamily { radius: r, candidates };
+        let mut fam = CandidateFamily {
+            radius: r,
+            candidates,
+        };
         fam.dedup();
         fam.prune_dominated_par(1);
         fam

@@ -78,11 +78,19 @@ pub enum ContractViolation {
 impl fmt::Display for ContractViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ContractViolation::RadiusExceeded { stop, radius, limit } => write!(
+            ContractViolation::RadiusExceeded {
+                stop,
+                radius,
+                limit,
+            } => write!(
                 f,
                 "stop {stop}: members need enclosing radius {radius}, bundle radius is {limit}"
             ),
-            ContractViolation::DwellMismatch { stop, dwell, required } => write!(
+            ContractViolation::DwellMismatch {
+                stop,
+                dwell,
+                required,
+            } => write!(
                 f,
                 "stop {stop}: dwell {dwell} does not match the worst-member requirement {required}"
             ),
@@ -114,12 +122,21 @@ impl std::error::Error for ContractViolation {}
 /// # Errors
 ///
 /// Returns the first [`ContractViolation::RadiusExceeded`] found.
-pub fn check_bundle_radii(plan: &ChargingPlan, net: &Network, r: Meters) -> Result<(), ContractViolation> {
+pub fn check_bundle_radii(
+    plan: &ChargingPlan,
+    net: &Network,
+    r: Meters,
+) -> Result<(), ContractViolation> {
     for (si, stop) in plan.stops.iter().enumerate() {
         if stop.bundle.is_empty() {
             continue;
         }
-        let pts: Vec<Point> = stop.bundle.sensors.iter().map(|&i| net.sensor(i).pos).collect();
+        let pts: Vec<Point> = stop
+            .bundle
+            .sensors
+            .iter()
+            .map(|&i| net.sensor(i).pos)
+            .collect();
         let disk = sed::smallest_enclosing_disk(&pts);
         if disk.radius > r.0 + bc_geom::EPS {
             return Err(ContractViolation::RadiusExceeded {

@@ -44,17 +44,24 @@ pub enum BundleStrategy {
 ///
 /// Panics if `r` is not positive and finite.
 pub fn generate_bundles(net: &Network, r: Meters, strategy: BundleStrategy) -> Vec<ChargingBundle> {
-    assert!(r.is_finite() && r > Meters(0.0), "bundle radius must be positive");
+    assert!(
+        r.is_finite() && r > Meters(0.0),
+        "bundle radius must be positive"
+    );
     if net.is_empty() {
         return Vec::new();
     }
     match strategy {
-        BundleStrategy::Greedy => {
-            cover_bundles(net, &crate::context::serial_candidate_family(net, r.0), false)
-        }
-        BundleStrategy::Optimal => {
-            cover_bundles(net, &crate::context::serial_candidate_family(net, r.0), true)
-        }
+        BundleStrategy::Greedy => cover_bundles(
+            net,
+            &crate::context::serial_candidate_family(net, r.0),
+            false,
+        ),
+        BundleStrategy::Optimal => cover_bundles(
+            net,
+            &crate::context::serial_candidate_family(net, r.0),
+            true,
+        ),
         BundleStrategy::Grid => grid_bundles(net, r),
     }
 }
@@ -73,7 +80,11 @@ pub(crate) fn cover_bundles(
     family: &CandidateFamily,
     exact: bool,
 ) -> Vec<ChargingBundle> {
-    let kind = if exact { CoverKind::Exact } else { CoverKind::Greedy };
+    let kind = if exact {
+        CoverKind::Exact
+    } else {
+        CoverKind::Greedy
+    };
     from_cover(net, family, kind)
 }
 
@@ -96,7 +107,9 @@ fn from_cover(net: &Network, family: &CandidateFamily, kind: CoverKind) -> Vec<C
     };
     let selected = match kind {
         CoverKind::Greedy => greedy_cover(&inst),
-        CoverKind::Exact => exact_cover(&inst, Some(5_000_000)).unwrap_or_else(|| greedy_cover(&inst)),
+        CoverKind::Exact => {
+            exact_cover(&inst, Some(5_000_000)).unwrap_or_else(|| greedy_cover(&inst))
+        }
     };
     materialise(net, family, &selected)
 }
@@ -124,7 +137,10 @@ fn materialise(net: &Network, family: &CandidateFamily, selected: &[usize]) -> V
         }
         bundles.push(ChargingBundle::from_members(members, net));
     }
-    debug_assert!(assigned.iter().all(|&a| a), "cover left a sensor unassigned");
+    debug_assert!(
+        assigned.iter().all(|&a| a),
+        "cover left a sensor unassigned"
+    );
     bundles
 }
 
@@ -159,7 +175,10 @@ pub(crate) fn grid_bundles(net: &Network, r: Meters) -> Vec<ChargingBundle> {
 /// Used to certify the exact generator's optimality in tests and to
 /// bound the greedy generator's gap without running the exact search.
 pub fn packing_lower_bound(net: &Network, r: Meters) -> usize {
-    assert!(r.is_finite() && r > Meters(0.0), "bundle radius must be positive");
+    assert!(
+        r.is_finite() && r > Meters(0.0),
+        "bundle radius must be positive"
+    );
     let mut excluded = vec![false; net.len()];
     let mut count = 0usize;
     for i in 0..net.len() {
@@ -265,7 +284,11 @@ mod tests {
     #[test]
     fn empty_network() {
         let net = deploy::uniform(0, Aabb::square(10.0), 2.0, 0);
-        for s in [BundleStrategy::Greedy, BundleStrategy::Grid, BundleStrategy::Optimal] {
+        for s in [
+            BundleStrategy::Greedy,
+            BundleStrategy::Grid,
+            BundleStrategy::Optimal,
+        ] {
             assert!(generate_bundles(&net, Meters(5.0), s).is_empty());
         }
     }
@@ -294,7 +317,10 @@ mod tests {
             2.0,
         );
         assert_eq!(packing_lower_bound(&net, Meters(10.0)), 4);
-        assert_eq!(generate_bundles(&net, Meters(10.0), BundleStrategy::Greedy).len(), 4);
+        assert_eq!(
+            generate_bundles(&net, Meters(10.0), BundleStrategy::Greedy).len(),
+            4
+        );
     }
 
     #[test]

@@ -131,7 +131,10 @@ impl fmt::Display for PlanError {
             }
             PlanError::Config(err) => write!(f, "invalid planner configuration: {err}"),
             PlanError::SensorOutOfBounds { sensor, len } => {
-                write!(f, "sensor index {sensor} is out of bounds for a network of {len}")
+                write!(
+                    f,
+                    "sensor index {sensor} is out of bounds for a network of {len}"
+                )
             }
             PlanError::InvalidDemand { value } => {
                 write!(
@@ -280,13 +283,7 @@ mod tests {
     fn make_plan(net: &Network, model: &ChargingModel) -> ChargingPlan {
         // One singleton stop per sensor, in index order.
         let stops = (0..net.len())
-            .map(|i| {
-                Stop::for_bundle(
-                    ChargingBundle::from_members(vec![i], net),
-                    net,
-                    model,
-                )
-            })
+            .map(|i| Stop::for_bundle(ChargingBundle::from_members(vec![i], net), net, model))
             .collect();
         ChargingPlan::new(stops, net.len())
     }
@@ -307,10 +304,20 @@ mod tests {
         let energy = EnergyModel::new(2.0, 3.0);
         let plan = make_plan(&net, &model);
         let m = plan.metrics(&energy);
-        assert!((m.total_energy_j - m.move_energy_j - m.charge_energy_j).abs().0 < 1e-9);
+        assert!(
+            (m.total_energy_j - m.move_energy_j - m.charge_energy_j)
+                .abs()
+                .0
+                < 1e-9
+        );
         assert!((m.move_energy_j.0 - 2.0 * m.tour_length_m.0).abs() < 1e-9);
         assert!((m.charge_energy_j.0 - 3.0 * m.charge_time_s.0).abs() < 1e-9);
-        assert!((m.avg_charge_time_per_sensor_s - m.charge_time_s / 5.0).abs().0 < 1e-12);
+        assert!(
+            (m.avg_charge_time_per_sensor_s - m.charge_time_s / 5.0)
+                .abs()
+                .0
+                < 1e-12
+        );
     }
 
     #[test]

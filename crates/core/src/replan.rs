@@ -57,7 +57,12 @@ pub fn remove_sensor(
             stops.push(stop.clone());
             continue;
         }
-        let members: Vec<usize> = stop.bundle.sensors.iter().filter_map(|&s| remap(s)).collect();
+        let members: Vec<usize> = stop
+            .bundle
+            .sensors
+            .iter()
+            .filter_map(|&s| remap(s))
+            .collect();
         if members.is_empty() {
             continue; // singleton stop dissolved
         }
@@ -137,8 +142,12 @@ pub fn add_sensor(
         let next = stops[(si + 1) % n].anchor();
         let old_legs = prev.distance(stop.anchor()) + stop.anchor().distance(next);
         let new_legs = prev.distance(bundle.anchor) + bundle.anchor.distance(next);
-        let extra = cfg.energy.movement_energy(Meters((new_legs - old_legs).max(0.0)))
-            + cfg.energy.charging_energy((dwell - stop.dwell).max(Seconds(0.0)));
+        let extra = cfg
+            .energy
+            .movement_energy(Meters((new_legs - old_legs).max(0.0)))
+            + cfg
+                .energy
+                .charging_energy((dwell - stop.dwell).max(Seconds(0.0)));
         if best_join.as_ref().is_none_or(|&(_, _, _, e)| extra < e) {
             best_join = Some((si, bundle, dwell, extra));
         }
@@ -265,7 +274,11 @@ mod tests {
         // Drop the newcomer right on an existing anchor.
         let anchor = plan.stops[0].anchor();
         let (net2, plan2) = add_sensor(&net, &plan, anchor, 2.0, &cfg).unwrap();
-        assert_eq!(plan2.num_charging_stops(), stops_before, "should absorb, not split");
+        assert_eq!(
+            plan2.num_charging_stops(),
+            stops_before,
+            "should absorb, not split"
+        );
         plan2.validate(&net2, &cfg.charging).unwrap();
     }
 
@@ -318,7 +331,13 @@ mod tests {
     fn remove_bad_index_is_a_typed_error() {
         let (net, cfg, plan) = setup();
         let err = remove_sensor(&net, &plan, 999, &cfg).unwrap_err();
-        assert_eq!(err, PlanError::SensorOutOfBounds { sensor: 999, len: 40 });
+        assert_eq!(
+            err,
+            PlanError::SensorOutOfBounds {
+                sensor: 999,
+                len: 40
+            }
+        );
         assert!(err.to_string().contains("999"));
     }
 

@@ -184,7 +184,10 @@ pub fn split_into_sorties(
             }
         }
     }
-    debug_assert!(best[k].0.is_finite(), "singleton feasibility guarantees a split");
+    debug_assert!(
+        best[k].0.is_finite(),
+        "singleton feasibility guarantees a split"
+    );
 
     // Reconstruct segments.
     let mut cuts = Vec::new();

@@ -81,7 +81,10 @@ mod tests {
     #[test]
     fn kinds_are_stable() {
         assert_eq!(Event::Dispatch.kind(), "dispatch");
-        assert_eq!(Event::LowBattery { sensor: 0, gen: 1 }.kind(), "low-battery");
+        assert_eq!(
+            Event::LowBattery { sensor: 0, gen: 1 }.kind(),
+            "low-battery"
+        );
         assert_eq!(Event::Returned { charger: 2 }.kind(), "returned");
     }
 }

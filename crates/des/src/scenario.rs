@@ -29,7 +29,10 @@ impl FleetConfig {
     /// The paper's single-charger fleet.
     #[must_use]
     pub fn single() -> Self {
-        FleetConfig { size: 1, dispatch: DispatchPolicy::BundlePartition }
+        FleetConfig {
+            size: 1,
+            dispatch: DispatchPolicy::BundlePartition,
+        }
     }
 }
 
@@ -205,7 +208,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::FleetSize => write!(f, "fleet must contain at least one charger"),
             ScenarioError::Faults(e) => write!(f, "invalid fault model: {e}"),
             ScenarioError::FleetRecovery(p) => {
-                write!(f, "a charger fleet under faults supports only skip recovery, got {p}")
+                write!(
+                    f,
+                    "a charger fleet under faults supports only skip recovery, got {p}"
+                )
             }
         }
     }
@@ -253,7 +259,10 @@ mod tests {
     fn builders_compose() {
         let s = Scenario::paper_sim(net(), 10.0, Algorithm::BcOpt)
             .with_fleet(3, DispatchPolicy::RoundRobin)
-            .with_faults(FaultModel::with_rate(1, 0.1), RecoveryPolicy::SkipAndContinue)
+            .with_faults(
+                FaultModel::with_rate(1, 0.1),
+                RecoveryPolicy::SkipAndContinue,
+            )
             .with_queue(QueueBackend::Calendar);
         assert_eq!(s.fleet.size, 3);
         assert!(s.faults.is_some());

@@ -36,7 +36,9 @@ struct BitLane {
 
 impl BitLane {
     fn new(n: usize) -> Self {
-        BitLane { words: vec![0; n.div_ceil(64)] }
+        BitLane {
+            words: vec![0; n.div_ceil(64)],
+        }
     }
 
     fn get(&self, i: usize) -> bool {
@@ -284,8 +286,16 @@ mod tests {
         bank.mark_dead_at(0, t9);
         assert!(bank.ever_dead(0));
         assert_eq!(bank.ever_dead_count(), 1);
-        assert_eq!(bank.take_dead_since(0), Some(t3), "earlier death start is kept");
-        assert_eq!(bank.take_dead_since(0), None, "take clears the running death");
+        assert_eq!(
+            bank.take_dead_since(0),
+            Some(t3),
+            "earlier death start is kept"
+        );
+        assert_eq!(
+            bank.take_dead_since(0),
+            None,
+            "take clears the running death"
+        );
         // A later death restarts dead_since but first_death is forever.
         bank.mark_dead_at(0, t9);
         assert_eq!(bank.take_dead_since(0), Some(t9));

@@ -70,7 +70,11 @@ impl TraceRing {
     /// A ring holding at most `capacity` records (0 disables tracing).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        TraceRing { buf: VecDeque::with_capacity(capacity.min(4096)), capacity, dropped: 0 }
+        TraceRing {
+            buf: VecDeque::with_capacity(capacity.min(4096)),
+            capacity,
+            dropped: 0,
+        }
     }
 
     /// Append a record, evicting the oldest if the ring is full.
@@ -122,7 +126,11 @@ mod tests {
     use crate::clock::seconds;
 
     fn rec(t: f64, seq: u64) -> TraceRecord {
-        TraceRecord { at: Time::at(seconds(t)), seq, event: Event::Dispatch }
+        TraceRecord {
+            at: Time::at(seconds(t)),
+            seq,
+            event: Event::Dispatch,
+        }
     }
 
     #[test]

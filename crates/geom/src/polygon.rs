@@ -91,12 +91,7 @@ impl Polygon {
             "rectangle needs strictly ordered corners"
         );
         Polygon {
-            vertices: vec![
-                min,
-                Point::new(max.x, min.y),
-                max,
-                Point::new(min.x, max.y),
-            ],
+            vertices: vec![min, Point::new(max.x, min.y), max, Point::new(min.x, max.y)],
         }
     }
 
@@ -109,7 +104,10 @@ impl Polygon {
         assert!(sides >= 3, "need at least 3 sides");
         assert!(radius > 0.0, "radius must be positive");
         let vertices = (0..sides)
-            .map(|i| center + Point::from_angle(i as f64 * std::f64::consts::TAU / sides as f64) * radius) // cast-ok: vertex index to angle
+            .map(|i| {
+                let angle = i as f64 * std::f64::consts::TAU / sides as f64; // cast-ok: vertex index to angle
+                center + Point::from_angle(angle) * radius
+            })
             .collect();
         Polygon { vertices }
     }
@@ -216,8 +214,7 @@ pub fn segments_cross_properly(a: Segment, b: Segment) -> bool {
     let d3 = (b.b - b.a).cross(a.a - b.a);
     let d4 = (b.b - b.a).cross(a.b - b.a);
     const E: f64 = 1e-12;
-    ((d1 > E && d2 < -E) || (d1 < -E && d2 > E))
-        && ((d3 > E && d4 < -E) || (d3 < -E && d4 > E))
+    ((d1 > E && d2 < -E) || (d1 < -E && d2 > E)) && ((d3 > E && d4 < -E) || (d3 < -E && d4 > E))
 }
 
 #[cfg(test)]

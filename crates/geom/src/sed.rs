@@ -163,7 +163,9 @@ mod tests {
 
     #[test]
     fn collinear_points() {
-        let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64, 2.0 * i as f64)).collect();
+        let pts: Vec<Point> = (0..10)
+            .map(|i| Point::new(i as f64, 2.0 * i as f64))
+            .collect();
         let d = smallest_enclosing_disk(&pts);
         assert_encloses(&d, &pts);
         let expected = pts[0].distance(pts[9]) / 2.0;

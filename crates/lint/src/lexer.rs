@@ -65,7 +65,11 @@ impl TokKind {
     fn is_blanked(self) -> bool {
         matches!(
             self,
-            TokKind::LineComment | TokKind::BlockComment | TokKind::Str | TokKind::RawStr | TokKind::Char
+            TokKind::LineComment
+                | TokKind::BlockComment
+                | TokKind::Str
+                | TokKind::RawStr
+                | TokKind::Char
         )
     }
 }
@@ -87,7 +91,11 @@ impl Tok {
     /// 1-based line the token ends on (strings and block comments may
     /// span several lines).
     pub fn end_line(&self, text: &str) -> usize {
-        self.line + text[self.start..self.end].bytes().filter(|&b| b == b'\n').count()
+        self.line
+            + text[self.start..self.end]
+                .bytes()
+                .filter(|&b| b == b'\n')
+                .count()
     }
 }
 
@@ -95,7 +103,13 @@ impl Tok {
 /// (the token runs to end of input): the engine lints code that is
 /// expected to compile, but must never panic on code that does not.
 pub fn tokenize(text: &str) -> Vec<Tok> {
-    Lexer { text, bytes: text.as_bytes(), pos: 0, line: 1 }.run()
+    Lexer {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        line: 1,
+    }
+    .run()
 }
 
 struct Lexer<'a> {
@@ -145,7 +159,12 @@ impl Lexer<'_> {
                     TokKind::Punct
                 }
             };
-            out.push(Tok { kind, start, end: self.pos, line });
+            out.push(Tok {
+                kind,
+                start,
+                end: self.pos,
+                line,
+            });
         }
         out
     }
@@ -255,7 +274,8 @@ impl Lexer<'_> {
                 // `'ident` with no closing quote: a lifetime.
                 self.pos += 1;
                 while self.pos < self.bytes.len()
-                    && (self.bytes[self.pos] == b'_' || self.bytes[self.pos].is_ascii_alphanumeric())
+                    && (self.bytes[self.pos] == b'_'
+                        || self.bytes[self.pos].is_ascii_alphanumeric())
                 {
                     self.pos += 1;
                 }
@@ -401,7 +421,12 @@ impl SourceFile {
         }
 
         let test_mask = test_mask(&tokens, text, n_lines);
-        SourceFile { code, raw, test_mask, markers }
+        SourceFile {
+            code,
+            raw,
+            test_mask,
+            markers,
+        }
     }
 
     /// The escape markers attached (via trailing comment) to `line`
@@ -420,9 +445,8 @@ fn test_mask(tokens: &[Tok], text: &str, n_lines: usize) -> Vec<bool> {
     let is_punct = |tok: &Tok, byte: u8| {
         tok.kind == TokKind::Punct && tok.end - tok.start == 1 && bytes[tok.start] == byte
     };
-    let is_attr_start = |i: usize| {
-        code.len() > i + 1 && is_punct(code[i], b'#') && is_punct(code[i + 1], b'[')
-    };
+    let is_attr_start =
+        |i: usize| code.len() > i + 1 && is_punct(code[i], b'#') && is_punct(code[i + 1], b'[');
     // Index of the `]` matching the `[` at `open`, bracket depth honoured.
     let matching_bracket = |open: usize| -> Option<usize> {
         let mut depth = 0usize;
@@ -440,7 +464,10 @@ fn test_mask(tokens: &[Tok], text: &str, n_lines: usize) -> Vec<bool> {
     };
     // Whether the attribute tokens in `(from..to)` spell exactly `cfg(test)`.
     let is_cfg_test = |from: usize, to: usize| {
-        let inner: Vec<&str> = code[from..to].iter().map(|t| &text[t.start..t.end]).collect();
+        let inner: Vec<&str> = code[from..to]
+            .iter()
+            .map(|t| &text[t.start..t.end])
+            .collect();
         inner == ["cfg", "(", "test", ")"]
     };
 

@@ -20,8 +20,22 @@ pub const REQUIRED_DENIES: [&str; 4] = [
 /// `lint-table-drift` finding instead, and [`check_registered_crates_exist`]
 /// does the same for a name left behind by a deleted crate.
 pub const REGISTERED_CRATES: [&str; 16] = [
-    "benchcheck", "campaign", "core", "des", "geom", "lint", "obs", "serve",
-    "setcover", "sim", "testbed", "tsp", "units", "wpt", "wsn", "xtask",
+    "benchcheck",
+    "campaign",
+    "core",
+    "des",
+    "geom",
+    "lint",
+    "obs",
+    "serve",
+    "setcover",
+    "sim",
+    "testbed",
+    "tsp",
+    "units",
+    "wpt",
+    "wsn",
+    "xtask",
 ];
 
 /// Checks every scanned `crates/*` directory is registered in
@@ -126,8 +140,7 @@ pub fn check_crate_lint_optin(root: &Path, crate_dirs: &[std::path::PathBuf]) ->
             .unwrap_or(&manifest)
             .display()
             .to_string();
-        let ok = fs::read_to_string(&manifest)
-            .is_ok_and(|text| manifest_opts_into_lints(&text));
+        let ok = fs::read_to_string(&manifest).is_ok_and(|text| manifest_opts_into_lints(&text));
         if !ok {
             out.push(drift(
                 label,
@@ -159,5 +172,11 @@ pub fn manifest_opts_into_lints(manifest: &str) -> bool {
 }
 
 fn drift(file: String, excerpt: String) -> Diagnostic {
-    Diagnostic { file, line: 0, col: 0, rule: RuleId::LintTableDrift, excerpt }
+    Diagnostic {
+        file,
+        line: 0,
+        col: 0,
+        rule: RuleId::LintTableDrift,
+        excerpt,
+    }
 }

@@ -28,7 +28,10 @@ impl Report {
     /// Builds a report, sorting the findings into canonical order.
     pub fn new(files_scanned: usize, mut diagnostics: Vec<Diagnostic>) -> Report {
         diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        Report { files_scanned, diagnostics }
+        Report {
+            files_scanned,
+            diagnostics,
+        }
     }
 
     /// True when nothing fired.
@@ -89,7 +92,11 @@ impl Report {
             let n = self.diagnostics.iter().filter(|d| d.rule == *rule).count();
             let _ = write!(out, "{n}");
             out.push('}');
-            out.push_str(if i + 1 < RuleId::ALL.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < RuleId::ALL.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ],\n");
 
@@ -105,7 +112,11 @@ impl Report {
             out.push_str(", ");
             key_str(&mut out, "hint", d.rule.hint());
             out.push('}');
-            out.push_str(if i + 1 < self.diagnostics.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.diagnostics.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n");
         out.push_str("}\n");
@@ -143,7 +154,8 @@ fn escape_into(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => { // cast-ok: char to code point, lossless
+            c if (c as u32) < 0x20 // cast-ok: char to code point, lossless
+            => {
                 let _ = write!(out, "\\u{:04x}", c as u32); // cast-ok: char to code point
             }
             c => out.push(c),

@@ -75,7 +75,10 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     }
     diagnostics.extend(manifest::check_lint_table(root));
     diagnostics.extend(manifest::check_crate_lint_optin(root, &crate_dirs(root)));
-    diagnostics.extend(manifest::check_registration_completeness(root, &crate_dirs(root)));
+    diagnostics.extend(manifest::check_registration_completeness(
+        root,
+        &crate_dirs(root),
+    ));
     diagnostics.extend(manifest::check_registered_crates_exist(root));
     Ok(Report::new(files.len(), diagnostics))
 }

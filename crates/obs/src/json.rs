@@ -22,7 +22,8 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => { // cast-ok: char to code point, lossless
+            c if (c as u32) < 0x20 // cast-ok: char to code point, lossless
+            => {
                 out.push_str(&format!("\\u{:04x}", c as u32)); // cast-ok: char to code point
             }
             c => out.push(c),
@@ -82,7 +83,11 @@ pub struct JsonError {
 
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid JSON at byte {}: expected {}", self.at, self.expected)
+        write!(
+            f,
+            "invalid JSON at byte {}: expected {}",
+            self.at, self.expected
+        )
     }
 }
 
@@ -95,7 +100,10 @@ impl std::error::Error for JsonError {}
 ///
 /// A [`JsonError`] locating the first offending byte.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -132,7 +140,13 @@ pub fn validate_jsonl(text: &str) -> Result<usize, (usize, JsonError)> {
         count += 1;
     }
     if count == 0 {
-        return Err((0, JsonError { at: 0, expected: "at least one event line" }));
+        return Err((
+            0,
+            JsonError {
+                at: 0,
+                expected: "at least one event line",
+            },
+        ));
     }
     Ok(count)
 }
@@ -154,7 +168,10 @@ impl Parser<'_> {
     }
 
     fn err(&self, expected: &'static str) -> JsonError {
-        JsonError { at: self.pos, expected }
+        JsonError {
+            at: self.pos,
+            expected,
+        }
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
@@ -282,7 +299,10 @@ impl Parser<'_> {
                         self.pos += 1;
                     }
                     out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
-                        |_| JsonError { at: start, expected: "valid UTF-8" },
+                        |_| JsonError {
+                            at: start,
+                            expected: "valid UTF-8",
+                        },
                     )?);
                 }
             }
@@ -338,11 +358,14 @@ impl Parser<'_> {
                 return Err(self.err("an exponent digit"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError { at: start, expected: "ASCII number" })?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError { at: start, expected: "a finite number" })
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
+            at: start,
+            expected: "ASCII number",
+        })?;
+        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+            at: start,
+            expected: "a finite number",
+        })
     }
 }
 
@@ -387,7 +410,10 @@ mod tests {
         let a = doc.get("a").unwrap();
         assert_eq!(
             a,
-            &Json::Arr(vec![Json::Num(1.0), Json::Obj(vec![("b".into(), Json::Str("x".into()))])])
+            &Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Obj(vec![("b".into(), Json::Str("x".into()))])
+            ])
         );
         assert_eq!(a.get("b"), None, "get on a non-object is None");
     }
@@ -401,7 +427,9 @@ mod tests {
 
     #[test]
     fn integers_below_2_pow_53_are_exact() {
-        let Json::Num(v) = parse("1234567890123").unwrap() else { panic!("number") };
+        let Json::Num(v) = parse("1234567890123").unwrap() else {
+            panic!("number")
+        };
         assert_eq!(v, 1_234_567_890_123.0);
     }
 
@@ -443,8 +471,20 @@ mod tests {
 
     #[test]
     fn errors_locate_the_offending_byte() {
-        assert_eq!(parse("{} {}"), Err(JsonError { at: 3, expected: "end of input" }));
-        assert_eq!(parse(r#"{"a" 1}"#), Err(JsonError { at: 5, expected: "':'" }));
+        assert_eq!(
+            parse("{} {}"),
+            Err(JsonError {
+                at: 3,
+                expected: "end of input"
+            })
+        );
+        assert_eq!(
+            parse(r#"{"a" 1}"#),
+            Err(JsonError {
+                at: 5,
+                expected: "':'"
+            })
+        );
         assert_eq!(
             parse("[1,]").unwrap_err().to_string(),
             "invalid JSON at byte 3: expected a JSON value"

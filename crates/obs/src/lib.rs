@@ -165,7 +165,10 @@ pub struct Field {
 impl Field {
     /// Builds a field from anything convertible to a [`Value`].
     pub fn new(key: &'static str, value: impl Into<Value>) -> Self {
-        Field { key, value: value.into() }
+        Field {
+            key,
+            value: value.into(),
+        }
     }
 }
 
@@ -303,7 +306,11 @@ pub fn span_stack_depth() -> usize {
 fn ambient_ctx() -> SpanCtx {
     SPAN_STACK.with(|s| {
         let stack = s.borrow();
-        SpanCtx { id: None, parent: stack.last().copied(), depth: stack.len() }
+        SpanCtx {
+            id: None,
+            parent: stack.last().copied(),
+            depth: stack.len(),
+        }
     })
 }
 
@@ -391,7 +398,13 @@ pub fn counter(scope: &'static str, name: &'static str, delta: u64, fields: &[Fi
     if !active() {
         return;
     }
-    dispatch(&ObsEvent { scope, name, kind: Kind::Counter, value: Value::U64(delta), fields });
+    dispatch(&ObsEvent {
+        scope,
+        name,
+        kind: Kind::Counter,
+        value: Value::U64(delta),
+        fields,
+    });
 }
 
 /// Emits one histogram sample.
@@ -400,7 +413,13 @@ pub fn histogram(scope: &'static str, name: &'static str, sample: f64, fields: &
     if !active() {
         return;
     }
-    dispatch(&ObsEvent { scope, name, kind: Kind::Histogram, value: Value::F64(sample), fields });
+    dispatch(&ObsEvent {
+        scope,
+        name,
+        kind: Kind::Histogram,
+        value: Value::F64(sample),
+        fields,
+    });
 }
 
 /// Emits a point event.
@@ -409,7 +428,13 @@ pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
     if !active() {
         return;
     }
-    dispatch(&ObsEvent { scope, name, kind: Kind::Event, value: Value::None, fields });
+    dispatch(&ObsEvent {
+        scope,
+        name,
+        kind: Kind::Event,
+        value: Value::None,
+        fields,
+    });
 }
 
 /// RAII *causal* span guard: measures from [`ScopedSpan::enter`] to
@@ -472,9 +497,19 @@ impl ScopedSpan {
                 stack.push(id);
                 (parent, depth)
             });
-            Frame { id, parent, depth, started: crate::wall::now() }
+            Frame {
+                id,
+                parent,
+                depth,
+                started: crate::wall::now(),
+            }
         });
-        ScopedSpan { scope, name, fields: Vec::new(), frame }
+        ScopedSpan {
+            scope,
+            name,
+            fields: Vec::new(),
+            frame,
+        }
     }
 
     /// Whether this guard will emit an event on close (recording was
@@ -507,7 +542,13 @@ impl ScopedSpan {
 
 impl Drop for ScopedSpan {
     fn drop(&mut self) {
-        let Some(Frame { id, parent, depth, started }) = self.frame.take() else {
+        let Some(Frame {
+            id,
+            parent,
+            depth,
+            started,
+        }) = self.frame.take()
+        else {
             return;
         };
         let elapsed_s = started.elapsed().as_secs_f64();
@@ -525,7 +566,11 @@ impl Drop for ScopedSpan {
                 value: Value::Wall(elapsed_s),
                 fields: &self.fields,
             },
-            SpanCtx { id: Some(id), parent, depth },
+            SpanCtx {
+                id: Some(id),
+                parent,
+                depth,
+            },
         );
     }
 }
@@ -612,7 +657,11 @@ mod tests {
             let mut s = ScopedSpan::enter("t", "inert");
             assert!(!s.armed());
             assert_eq!(s.id(), None);
-            assert_eq!(span_stack_depth(), 0, "inert guard must not touch the stack");
+            assert_eq!(
+                span_stack_depth(),
+                0,
+                "inert guard must not touch the stack"
+            );
             s.add_field("k", 1u64);
             s.finish();
             assert_eq!(span_stack_depth(), 0);

@@ -28,7 +28,11 @@ impl Provenance {
     pub fn capture() -> Self {
         Provenance {
             pkg_version: env!("CARGO_PKG_VERSION"),
-            profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             workers: None,
         }
@@ -71,7 +75,14 @@ mod tests {
         let p = Provenance::capture();
         assert_eq!(p.pkg_version, env!("CARGO_PKG_VERSION"));
         assert!(p.cores >= 1);
-        assert_eq!(p.profile, if cfg!(debug_assertions) { "debug" } else { "release" });
+        assert_eq!(
+            p.profile,
+            if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+        );
         assert_eq!(p.workers, None);
     }
 

@@ -132,7 +132,8 @@ impl HistogramSummary {
         if self.count == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of q*count is non-negative, clamped to count
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        // ceil of q*count is non-negative, clamped to count
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count); // cast-ok: rank clamped to [1, count]
         let mut seen = 0u64;
         for (&bucket, &occupancy) in &self.buckets {
@@ -213,7 +214,10 @@ impl StatsRecorder {
     /// driver relies on this for its merged-snapshot stability check.
     #[must_use]
     pub fn deterministic() -> Self {
-        StatsRecorder { stats: Mutex::default(), mask_wall: true }
+        StatsRecorder {
+            stats: Mutex::default(),
+            mask_wall: true,
+        }
     }
 
     /// Copies the current aggregates out.
@@ -319,9 +323,13 @@ impl StatsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"counters\": {");
-        join_map(&mut out, &self.counters, |out, v| out.push_str(&v.to_string()));
+        join_map(&mut out, &self.counters, |out, v| {
+            out.push_str(&v.to_string())
+        });
         out.push_str("},\n  \"events\": {");
-        join_map(&mut out, &self.events, |out, v| out.push_str(&v.to_string()));
+        join_map(&mut out, &self.events, |out, v| {
+            out.push_str(&v.to_string())
+        });
         out.push_str("},\n  \"spans\": {");
         join_map(&mut out, &self.spans, |out, s| {
             out.push_str(&format!("{{\"count\": {}, \"total_s\": ", s.count));
@@ -390,12 +398,16 @@ pub struct JsonlRecorder<W: Write + Send> {
 impl<W: Write + Send> JsonlRecorder<W> {
     /// A deterministic stream into `sink` (wall durations masked).
     pub fn new(sink: W) -> Self {
-        JsonlRecorder { sink: Mutex::new(sink) }
+        JsonlRecorder {
+            sink: Mutex::new(sink),
+        }
     }
 
     /// Unwraps the sink (flushing is the caller's business).
     pub fn into_inner(self) -> W {
-        self.sink.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.sink
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -484,7 +496,13 @@ mod tests {
     use std::sync::Arc;
 
     fn ev<'a>(kind: Kind, value: Value, fields: &'a [Field]) -> ObsEvent<'a> {
-        ObsEvent { scope: "t", name: "x", kind, value, fields }
+        ObsEvent {
+            scope: "t",
+            name: "x",
+            kind,
+            value,
+            fields,
+        }
     }
 
     #[test]
@@ -530,7 +548,10 @@ mod tests {
         }
         for q in [0.0, 0.5, 1.0] {
             let est = one.quantile(q);
-            assert!((4.0..=7.0).contains(&est), "single-bucket q={q} in range, got {est}");
+            assert!(
+                (4.0..=7.0).contains(&est),
+                "single-bucket q={q} in range, got {est}"
+            );
             assert_eq!(est, one.quantile(0.5), "single bucket: all quantiles agree");
         }
         let mut single = HistogramSummary::default();
@@ -547,7 +568,10 @@ mod tests {
         assert_eq!(h.quantile(1.0), 1.0);
         // q=0 still reports rank 1 (the smallest sample's bucket).
         let q0 = h.quantile(0.0);
-        assert!((5.0e-4..=2.0e-3).contains(&q0), "q=0 in lowest bucket, got {q0}");
+        assert!(
+            (5.0e-4..=2.0e-3).contains(&q0),
+            "q=0 in lowest bucket, got {q0}"
+        );
     }
 
     #[test]
@@ -594,7 +618,10 @@ mod tests {
         let b = r.snapshot().to_json();
         assert_eq!(a, b);
         crate::json::validate_line(&a).unwrap();
-        assert!(a.contains("\"<=0\": 1"), "zero sample lands in the sentinel bucket:\n{a}");
+        assert!(
+            a.contains("\"<=0\": 1"),
+            "zero sample lands in the sentinel bucket:\n{a}"
+        );
     }
 
     #[test]
@@ -646,7 +673,10 @@ mod tests {
         let json = r.snapshot().to_json();
         assert!(json.contains("\"sum\": 8"), "exact sum in JSON:\n{json}");
         assert!(json.contains("\"mean\": 4"), "exact mean in JSON:\n{json}");
-        assert!(json.contains("\"stddev\": 1"), "exact stddev in JSON:\n{json}");
+        assert!(
+            json.contains("\"stddev\": 1"),
+            "exact stddev in JSON:\n{json}"
+        );
     }
 
     #[test]

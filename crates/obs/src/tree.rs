@@ -80,7 +80,10 @@ impl SpanTreeRecorder {
     /// runs of the same seed.
     #[must_use]
     pub fn deterministic() -> Self {
-        SpanTreeRecorder { state: Mutex::default(), mask_wall: true }
+        SpanTreeRecorder {
+            state: Mutex::default(),
+            mask_wall: true,
+        }
     }
 
     /// Folds everything recorded so far into a snapshot. Spans still
@@ -108,7 +111,10 @@ impl SpanTreeRecorder {
                 let node = Pending {
                     name: event.key(),
                     total_s,
-                    children: ctx.id.and_then(|id| state.pending.remove(&id)).unwrap_or_default(),
+                    children: ctx
+                        .id
+                        .and_then(|id| state.pending.remove(&id))
+                        .unwrap_or_default(),
                     counters: ctx
                         .id
                         .and_then(|id| state.open_counters.remove(&id))
@@ -177,8 +183,11 @@ fn fold_siblings(siblings: &[Pending]) -> Vec<TreeNode> {
             let group = &groups[name];
             // Children from every member, in completion order, folded
             // as one sibling list so grandchildren group across rounds.
-            let merged: Vec<Pending> =
-                group.members.iter().flat_map(|m| m.children.iter().cloned()).collect();
+            let merged: Vec<Pending> = group
+                .members
+                .iter()
+                .flat_map(|m| m.children.iter().cloned())
+                .collect();
             let children = fold_siblings(&merged);
             let child_total: f64 = children.iter().map(|c| c.total_s).sum();
             TreeNode {
@@ -262,8 +271,11 @@ impl TreeNode {
     }
 
     fn render_collapsed(&self, out: &mut String, prefix: &str) {
-        let path =
-            if prefix.is_empty() { self.name.clone() } else { format!("{prefix};{}", self.name) };
+        let path = if prefix.is_empty() {
+            self.name.clone()
+        } else {
+            format!("{prefix};{}", self.name)
+        };
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // floored at 0 above
         let self_us = (self.self_s * 1e6).round().max(0.0) as u64; // cast-ok: non-negative rounded microseconds
         out.push_str(&format!("{path} {self_us}\n"));
@@ -315,7 +327,9 @@ impl SpanTreeSnapshot {
     #[must_use]
     pub fn critical_path(&self) -> Vec<&TreeNode> {
         fn heaviest(nodes: &[TreeNode]) -> Option<&TreeNode> {
-            nodes.iter().reduce(|best, n| if n.total_s > best.total_s { n } else { best })
+            nodes
+                .iter()
+                .reduce(|best, n| if n.total_s > best.total_s { n } else { best })
         }
         let mut path = Vec::new();
         let mut level = self.roots.as_slice();
@@ -410,7 +424,9 @@ mod tests {
         let tighten = snap.node(&["plan.run", "plan.stage.tighten"]).unwrap();
         assert_eq!(tighten.count, 3, "three rounds fold into one node");
         assert_eq!(tighten.counters["plan.tighten.gs_iters"], 336);
-        let sweep = snap.node(&["plan.run", "plan.stage.tighten", "plan.tighten.sweep"]).unwrap();
+        let sweep = snap
+            .node(&["plan.run", "plan.stage.tighten", "plan.tighten.sweep"])
+            .unwrap();
         assert_eq!(sweep.count, 3, "leaf spans fold under the open span");
         assert_eq!(snap.unattributed["plan.orphan"], 1);
         assert_eq!(snap.node_count(), 4);
@@ -453,12 +469,20 @@ mod tests {
         tree.state.lock().unwrap().roots.push(parent);
         let snap = tree.snapshot();
         let p = snap.node(&["p"]).unwrap();
-        assert!((p.self_s - 0.3).abs() < 1e-12, "1.0 - (0.3 + 0.4), got {}", p.self_s);
+        assert!(
+            (p.self_s - 0.3).abs() < 1e-12,
+            "1.0 - (0.3 + 0.4), got {}",
+            p.self_s
+        );
         let c = snap.node(&["p", "c"]).unwrap();
         assert_eq!(c.count, 2);
         assert!((c.total_s - 0.7).abs() < 1e-12);
         // Critical path descends the heaviest chain.
-        let path: Vec<&str> = snap.critical_path().iter().map(|n| n.name.as_str()).collect();
+        let path: Vec<&str> = snap
+            .critical_path()
+            .iter()
+            .map(|n| n.name.as_str())
+            .collect();
         assert_eq!(path, ["p", "c"]);
     }
 
@@ -495,8 +519,16 @@ mod tests {
             root.finish();
         });
         let snap = tree.snapshot();
-        assert_eq!(snap.node(&["t.root"]).unwrap().counters["t.work"], 5, "ctx survives fanout");
-        assert_eq!(stats.snapshot().counter("t.work"), 5, "flat view unaffected");
+        assert_eq!(
+            snap.node(&["t.root"]).unwrap().counters["t.work"],
+            5,
+            "ctx survives fanout"
+        );
+        assert_eq!(
+            stats.snapshot().counter("t.work"),
+            5,
+            "flat view unaffected"
+        );
     }
 
     #[test]

@@ -116,7 +116,10 @@ mod tests {
         let e = ServeError::Plan(PlanError::Unassigned { sensor: 3 });
         assert!(e.to_string().contains("planning failed"));
         assert!(std::error::Error::source(&e).is_some());
-        let shed = ServeError::Shed { queued: 7, capacity: 7 };
+        let shed = ServeError::Shed {
+            queued: 7,
+            capacity: 7,
+        };
         assert!(std::error::Error::source(&shed).is_none());
         assert!(shed.to_string().contains("capacity 7"));
     }

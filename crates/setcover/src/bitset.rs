@@ -134,7 +134,10 @@ impl BitSet {
     /// Whether `self` is a subset of `other`.
     pub fn is_subset_of(&self, other: &BitSet) -> bool {
         self.check_same_universe(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Index of the lowest set bit, or `None` when empty.

@@ -143,7 +143,10 @@ mod tests {
     #[test]
     fn universe_mismatch_detected() {
         let err = Instance::new(3, vec![BitSet::from_indices(4, &[0, 1, 2, 3])]).unwrap_err();
-        assert!(matches!(err, InstanceError::UniverseMismatch { set: 0, .. }));
+        assert!(matches!(
+            err,
+            InstanceError::UniverseMismatch { set: 0, .. }
+        ));
     }
 
     #[test]

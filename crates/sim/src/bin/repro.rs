@@ -103,7 +103,10 @@ fn run(args: &[String]) -> Result<(), String> {
     };
 
     for (name, f) in selected {
-        eprintln!(">> {name} ({} runs/point, seed {})", exp.runs, exp.base_seed);
+        eprintln!(
+            ">> {name} ({} runs/point, seed {})",
+            exp.runs, exp.base_seed
+        );
         let started = std::time::Instant::now();
         let tables = f(&exp);
         for t in &tables {
@@ -124,8 +127,9 @@ fn run(args: &[String]) -> Result<(), String> {
         eprintln!("   {name} done in {:.1?}", started.elapsed());
     }
     if which == "all" {
-        let path = bc_sim::html::write_report_from_dir(&out, "Bundle Charging — reproduction report")
-            .map_err(|e| format!("writing report: {e}"))?;
+        let path =
+            bc_sim::html::write_report_from_dir(&out, "Bundle Charging — reproduction report")
+                .map_err(|e| format!("writing report: {e}"))?;
         eprintln!("   wrote {}", path.display());
     }
     Ok(())

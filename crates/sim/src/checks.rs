@@ -67,8 +67,8 @@ pub fn run_all(exp: &ExpConfig) -> Vec<CheckResult> {
         let grid = col(&t, "grid");
         let greedy = col(&t, "greedy");
         let optimal = col(&t, "optimal");
-        let ok = (0..grid.len())
-            .all(|i| optimal[i] <= greedy[i] + 1e-9 && greedy[i] <= grid[i] + 1e-9);
+        let ok =
+            (0..grid.len()).all(|i| optimal[i] <= greedy[i] + 1e-9 && greedy[i] <= grid[i] + 1e-9);
         out.push(CheckResult {
             figure: "fig11",
             claim: "bundle counts: optimal <= greedy <= grid",
@@ -87,7 +87,8 @@ pub fn run_all(exp: &ExpConfig) -> Vec<CheckResult> {
     let css = col(energy12, "CSS");
     let bc = col(energy12, "BC");
     let opt = col(energy12, "BC-OPT");
-    let ok = (0..sc.len()).all(|i| opt[i] <= bc[i] + 1e-6 && opt[i] <= css[i] + 1e-6 && opt[i] < sc[i]);
+    let ok =
+        (0..sc.len()).all(|i| opt[i] <= bc[i] + 1e-6 && opt[i] <= css[i] + 1e-6 && opt[i] < sc[i]);
     out.push(CheckResult {
         figure: "fig12",
         claim: "BC-OPT minimises energy across radii",
@@ -214,10 +215,7 @@ pub fn report(results: &[CheckResult]) -> (String, bool) {
         };
         text.push_str(&format!("[{mark}] {:6} {} ({detail})\n", r.figure, r.claim));
     }
-    let (passed, total) = (
-        results.iter().filter(|r| r.passed()).count(),
-        results.len(),
-    );
+    let (passed, total) = (results.iter().filter(|r| r.passed()).count(), results.len());
     text.push_str(&format!("{passed}/{total} claims reproduced\n"));
     (text, all)
 }
@@ -228,7 +226,10 @@ mod tests {
 
     #[test]
     fn all_claims_pass_at_quick_settings() {
-        let results = run_all(&ExpConfig { runs: 2, base_seed: 1000 });
+        let results = run_all(&ExpConfig {
+            runs: 2,
+            base_seed: 1000,
+        });
         let (text, all) = report(&results);
         assert!(all, "some claims failed:\n{text}");
         assert!(results.len() >= 9);

@@ -32,10 +32,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
 
 /// Ablation 1: the TSP pipeline under BC-OPT (n = 100, r = 30).
 fn tsp_pipeline(exp: &ExpConfig) -> Table {
-    let mut t = Table::new(
-        "ablation_tsp_pipeline",
-        &["variant", "tour_m", "total_j"],
-    );
+    let mut t = Table::new("ablation_tsp_pipeline", &["variant", "tour_m", "total_j"]);
     let variants: [(&str, bool, bool); 3] = [
         ("nn_only", false, false),
         ("nn_2opt", true, false),
@@ -56,7 +53,13 @@ fn tsp_pipeline(exp: &ExpConfig) -> Table {
 fn dwell_policy(exp: &ExpConfig) -> Table {
     let mut t = Table::new(
         "ablation_dwell_policy",
-        &["radius_m", "realized_charge_s", "worstcase_charge_s", "realized_j", "worstcase_j"],
+        &[
+            "radius_m",
+            "realized_charge_s",
+            "worstcase_charge_s",
+            "realized_j",
+            "worstcase_j",
+        ],
     );
     for r in [10.0, 30.0, 60.0, 100.0] {
         let cfg = PlannerConfig::paper_sim(r);
@@ -124,8 +127,10 @@ fn sortie_budgets(exp: &ExpConfig) -> Table {
                 .iter()
                 .filter(|s| !s.bundle.is_empty())
                 .map(|s| {
-                    cfg.energy
-                        .total_energy(bc_units::Meters(2.0 * net.base().distance(s.anchor())), s.dwell)
+                    cfg.energy.total_energy(
+                        bc_units::Meters(2.0 * net.base().distance(s.anchor())),
+                        s.dwell,
+                    )
                 })
                 .fold(bc_units::Joules(0.0), bc_units::Joules::max);
             let budget = (single.total_energy_j * frac).max(floor * 1.01);

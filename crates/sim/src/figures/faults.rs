@@ -106,7 +106,13 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
 
     let mut avail = Table::new(
         "faults_lifetime_availability",
-        &["fault_rate", "skip", "replan", "return-to-base", "fault_deaths"],
+        &[
+            "fault_rate",
+            "skip",
+            "replan",
+            "return-to-base",
+            "fault_deaths",
+        ],
     );
     for rate in FAULT_RATES {
         let runs = exp.runs.min(5); // each run is a 12 h simulated horizon
@@ -127,8 +133,13 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
             row[1 + i] =
                 100.0 * Summary::of(&reps.iter().map(|r| r.availability).collect::<Vec<_>>()).mean;
             if i == 0 {
-                row[4] =
-                    Summary::of(&reps.iter().map(|r| r.fault_deaths as f64).collect::<Vec<_>>()).mean; // cast-ok: death count to summary
+                row[4] = Summary::of(
+                    &reps
+                        .iter()
+                        .map(|r| r.fault_deaths as f64) // cast-ok: death count to summary
+                        .collect::<Vec<_>>(),
+                )
+                .mean;
             }
         }
         avail.push_row(&row);
@@ -182,7 +193,10 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let exp = ExpConfig { runs: 2, base_seed: 77 };
+        let exp = ExpConfig {
+            runs: 2,
+            base_seed: 77,
+        };
         let a = tables(&exp);
         let b = tables(&exp);
         for (ta, tb) in a.iter().zip(&b) {

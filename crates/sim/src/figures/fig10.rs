@@ -52,7 +52,14 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     let net = showcase_network(exp);
     let mut t = Table::new(
         "fig10_configurations",
-        &["radius_m", "stops", "bc_tour_m", "bcopt_tour_m", "bc_total_j", "bcopt_total_j"],
+        &[
+            "radius_m",
+            "stops",
+            "bc_tour_m",
+            "bcopt_tour_m",
+            "bc_total_j",
+            "bcopt_total_j",
+        ],
     );
     for r in RADII {
         let cfg = PlannerConfig::paper_sim(r);

@@ -34,7 +34,7 @@ pub const SENSORS_B: [usize; 5] = [10, 20, 30, 40, 50];
 fn counts(n: usize, r: f64, strategy: BundleStrategy, exp: &ExpConfig) -> Summary {
     let samples: Vec<f64> = repeat(exp.runs, exp.base_seed, |seed| {
         let net = deploy::uniform(n, Aabb::square(FIELD_SIDE_M), SIM_DEMAND_J, seed);
-        generate_bundles(&net, bc_units::Meters(r), strategy) .len() as f64 // cast-ok: bundle count to table column
+        generate_bundles(&net, bc_units::Meters(r), strategy).len() as f64 // cast-ok: bundle count to table column
     });
     Summary::of(&samples)
 }

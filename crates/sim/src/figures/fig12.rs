@@ -99,13 +99,19 @@ mod tests {
         // exceeds the SC baseline at moderate radii.
         let css = avg.column("CSS").unwrap();
         let css_peak = css.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(css_peak > 50.0, "CSS never exceeds the SC baseline: {css:?}");
+        assert!(
+            css_peak > 50.0,
+            "CSS never exceeds the SC baseline: {css:?}"
+        );
         // BC parks at the smallest-enclosing-disk center, and the shared
         // dwell amortises across members: its per-sensor time falls below
         // the 50 s contact time and keeps falling with the radius —
         // the one-to-many effect the paper credits in Fig. 12(c).
         let bc = avg.column("BC").unwrap();
-        assert!(bc.last().unwrap() < bc.first().unwrap(), "BC avg not falling: {bc:?}");
+        assert!(
+            bc.last().unwrap() < bc.first().unwrap(),
+            "BC avg not falling: {bc:?}"
+        );
         assert!(*bc.last().unwrap() < 50.0);
     }
 }

@@ -28,11 +28,10 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     let cfg = PlannerConfig::paper_sim(RADIUS_M);
     for n in SENSORS {
         let per_algo = sweep_algorithms(n, DENSE_FIELD_SIDE_M, &Algorithm::ALL, &cfg, exp);
-        energy.push_row(&row(n as f64, &per_algo, |s| s.total_energy_j.mean)); // cast-ok: sensor count to table column
-        tour.push_row(&row(n as f64, &per_algo, |s| s.tour_length_m.mean)); // cast-ok: sensor count to table column
-        avg_time.push_row(&row(n as f64, &per_algo, |s| { // cast-ok: sensor count to table column
-            s.avg_charge_time_per_sensor_s.mean
-        }));
+        let x = n as f64; // cast-ok: sensor count to table column
+        energy.push_row(&row(x, &per_algo, |s| s.total_energy_j.mean));
+        tour.push_row(&row(x, &per_algo, |s| s.tour_length_m.mean));
+        avg_time.push_row(&row(x, &per_algo, |s| s.avg_charge_time_per_sensor_s.mean));
     }
     vec![energy, tour, avg_time]
 }

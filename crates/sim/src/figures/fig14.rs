@@ -19,15 +19,19 @@ use crate::Table;
 pub const N_SENSORS: usize = 200;
 
 /// Radii swept (m).
-pub const RADII: [f64; 10] = [
-    5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0, 120.0,
-];
+pub const RADII: [f64; 10] = [5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0, 120.0];
 
 /// Generates both panels.
 pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     let mut a = Table::new(
         "fig14a_tour_and_time",
-        &["radius_m", "bc_tour_m", "bcopt_tour_m", "bc_charge_s", "bcopt_charge_s"],
+        &[
+            "radius_m",
+            "bc_tour_m",
+            "bcopt_tour_m",
+            "bc_charge_s",
+            "bcopt_charge_s",
+        ],
     );
     let mut b = Table::new(
         "fig14b_total_energy",
@@ -79,7 +83,10 @@ mod tests {
     use super::*;
 
     fn quick_tables() -> Vec<Table> {
-        tables(&ExpConfig { runs: 2, base_seed: 1000 })
+        tables(&ExpConfig {
+            runs: 2,
+            base_seed: 1000,
+        })
     }
 
     #[test]

@@ -30,10 +30,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
         "fig16a_testbed_energy",
         &["radius_m", "SC", "BC", "BC-OPT", "noisy_worst_charge_frac"],
     );
-    let mut b = Table::new(
-        "fig16b_testbed_tour",
-        &["radius_m", "SC", "BC", "BC-OPT"],
-    );
+    let mut b = Table::new("fig16b_testbed_tour", &["radius_m", "SC", "BC", "BC-OPT"]);
     for r in RADII {
         let cfg = PlannerConfig::paper_testbed(r);
         let ctx = PlanContext::new(net.clone(), cfg.clone());

@@ -145,7 +145,10 @@ mod tests {
         let html = render_report(
             "Report <1>",
             &[sample_table()],
-            &[("pic".into(), "<svg xmlns='http://www.w3.org/2000/svg'></svg>".into())],
+            &[(
+                "pic".into(),
+                "<svg xmlns='http://www.w3.org/2000/svg'></svg>".into(),
+            )],
         );
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("Report &lt;1&gt;")); // escaped title
@@ -170,7 +173,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         sample_table().save_csv(&dir).unwrap();
-        std::fs::write(dir.join("fig.svg"), "<svg xmlns='http://www.w3.org/2000/svg'/>").unwrap();
+        std::fs::write(
+            dir.join("fig.svg"),
+            "<svg xmlns='http://www.w3.org/2000/svg'/>",
+        )
+        .unwrap();
         let out = write_report_from_dir(&dir, "T").unwrap();
         let html = std::fs::read_to_string(out).unwrap();
         assert!(html.contains("demo"));

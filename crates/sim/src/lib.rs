@@ -21,9 +21,9 @@ pub mod figures;
 pub mod html;
 pub mod lifetime;
 pub mod report;
-pub mod svg;
 pub mod runner;
 pub mod stats;
+pub mod svg;
 
 pub use report::Table;
 pub use runner::{average_metrics, repeat, MetricsSummary};

@@ -108,10 +108,7 @@ mod tests {
             })
         })
         .expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
             msg.contains("seed 307") && msg.contains("boom"),
             "unhelpful panic message: {msg}"

@@ -46,7 +46,8 @@ impl Summary {
         let var = if n < 2 {
             0.0
         } else {
-            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64 // cast-ok: sample count to divisor
+            let dof = (n - 1) as f64; // cast-ok: sample count to divisor
+            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / dof
         };
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
         for &x in samples {

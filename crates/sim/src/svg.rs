@@ -104,7 +104,11 @@ pub fn render_scene(
                     ));
                 }
                 d.push('Z');
-                let dash = if dashed { r#" stroke-dasharray="6,4""# } else { "" };
+                let dash = if dashed {
+                    r#" stroke-dasharray="6,4""#
+                } else {
+                    ""
+                };
                 out.push_str(&format!(
                     r#"<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>"#
                 ));

@@ -15,7 +15,10 @@ pub fn nearest_neighbor(m: &DistanceMatrix, start: usize) -> Tour {
     if n == 0 {
         return Tour::empty();
     }
-    assert!(start < n, "start index {start} out of bounds for {n} points");
+    assert!(
+        start < n,
+        "start index {start} out of bounds for {n} points"
+    );
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
     let mut current = start;

@@ -159,7 +159,11 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                     work.scored += 1;
                     let fwd = m.dist(u, first) + m.dist(last, v) - m.dist(u, v);
                     let rev = m.dist(u, last) + m.dist(first, v) - m.dist(u, v);
-                    let (cost, reversed) = if fwd <= rev { (fwd, false) } else { (rev, true) };
+                    let (cost, reversed) = if fwd <= rev {
+                        (fwd, false)
+                    } else {
+                        (rev, true)
+                    };
                     if cost < removal_gain - 1e-10 {
                         relocate(&mut tour.order, start, seg_len, pos, reversed);
                         tour.length -= removal_gain - cost;

@@ -322,7 +322,10 @@ mod tests {
     #[test]
     fn zero_cost_layout() {
         assert_eq!(core::mem::size_of::<Joules>(), core::mem::size_of::<f64>());
-        assert_eq!(core::mem::align_of::<Meters>(), core::mem::align_of::<f64>());
+        assert_eq!(
+            core::mem::align_of::<Meters>(),
+            core::mem::align_of::<f64>()
+        );
     }
 
     #[test]

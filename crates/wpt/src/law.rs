@@ -179,14 +179,20 @@ mod tests {
 
     #[test]
     fn quadratic_matches_formula() {
-        let law = Law::Quadratic { alpha: 36.0, beta: 30.0 };
+        let law = Law::Quadratic {
+            alpha: 36.0,
+            beta: 30.0,
+        };
         assert!((law.gain(Meters(0.0)) - 0.04).abs() < 1e-12);
         assert!((law.gain(Meters(10.0)) - 36.0 / 1600.0).abs() < 1e-12);
     }
 
     #[test]
     fn linear_clamps_at_zero() {
-        let law = Law::Linear { p0: 0.1, slope: 0.01 };
+        let law = Law::Linear {
+            p0: 0.1,
+            slope: 0.01,
+        };
         assert_eq!(law.gain(Meters(0.0)), 0.1);
         assert!((law.gain(Meters(5.0)) - 0.05).abs() < 1e-12);
         assert_eq!(law.gain(Meters(20.0)), 0.0);
@@ -204,8 +210,14 @@ mod tests {
     #[test]
     fn all_laws_monotone_non_increasing() {
         let laws = [
-            Law::Quadratic { alpha: 36.0, beta: 30.0 },
-            Law::Linear { p0: 0.2, slope: 0.004 },
+            Law::Quadratic {
+                alpha: 36.0,
+                beta: 30.0,
+            },
+            Law::Linear {
+                p0: 0.2,
+                slope: 0.004,
+            },
             table(&[(0.0, 0.2), (2.0, 0.08), (10.0, 0.0)]),
         ];
         for law in laws {
@@ -221,15 +233,26 @@ mod tests {
     #[test]
     fn max_distance_round_trips() {
         let laws = [
-            Law::Quadratic { alpha: 36.0, beta: 30.0 },
-            Law::Linear { p0: 0.2, slope: 0.004 },
+            Law::Quadratic {
+                alpha: 36.0,
+                beta: 30.0,
+            },
+            Law::Linear {
+                p0: 0.2,
+                slope: 0.004,
+            },
             table(&[(0.0, 0.2), (2.0, 0.08), (10.0, 0.01)]),
         ];
         for law in laws {
             let g = law.gain(Meters(1.5));
             if g > 0.0 {
                 let d = law.max_distance_for_gain(g).unwrap();
-                assert!((law.gain(d) - g).abs() < 1e-9, "{law:?}: {} vs {}", law.gain(d), g);
+                assert!(
+                    (law.gain(d) - g).abs() < 1e-9,
+                    "{law:?}: {} vs {}",
+                    law.gain(d),
+                    g
+                );
             }
             assert!(law.max_distance_for_gain(1e9).is_none());
         }
@@ -241,7 +264,17 @@ mod tests {
         assert!(table(&[(1.0, 0.1), (1.0, 0.05)]).validate().is_err()); // duplicate distance
         assert!(table(&[(0.0, 0.0)]).validate().is_err()); // zero at contact
         assert!(table(&[(0.0, 0.1), (2.0, 0.05)]).validate().is_ok());
-        assert!(Law::Quadratic { alpha: 0.0, beta: 1.0 }.validate().is_err());
-        assert!(Law::Linear { p0: 0.1, slope: -1.0 }.validate().is_err());
+        assert!(Law::Quadratic {
+            alpha: 0.0,
+            beta: 1.0
+        }
+        .validate()
+        .is_err());
+        assert!(Law::Linear {
+            p0: 0.1,
+            slope: -1.0
+        }
+        .validate()
+        .is_err());
     }
 }

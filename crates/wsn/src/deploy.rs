@@ -39,7 +39,14 @@ pub fn uniform(n: usize, field: Aabb, demand: f64, seed: u64) -> Network {
 /// # Panics
 ///
 /// Panics if `clusters == 0` while `n > 0`.
-pub fn clusters(n: usize, clusters: usize, sigma: f64, field: Aabb, demand: f64, seed: u64) -> Network {
+pub fn clusters(
+    n: usize,
+    clusters: usize,
+    sigma: f64,
+    field: Aabb,
+    demand: f64,
+    seed: u64,
+) -> Network {
     if n == 0 {
         return Network::new(Vec::new(), field, field.min);
     }
@@ -57,7 +64,10 @@ pub fn clusters(n: usize, clusters: usize, sigma: f64, field: Aabb, demand: f64,
         .map(|i| {
             let c = centres[i % clusters];
             // Box-Muller from two uniforms for a Gaussian offset.
-            let (u1, u2) = (rng.random_range(1e-12..1.0f64), rng.random_range(0.0..1.0f64));
+            let (u1, u2) = (
+                rng.random_range(1e-12..1.0f64),
+                rng.random_range(0.0..1.0f64),
+            );
             let r = sigma * (-2.0 * u1.ln()).sqrt();
             let theta = std::f64::consts::TAU * u2;
             let p = field.clamp(c + Point::from_angle(theta) * r);

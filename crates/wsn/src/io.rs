@@ -125,7 +125,11 @@ pub fn network_from_csv_str(text: &str, field_padding_m: f64) -> Result<Network,
                 reason: format!("demand must be non-negative, got {demand}"),
             });
         }
-        sensors.push(Sensor::new(SensorId(sensors.len()), Point::new(x, y), demand));
+        sensors.push(Sensor::new(
+            SensorId(sensors.len()),
+            Point::new(x, y),
+            demand,
+        ));
     }
     if sensors.is_empty() {
         return Err(CsvError::Empty);

@@ -176,7 +176,11 @@ mod tests {
 
     #[test]
     fn radius_zero_returns_exact_matches() {
-        let pts = vec![Point::new(1.0, 1.0), Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
+        let pts = vec![
+            Point::new(1.0, 1.0),
+            Point::new(1.0, 1.0),
+            Point::new(2.0, 2.0),
+        ];
         let idx = GridIndex::build(&pts, 1.0);
         let mut got = idx.within_radius(&pts, Point::new(1.0, 1.0), 0.0);
         got.sort_unstable();

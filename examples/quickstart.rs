@@ -20,8 +20,7 @@ fn main() {
 
     // Compare the naive per-sensor tour with bundle charging.
     for algo in Algorithm::ALL {
-        let plan = planner::try_run(algo, &net, &cfg)
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let plan = planner::try_run(algo, &net, &cfg).unwrap_or_else(|e| panic!("{algo}: {e}"));
         plan.validate(&net, &cfg.charging)
             .expect("planner produced an infeasible plan");
         let m = plan.metrics(&cfg.energy);

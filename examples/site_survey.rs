@@ -78,7 +78,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Export artifacts.
     let svg_path = out_dir.join("site_survey_plan.svg");
-    svg::save_scene(&net, Some(&plan), None, &svg::SvgStyle::default(), &svg_path)?;
+    svg::save_scene(
+        &net,
+        Some(&plan),
+        None,
+        &svg::SvgStyle::default(),
+        &svg_path,
+    )?;
     println!("rendered plan to {}", svg_path.display());
     Ok(())
 }

@@ -54,8 +54,7 @@ fn main() {
     // Full planners on the dust field.
     let cfg = PlannerConfig::paper_sim(r);
     for algo in Algorithm::ALL {
-        let plan = planner::try_run(algo, &net, &cfg)
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let plan = planner::try_run(algo, &net, &cfg).unwrap_or_else(|e| panic!("{algo}: {e}"));
         plan.validate(&net, &cfg.charging).expect("feasible plan");
         let m = plan.metrics(&cfg.energy);
         println!(

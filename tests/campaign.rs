@@ -121,7 +121,11 @@ fn failed_run_is_a_typed_run_failure() {
     let failures: Vec<_> = report.failures().collect();
     assert_eq!(failures.len(), 1);
     assert_eq!(failures[0].0, 1002);
-    assert!(matches!(failures[0].1, SeedFailure::Run(_)), "{:?}", failures[0].1);
+    assert!(
+        matches!(failures[0].1, SeedFailure::Run(_)),
+        "{:?}",
+        failures[0].1
+    );
 }
 
 #[test]
@@ -137,7 +141,11 @@ fn engine_reports_identical_across_queue_backends() {
     assert_eq!(heap, cal, "queue backend leaked into simulation results");
     let ta = format!("{:?}", heap.trace);
     let tb = format!("{:?}", cal.trace);
-    assert_eq!(ta.as_bytes(), tb.as_bytes(), "event traces must be byte-identical");
+    assert_eq!(
+        ta.as_bytes(),
+        tb.as_bytes(),
+        "event traces must be byte-identical"
+    );
 }
 
 #[test]
@@ -167,7 +175,10 @@ fn campaign_traces_rotate_and_validate() {
     assert!(lines > 0, "traces must carry events");
 
     // Per-seed summaries point at disjoint file families.
-    let per_seed: Vec<_> = report.summaries().map(|(s, sum)| (s, sum.trace_files.len())).collect();
+    let per_seed: Vec<_> = report
+        .summaries()
+        .map(|(s, sum)| (s, sum.trace_files.len()))
+        .collect();
     assert_eq!(per_seed.len(), 2);
     assert!(per_seed.iter().all(|&(_, n)| n > 0));
 

@@ -10,9 +10,7 @@ use proptest::prelude::*;
 
 use bundle_charging::core::planner::Algorithm;
 use bundle_charging::core::{FaultModel, RecoveryPolicy};
-use bundle_charging::des::{
-    assign_stops, run, DispatchPolicy, EventQueue, Scenario, Time,
-};
+use bundle_charging::des::{assign_stops, run, DispatchPolicy, EventQueue, Scenario, Time};
 use bundle_charging::geom::{Aabb, Point};
 use bundle_charging::units::Seconds;
 use bundle_charging::wsn::deploy;
@@ -28,11 +26,13 @@ fn policy(pick: usize) -> DispatchPolicy {
 /// A small, fast scenario: short horizon so proptest cases stay cheap.
 fn scenario(seed: u64, n: usize, fleet: usize, pick: usize, faulty: bool) -> Scenario {
     let net = deploy::uniform(n, Aabb::square(200.0), 2.0, seed);
-    let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Bc)
-        .with_fleet(fleet, policy(pick));
+    let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Bc).with_fleet(fleet, policy(pick));
     sc.horizon_s = Seconds(3.0 * 3600.0);
     if faulty {
-        sc = sc.with_faults(FaultModel::with_rate(seed, 0.2), RecoveryPolicy::SkipAndContinue);
+        sc = sc.with_faults(
+            FaultModel::with_rate(seed, 0.2),
+            RecoveryPolicy::SkipAndContinue,
+        );
     }
     sc
 }
@@ -128,7 +128,10 @@ fn simultaneous_events_resolve_by_sequence_number() {
             at_t.push(s.event);
         }
     }
-    assert_eq!(at_t, events, "same-time events must pop in scheduling order");
+    assert_eq!(
+        at_t, events,
+        "same-time events must pop in scheduling order"
+    );
 }
 
 /// Acceptance check: a 3-charger scenario completes, and the per-charger
@@ -138,9 +141,8 @@ fn three_charger_ledgers_sum_to_fleet_total() {
     for pick in 0..3 {
         let sc = scenario(11, 24, 3, pick, false);
         let rep = run(&sc).expect("3-charger run");
-        rep.check_fleet_ledger().unwrap_or_else(|e| {
-            panic!("{} ledger imbalance: {e:?}", policy(pick).label())
-        });
+        rep.check_fleet_ledger()
+            .unwrap_or_else(|e| panic!("{} ledger imbalance: {e:?}", policy(pick).label()));
         assert_eq!(rep.fleet.len(), 3);
         assert!(rep.rounds > 0, "short horizon must still trigger rounds");
     }
@@ -158,7 +160,8 @@ fn three_charger_golden_run_is_pinned() {
     let sc = Scenario::paper_sim(net, 25.0, Algorithm::BcOpt)
         .with_fleet(3, DispatchPolicy::BundlePartition);
     let rep = run(&sc).expect("golden run");
-    rep.check_fleet_ledger().expect("ledgers sum to the fleet total");
+    rep.check_fleet_ledger()
+        .expect("ledgers sum to the fleet total");
 
     assert_eq!(rep.events_processed, 2588);
     assert_eq!(rep.events_scheduled, 2588);

@@ -133,12 +133,12 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
     // Advance all batteries by dt of pure drain starting at `start`,
     // tracking downtime and first-death instants.
     let drain_all = |battery: &mut [f64],
-                         ever_dead: &mut [bool],
-                         first_death: &mut [Option<f64>],
-                         downtime: &mut f64,
-                         min_battery: &mut f64,
-                         start: f64,
-                         dt: f64| {
+                     ever_dead: &mut [bool],
+                     first_death: &mut [Option<f64>],
+                     downtime: &mut f64,
+                     min_battery: &mut f64,
+                     start: f64,
+                     dt: f64| {
         for (i, b) in battery.iter_mut().enumerate() {
             let depleted_after = (*b - drain * dt).max(0.0);
             if *b <= 0.0 {
@@ -177,7 +177,15 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
         let k = sc.trigger_count.min(n) - 1;
         let wait = lows[k];
         let dt = wait.min(horizon - now);
-        drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, dt);
+        drain_all(
+            &mut battery,
+            &mut ever_dead,
+            &mut first_death,
+            &mut downtime,
+            &mut min_battery,
+            now,
+            dt,
+        );
         now += dt;
         if now >= horizon {
             break;
@@ -200,21 +208,49 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
                     break;
                 }
                 let drive_t = e.drive_s.0.min(horizon - now);
-                drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, drive_t);
+                drain_all(
+                    &mut battery,
+                    &mut ever_dead,
+                    &mut first_death,
+                    &mut downtime,
+                    &mut min_battery,
+                    now,
+                    drive_t,
+                );
                 now += drive_t;
-                let frac = if e.drive_s.0 > 0.0 { drive_t / e.drive_s.0 } else { 1.0 };
+                let frac = if e.drive_s.0 > 0.0 {
+                    drive_t / e.drive_s.0
+                } else {
+                    1.0
+                };
                 charger_energy += sc.planner.energy.movement_energy(e.drive_m * frac).0;
                 if now >= horizon {
                     break;
                 }
                 let wait_t = e.backoff_s.0.min(horizon - now);
-                drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, wait_t);
+                drain_all(
+                    &mut battery,
+                    &mut ever_dead,
+                    &mut first_death,
+                    &mut downtime,
+                    &mut min_battery,
+                    now,
+                    wait_t,
+                );
                 now += wait_t;
                 if now >= horizon {
                     break;
                 }
                 let dwell = e.dwell_s.0.min(horizon - now);
-                drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, dwell);
+                drain_all(
+                    &mut battery,
+                    &mut ever_dead,
+                    &mut first_death,
+                    &mut downtime,
+                    &mut min_battery,
+                    now,
+                    dwell,
+                );
                 if dwell >= e.dwell_s.0 {
                     // Full dwell: every served member got its demand.
                     for &s in &e.served {
@@ -246,9 +282,21 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
             let close_s_full = (report.duration_s.0 - replayed_s).max(0.0);
             let close_s = close_s_full.min((horizon - now).max(0.0));
             if close_s > 0.0 {
-                drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, close_s);
+                drain_all(
+                    &mut battery,
+                    &mut ever_dead,
+                    &mut first_death,
+                    &mut downtime,
+                    &mut min_battery,
+                    now,
+                    close_s,
+                );
                 now += close_s;
-                let frac = if close_s_full > 0.0 { close_s / close_s_full } else { 1.0 };
+                let frac = if close_s_full > 0.0 {
+                    close_s / close_s_full
+                } else {
+                    1.0
+                };
                 charger_energy += sc
                     .planner
                     .energy
@@ -285,7 +333,15 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
             let prev = stops[(i + m - 1) % m].anchor();
             let leg = prev.distance(stop.anchor());
             let drive_t = (leg / speed).min(horizon - now);
-            drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, drive_t);
+            drain_all(
+                &mut battery,
+                &mut ever_dead,
+                &mut first_death,
+                &mut downtime,
+                &mut min_battery,
+                now,
+                drive_t,
+            );
             now += drive_t;
             charger_energy += sc.planner.energy.movement_energy(Meters(drive_t * speed)).0;
             if now >= horizon {
@@ -293,7 +349,15 @@ fn simulate_reference(sc: &Scenario) -> ReferenceReport {
             }
             // Park and charge: members harvest while everyone drains.
             let dwell = stop.dwell.0.min(horizon - now);
-            drain_all(&mut battery, &mut ever_dead, &mut first_death, &mut downtime, &mut min_battery, now, dwell);
+            drain_all(
+                &mut battery,
+                &mut ever_dead,
+                &mut first_death,
+                &mut downtime,
+                &mut min_battery,
+                now,
+                dwell,
+            );
             for &j in &stop.bundle.sensors {
                 let d = net.sensor(j).pos.distance(stop.anchor());
                 let harvested = sc
@@ -376,9 +440,7 @@ fn des_matches_reference_on_ten_seeds() {
                          (des {td}, ref {tr})"
                     );
                 }
-                (d, r) => panic!(
-                    "seed {seed}: sensor {i} death mismatch: des {d:?}, ref {r:?}"
-                ),
+                (d, r) => panic!("seed {seed}: sensor {i} death mismatch: des {d:?}, ref {r:?}"),
             }
         }
 

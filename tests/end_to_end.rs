@@ -41,7 +41,8 @@ fn energy_ordering_at_dense_point() {
         let net = deploy::uniform(150, Aabb::square(300.0), 2.0, seed);
         let cfg = PlannerConfig::paper_sim(30.0);
         let e = |a| {
-            planner::try_run(a, &net, &cfg).unwrap()
+            planner::try_run(a, &net, &cfg)
+                .unwrap()
                 .metrics(&cfg.energy)
                 .total_energy_j
         };
@@ -49,7 +50,10 @@ fn energy_ordering_at_dense_point() {
         bc_total += e(Algorithm::Bc);
         opt_total += e(Algorithm::BcOpt);
     }
-    assert!(opt_total <= bc_total + Joules(1e-6), "BC-OPT must not lose to BC");
+    assert!(
+        opt_total <= bc_total + Joules(1e-6),
+        "BC-OPT must not lose to BC"
+    );
     assert!(bc_total < sc_total * 0.75, "bundling should save >25% here");
 }
 

@@ -34,7 +34,10 @@ fn errors_box_and_cross_threads() {
     });
     let handle = std::thread::spawn(move || boxed.to_string());
     let msg = handle.join().expect("thread");
-    assert!(msg.contains("shed"), "display should mention shedding: {msg}");
+    assert!(
+        msg.contains("shed"),
+        "display should mention shedding: {msg}"
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! lifetime + self-checks.
 
 use bundle_charging::core::{
-    add_sensor, remove_sensor, split_into_sorties, tighten, planner, try_plan_fleet,
+    add_sensor, planner, remove_sensor, split_into_sorties, tighten, try_plan_fleet,
 };
 use bundle_charging::des::Scenario;
 use bundle_charging::prelude::*;
@@ -25,7 +25,10 @@ fn tighten_then_sortie_pipeline() {
     let floor = plan
         .stops
         .iter()
-        .map(|s| cfg.energy.total_energy(Meters(2.0 * net.base().distance(s.anchor())), s.dwell))
+        .map(|s| {
+            cfg.energy
+                .total_energy(Meters(2.0 * net.base().distance(s.anchor())), s.dwell)
+        })
         .fold(Joules(0.0), Joules::max);
     let budget = (single.total_energy_j / 2.0).max(floor * 1.05);
     let sp = split_into_sorties(&plan, net.base(), &cfg.energy, budget.0).unwrap();
@@ -62,8 +65,14 @@ fn replan_under_linear_law() {
     let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
 
-    let (net2, plan2) =
-        add_sensor(&net, &plan, bundle_charging::geom::Point::new(10.0, 10.0), 2.0, &cfg).unwrap();
+    let (net2, plan2) = add_sensor(
+        &net,
+        &plan,
+        bundle_charging::geom::Point::new(10.0, 10.0),
+        2.0,
+        &cfg,
+    )
+    .unwrap();
     plan2.validate(&net2, &cfg.charging).unwrap();
     let (net3, plan3) = remove_sensor(&net2, &plan2, 0, &cfg).unwrap();
     plan3.validate(&net3, &cfg.charging).unwrap();

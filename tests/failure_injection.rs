@@ -6,8 +6,7 @@ use bundle_charging::testbed::TestbedRig;
 
 fn assert_all_feasible(net: &Network, cfg: &PlannerConfig) {
     for algo in Algorithm::ALL {
-        let plan = planner::try_run(algo, net, cfg)
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let plan = planner::try_run(algo, net, cfg).unwrap_or_else(|e| panic!("{algo}: {e}"));
         plan.validate(net, &cfg.charging)
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
     }
@@ -71,15 +70,27 @@ fn zero_demand_sensors_need_no_dwell() {
 fn mixed_demands_respected() {
     // One sensor demands 10x the energy; the shared dwell must cover it.
     let mut sensors = vec![
-        Sensor::new(SensorId(0), bundle_charging::geom::Point::new(10.0, 10.0), 2.0),
-        Sensor::new(SensorId(1), bundle_charging::geom::Point::new(12.0, 10.0), 20.0),
+        Sensor::new(
+            SensorId(0),
+            bundle_charging::geom::Point::new(10.0, 10.0),
+            2.0,
+        ),
+        Sensor::new(
+            SensorId(1),
+            bundle_charging::geom::Point::new(12.0, 10.0),
+            20.0,
+        ),
     ];
     sensors.push(Sensor::new(
         SensorId(2),
         bundle_charging::geom::Point::new(11.0, 11.0),
         0.5,
     ));
-    let net = Network::new(sensors, Aabb::square(50.0), bundle_charging::geom::Point::ORIGIN);
+    let net = Network::new(
+        sensors,
+        Aabb::square(50.0),
+        bundle_charging::geom::Point::ORIGIN,
+    );
     let cfg = PlannerConfig::paper_sim(5.0);
     let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
@@ -142,7 +153,11 @@ fn execution_reports_are_byte_identical() {
         let exec = Executor::new(&net, &cfg).with_policy(policy);
         let a = exec.execute(&plan, &faults, 7).unwrap();
         let b = exec.execute(&plan, &faults, 7).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{policy} not deterministic");
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{policy} not deterministic"
+        );
     }
 }
 
@@ -195,7 +210,14 @@ fn clean_execution_matches_plan_metrics() {
             rep.total_energy_j,
             m.total_energy_j
         );
-        assert!(rep.extra_energy_j.abs() < Joules(1e-9), "{algo}: {}", rep.extra_energy_j);
-        assert!(rep.stranded.is_empty() && rep.fault_deaths.is_empty(), "{algo}");
+        assert!(
+            rep.extra_energy_j.abs() < Joules(1e-9),
+            "{algo}: {}",
+            rep.extra_energy_j
+        );
+        assert!(
+            rep.stranded.is_empty() && rep.fault_deaths.is_empty(),
+            "{algo}"
+        );
     }
 }

@@ -77,10 +77,7 @@ fn fig13_shape() {
 fn fig14_shape() {
     check_tables(
         &figures::fig14::tables(&quick()),
-        &[
-            ("fig14a_tour_and_time", 10),
-            ("fig14b_total_energy", 10),
-        ],
+        &[("fig14a_tour_and_time", 10), ("fig14b_total_energy", 10)],
     );
 }
 
@@ -88,10 +85,7 @@ fn fig14_shape() {
 fn fig16_shape() {
     check_tables(
         &figures::fig16::tables(&quick()),
-        &[
-            ("fig16a_testbed_energy", 6),
-            ("fig16b_testbed_tour", 6),
-        ],
+        &[("fig16a_testbed_energy", 6), ("fig16b_testbed_tour", 6)],
     );
 }
 

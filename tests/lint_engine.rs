@@ -27,7 +27,11 @@ fn workspace_is_clean_under_all_passes() {
         "workspace lint violations:\n{}",
         report.render_text()
     );
-    assert!(report.files_scanned > 100, "scan scope collapsed: {} files", report.files_scanned);
+    assert!(
+        report.files_scanned > 100,
+        "scan scope collapsed: {} files",
+        report.files_scanned
+    );
 }
 
 #[test]
@@ -50,8 +54,7 @@ fn every_workspace_crate_is_registered_with_the_lint_engine() {
     // And the check actually fires: an unregistered directory under
     // crates/ must produce a lint-table-drift diagnostic.
     let phantom = workspace_root().join("crates/not-a-registered-crate");
-    let diags =
-        bc_lint::manifest::check_registration_completeness(workspace_root(), &[phantom]);
+    let diags = bc_lint::manifest::check_registration_completeness(workspace_root(), &[phantom]);
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].rule, bc_lint::RuleId::LintTableDrift);
     assert!(diags[0].excerpt.contains("not-a-registered-crate"));
@@ -85,9 +88,16 @@ fn every_registered_crate_exists_on_disk() {
 
 #[test]
 fn json_report_is_byte_stable_and_validates() {
-    let a = bc_lint::run_workspace(workspace_root()).unwrap().render_json();
-    let b = bc_lint::run_workspace(workspace_root()).unwrap().render_json();
-    assert_eq!(a, b, "two runs over the same tree must render identical bytes");
+    let a = bc_lint::run_workspace(workspace_root())
+        .unwrap()
+        .render_json();
+    let b = bc_lint::run_workspace(workspace_root())
+        .unwrap()
+        .render_json();
+    assert_eq!(
+        a, b,
+        "two runs over the same tree must render identical bytes"
+    );
     bc_obs::json::validate_line(&a).unwrap_or_else(|e| panic!("report JSON invalid: {e}"));
     assert!(a.contains("\"schema\": \"bc-lint-report/v1\""));
 }
@@ -97,9 +107,8 @@ fn json_report_is_stable_under_findings_too() {
     // Byte-stability must hold for dirty reports as well as clean ones:
     // seed the same violations twice and compare renderings.
     let seeded = "fn f(n: usize) -> f64 {\n    let t0 = Instant::now();\n    n as f64\n}\n";
-    let scan = |_: usize| {
-        bc_lint::Report::new(1, bc_lint::scan_file("crates/core/src/x.rs", seeded))
-    };
+    let scan =
+        |_: usize| bc_lint::Report::new(1, bc_lint::scan_file("crates/core/src/x.rs", seeded));
     let a = scan(0);
     assert_eq!(a.diagnostics.len(), 2);
     assert_eq!(a.render_json(), scan(1).render_json());
@@ -132,5 +141,8 @@ fn regression_patterns_in_literals_and_comments_do_not_fire() {
                    s\n\
                }\n";
     let found = bc_lint::scan_file("crates/core/src/x.rs", src);
-    assert!(found.is_empty(), "literal/comment false positives: {found:?}");
+    assert!(
+        found.is_empty(),
+        "literal/comment false positives: {found:?}"
+    );
 }

@@ -16,9 +16,7 @@ fn arb_rect(range: f64) -> impl Strategy<Value = Polygon> {
         1.0..range / 2.0,
         1.0..range / 2.0,
     )
-        .prop_map(|(x, y, w, h)| {
-            Polygon::rectangle(Point::new(x, y), Point::new(x + w, y + h))
-        })
+        .prop_map(|(x, y, w, h)| Polygon::rectangle(Point::new(x, y), Point::new(x + w, y + h)))
 }
 
 proptest! {

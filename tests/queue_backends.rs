@@ -37,7 +37,9 @@ fn drive(backend: QueueBackend, seed: u64, n: usize, bursts: usize) -> Vec<(u64,
         q.schedule(Time::at(Seconds(t)), Event::Dispatch);
     }
     for _ in 0..bursts {
-        let burst = usize::try_from(lcg(&mut rng) % n as u64).unwrap_or(1).max(1);
+        let burst = usize::try_from(lcg(&mut rng) % n as u64)
+            .unwrap_or(1)
+            .max(1);
         for _ in 0..burst {
             let Some(s) = q.pop() else { break };
             pops.push((s.at.seconds().get().to_bits(), s.seq));
@@ -114,8 +116,15 @@ fn reinsert_earlier_than_cursor_pops_next_on_both_backends() {
             q.pop();
         }
         let seq = q.schedule(Time::at(Seconds(5.0)), Event::FaultDeath { sensor: 1 });
-        let next = q.pop().unwrap_or_else(|| panic!("{} empty", backend.label()));
-        assert_eq!(next.seq, seq, "{}: early reinsert must pop first", backend.label());
+        let next = q
+            .pop()
+            .unwrap_or_else(|| panic!("{} empty", backend.label()));
+        assert_eq!(
+            next.seq,
+            seq,
+            "{}: early reinsert must pop first",
+            backend.label()
+        );
         assert_eq!(next.at, Time::at(Seconds(5.0)));
     }
 }

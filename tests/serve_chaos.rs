@@ -78,6 +78,9 @@ fn fault_free_run_serves_every_request_at_full_fidelity() {
     let report = loadgen::run(&LoadProfile::smoke(3)).expect("profile is valid");
     assert!(report.invariants_hold(), "{report:?}");
     assert_eq!(report.ok_full, report.requests_sent);
-    assert_eq!(report.ok_degraded + report.shed + report.deadline + report.failed, 0);
+    assert_eq!(
+        report.ok_degraded + report.shed + report.deadline + report.failed,
+        0
+    );
     assert_eq!(report.stats.panics_caught, 0);
 }

@@ -122,9 +122,8 @@ fn sed_center_minimizes_worst_distance() {
         })
         .collect();
     let disk = sed::smallest_enclosing_disk(&pts);
-    let worst = |anchor: Point| -> f64 {
-        pts.iter().map(|p| p.distance(anchor)).fold(0.0, f64::max)
-    };
+    let worst =
+        |anchor: Point| -> f64 { pts.iter().map(|p| p.distance(anchor)).fold(0.0, f64::max) };
     let at_center = worst(disk.center);
     for gx in -20..=20 {
         for gy in -20..=20 {
@@ -159,11 +158,36 @@ fn theorem4_tangency_is_circle_optimum() {
 #[test]
 fn theorem5_bisector_at_optimum() {
     let cases = [
-        (Point::new(-50.0, 0.0), Point::new(60.0, 10.0), Point::new(0.0, 40.0), 8.0),
-        (Point::new(10.0, -30.0), Point::new(-40.0, 25.0), Point::new(30.0, 30.0), 15.0),
-        (Point::new(0.0, 0.0), Point::new(100.0, 0.0), Point::new(50.0, 80.0), 20.0),
-        (Point::new(-8.0, 0.0), Point::new(9.0, -1.0), Point::new(1.0, 6.0), 2.0),
-        (Point::new(-6.0, 0.0), Point::new(10.0, 2.0), Point::new(0.0, 8.0), 3.0),
+        (
+            Point::new(-50.0, 0.0),
+            Point::new(60.0, 10.0),
+            Point::new(0.0, 40.0),
+            8.0,
+        ),
+        (
+            Point::new(10.0, -30.0),
+            Point::new(-40.0, 25.0),
+            Point::new(30.0, 30.0),
+            15.0,
+        ),
+        (
+            Point::new(0.0, 0.0),
+            Point::new(100.0, 0.0),
+            Point::new(50.0, 80.0),
+            20.0,
+        ),
+        (
+            Point::new(-8.0, 0.0),
+            Point::new(9.0, -1.0),
+            Point::new(1.0, 6.0),
+            2.0,
+        ),
+        (
+            Point::new(-6.0, 0.0),
+            Point::new(10.0, 2.0),
+            Point::new(0.0, 8.0),
+            3.0,
+        ),
     ];
     for (f1, f2, c, r) in cases {
         let circle = Disk::new(c, r);
@@ -200,8 +224,10 @@ fn two_bundle_tradeoff_eq7_eq8() {
     let mut free = PlannerConfig::paper_sim(10.0);
     free.energy = bundle_charging::wpt::EnergyModel::new(0.0, free.energy.charge_draw().0);
     let opt_free = planner::try_run(Algorithm::BcOpt, &net, &free).unwrap();
-    assert!((opt_free.tour_length() - bc.tour_length()).abs() < Meters(1e-6),
-        "with E_m = 0 no relocation should happen");
+    assert!(
+        (opt_free.tour_length() - bc.tour_length()).abs() < Meters(1e-6),
+        "with E_m = 0 no relocation should happen"
+    );
 }
 
 /// Theorem 1's reduction premise: OBG instances really are set-cover
@@ -246,10 +272,26 @@ fn log_search_matches_dense_sweep_quality() {
         })
         .collect();
     cases.extend([
-        (Point::new(-10.0, 0.0), Point::new(10.0, 0.0), Disk::new(Point::new(0.0, 5.0), 2.0)),
-        (Point::new(0.0, 0.0), Point::new(7.0, 3.0), Disk::new(Point::new(2.0, 9.0), 1.5)),
-        (Point::new(-1.0, -1.0), Point::new(1.0, 1.0), Disk::new(Point::new(8.0, -4.0), 3.0)),
-        (Point::new(5.0, 5.0), Point::new(5.0, 5.0), Disk::new(Point::new(0.0, 0.0), 2.0)),
+        (
+            Point::new(-10.0, 0.0),
+            Point::new(10.0, 0.0),
+            Disk::new(Point::new(0.0, 5.0), 2.0),
+        ),
+        (
+            Point::new(0.0, 0.0),
+            Point::new(7.0, 3.0),
+            Disk::new(Point::new(2.0, 9.0), 1.5),
+        ),
+        (
+            Point::new(-1.0, -1.0),
+            Point::new(1.0, 1.0),
+            Disk::new(Point::new(8.0, -4.0), 3.0),
+        ),
+        (
+            Point::new(5.0, 5.0),
+            Point::new(5.0, 5.0),
+            Disk::new(Point::new(0.0, 0.0), 2.0),
+        ),
     ]);
     for (i, (f1, f2, circle)) in cases.into_iter().enumerate() {
         let fast = tangency::min_focal_sum_on_circle(f1, f2, &circle);

@@ -48,8 +48,12 @@ fn optimize_tour_with_workers(
             if s.bundle.is_empty() {
                 s.anchor()
             } else {
-                let pts: Vec<Point> =
-                    s.bundle.sensors.iter().map(|&i| net.sensor(i).pos).collect();
+                let pts: Vec<Point> = s
+                    .bundle
+                    .sensors
+                    .iter()
+                    .map(|&i| net.sensor(i).pos)
+                    .collect();
                 sed::smallest_enclosing_disk(&pts).center
             }
         })
