@@ -51,7 +51,7 @@ impl CandidateFamily {
     /// `O(Σ_i p_i * m)`, where `p_i` counts the candidates that share
     /// candidate `i`'s rarest member and `m` is the largest member count.
     /// Both grow only with the local density, thanks to the network's
-    /// spatial index, not with `n`.
+    /// point grid, not with `n`.
     ///
     /// # Panics
     ///

@@ -316,24 +316,20 @@ impl FaultSchedule {
             failed_attempts: vec![0; n_stops],
         }
     }
-
-    /// Total number of scheduled faults (deaths + degradations + stalls
-    /// + failed attempts).
-    pub fn fault_count(&self) -> usize {
-        self.deaths.iter().flatten().count()
-            + self.degraded.iter().flatten().count()
-            + self.stalls.iter().filter(|&&s| s > 1.0).count()
-            + self
-                .failed_attempts
-                .iter()
-                .map(|&k| k as usize) // cast-ok: retry count fits usize
-                .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total number of scheduled faults (deaths + degradations + stalls
+    /// + failed attempts).
+    fn fault_count(s: &FaultSchedule) -> usize {
+        s.deaths.iter().flatten().count()
+            + s.degraded.iter().flatten().count()
+            + s.stalls.iter().filter(|&&x| x > 1.0).count()
+            + s.failed_attempts.iter().map(|&k| k as usize).sum::<usize>()
+    }
 
     #[test]
     fn schedule_is_deterministic() {
@@ -356,24 +352,16 @@ mod tests {
         let fm = FaultModel::with_rate(9, 0.0);
         let s = fm.schedule(3, 40, 10);
         assert_eq!(s, FaultSchedule::clean(40, 10));
-        assert_eq!(s.fault_count(), 0);
+        assert_eq!(fault_count(&s), 0);
     }
 
     #[test]
     fn rates_scale_fault_counts() {
         let low: usize = (0..20)
-            .map(|r| {
-                FaultModel::with_rate(1, 0.05)
-                    .schedule(r, 100, 30)
-                    .fault_count()
-            })
+            .map(|r| fault_count(&FaultModel::with_rate(1, 0.05).schedule(r, 100, 30)))
             .sum();
         let high: usize = (0..20)
-            .map(|r| {
-                FaultModel::with_rate(1, 0.6)
-                    .schedule(r, 100, 30)
-                    .fault_count()
-            })
+            .map(|r| fault_count(&FaultModel::with_rate(1, 0.6).schedule(r, 100, 30)))
             .sum();
         assert!(high > 4 * low, "high rate {high} vs low rate {low}");
     }

@@ -99,18 +99,6 @@ impl Disk {
         self.center.distance_squared(p) <= (self.radius + EPS) * (self.radius + EPS)
     }
 
-    /// Whether `p` lies strictly inside the disk (boundary excluded, within
-    /// tolerance).
-    #[inline]
-    pub fn contains_strictly(&self, p: Point) -> bool {
-        self.center.distance_squared(p) < (self.radius - EPS) * (self.radius - EPS)
-    }
-
-    /// Whether every point of `other` lies inside `self` (with tolerance).
-    pub fn contains_disk(&self, other: &Disk) -> bool {
-        self.center.distance(other.center) + other.radius <= self.radius + EPS
-    }
-
     /// The (0, 1, or 2) intersection points of the two disks' boundary
     /// circles.
     ///
@@ -201,16 +189,6 @@ mod tests {
     fn containment_tolerance_on_boundary() {
         let d = Disk::new(Point::ORIGIN, 1.0);
         assert!(d.contains(Point::new(1.0, 0.0)));
-        assert!(!d.contains_strictly(Point::new(1.0, 0.0)));
-        assert!(d.contains_strictly(Point::new(0.5, 0.0)));
-    }
-
-    #[test]
-    fn disk_in_disk() {
-        let big = Disk::new(Point::ORIGIN, 2.0);
-        let small = Disk::new(Point::new(1.0, 0.0), 1.0);
-        assert!(big.contains_disk(&small));
-        assert!(!small.contains_disk(&big));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   paper) used by the BC-OPT tour optimizer
 //!   ([`tangency::min_focal_sum_on_circle`]);
 //! * axis-aligned boxes (deployment fields, grid partitioning) and
-//!   polygon obstacles with visibility-graph shortest paths around them.
+//!   polygon obstacles with visibility-graph shortest paths around them;
+//! * a uniform bucket grid ([`grid::PointGrid`]) for the radius queries of
+//!   bundle generation and the insertion search of tour improvement.
 //!
 //! # Example
 //!
@@ -27,6 +29,7 @@
 
 pub mod aabb;
 pub mod disk;
+pub mod grid;
 pub mod point;
 pub mod polygon;
 pub mod sed;

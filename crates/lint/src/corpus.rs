@@ -215,8 +215,15 @@ pub const CASES: &[Case] = &[
         expect: &[],
     },
     Case {
+        // The substrates fix the radius-query order every plan inherits.
+        name: "unordered-positive-substrate",
+        label: "crates/wsn/src/network.rs",
+        source: "use std::collections::HashMap;\n",
+        expect: &[(RuleId::UnorderedCollection, 1)],
+    },
+    Case {
         name: "unordered-negative-out-of-scope",
-        label: "crates/geom/src/x.rs",
+        label: "crates/sim/src/x.rs",
         source: "use std::collections::HashMap;\n",
         expect: &[],
     },

@@ -202,7 +202,8 @@ impl RuleId {
             RuleId::NakedLock => "all library code outside the raw-lock scope",
             RuleId::RawLockAcquire => "crates/serve except the sync module",
             RuleId::UnorderedCollection => {
-                "crates/core, crates/des, crates/serve, crates/campaign, crates/obs"
+                "crates/geom, crates/tsp, crates/wsn, crates/setcover, crates/core, \
+                 crates/des, crates/serve, crates/campaign, crates/obs"
             }
             RuleId::WallClock => "all library code except bc_obs::wall and binary targets",
             RuleId::ThreadSpawn => "all library code except bc_core::par and binary targets",
@@ -328,11 +329,17 @@ fn bin_target(label: &str) -> bool {
 }
 
 /// Whether `label` is plan-affecting for the unordered-collection rule.
-/// The profiler (`crates/obs`) is in scope because it renders
-/// byte-stable documents — hash-order iteration would break snapshot
-/// determinism.
+/// The substrates (`crates/geom`, `crates/tsp`, `crates/wsn`,
+/// `crates/setcover`) are in scope because they fix the radius-query,
+/// tour and cover order every plan inherits. The profiler
+/// (`crates/obs`) is in scope because it renders byte-stable documents —
+/// hash-order iteration would break snapshot determinism.
 fn det_collection_scope(label: &str) -> bool {
-    label.contains("crates/core/")
+    label.contains("crates/geom/")
+        || label.contains("crates/tsp/")
+        || label.contains("crates/wsn/")
+        || label.contains("crates/setcover/")
+        || label.contains("crates/core/")
         || label.contains("crates/des/")
         || label.contains("crates/serve/")
         || label.contains("crates/campaign/")

@@ -288,12 +288,6 @@ impl StatsSnapshot {
         self.spans.get(key).map_or(0.0, |s| s.total_s)
     }
 
-    /// How many times a plain event fired (0 when never seen).
-    #[must_use]
-    pub fn event_count(&self, key: &str) -> u64 {
-        self.events.get(key).copied().unwrap_or(0)
-    }
-
     /// Folds `other` into `self`, series by series: counters and event
     /// counts add, spans and histograms merge via their own `merge`.
     ///
@@ -722,7 +716,7 @@ mod tests {
         merged.merge(&r2.snapshot());
         assert_eq!(merged.counter("t.x"), 5);
         assert_eq!(merged.span_count("t.x"), 1);
-        assert_eq!(merged.event_count("t.x"), 2);
+        assert_eq!(merged.events["t.x"], 2);
         assert_eq!(merged.histograms["t.x"].count, 1);
         crate::json::validate_line(&merged.to_json()).unwrap();
     }

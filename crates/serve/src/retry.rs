@@ -1,11 +1,11 @@
 //! Bounded exponential backoff with seed-deterministic jitter.
 //!
-//! Backoff for attempt `k` is `base * 2^k`, capped at `max`, then
-//! scaled by a jitter factor in `[0.5, 1.0)` drawn as a pure function
-//! of `(seed, request, attempt)` — the same splitmix generator the
-//! fault model uses, on a disjoint stream. Two runs with the same seed
-//! therefore sleep the same amounts, which keeps chaos-harness latency
-//! envelopes reproducible.
+//! The backoff before 1-based retry `k` is `base_backoff * 2^(k-1)`,
+//! capped at `max_backoff`, then scaled by a jitter factor in
+//! `[0.5, 1.0)` drawn as a pure function of `(seed, request, attempt)`
+//! — the same splitmix generator the fault model uses, on a disjoint
+//! stream. Two runs with the same seed therefore sleep the same
+//! amounts, which keeps chaos-harness latency envelopes reproducible.
 
 use std::time::Duration;
 

@@ -495,12 +495,13 @@ fn rung_budget(deadline: Option<Instant>, is_final: bool) -> StageBudget {
 
 /// Walks the ladder under the deadline. `budget_for(rung, is_final)`
 /// yields each rung's budget, so tests can substitute deterministic
-/// check-count budgets for wall-clock ones.
-pub(crate) fn run_ladder(
+/// check-count budgets for wall-clock ones. The result counts one
+/// attempt; the retry loop sets the true count.
+fn run_ladder(
     entry: &NetEntry,
     requested: Algorithm,
     budget_for: &mut dyn FnMut(usize, bool) -> StageBudget,
-) -> Result<FlightLadder, ServeError> {
+) -> Result<FlightResult, ServeError> {
     let rungs = ladder(requested);
     let mut stages_run = 0usize;
     for (i, &algo) in rungs.iter().enumerate() {
@@ -535,30 +536,20 @@ pub(crate) fn run_ladder(
                     ],
                 );
             }
-            return Ok(FlightLadder {
+            return Ok(FlightResult {
+                requested,
                 achieved: algo,
                 degrade_level: level,
                 tighten_cut: !out.completed,
                 plan: staged.plan,
                 stages_run,
+                attempts: 1,
                 generation: entry.generation(),
                 revision,
             });
         }
     }
     Err(ServeError::DeadlineExceeded { stages_run })
-}
-
-/// What one successful ladder walk yields.
-#[derive(Debug)]
-pub(crate) struct FlightLadder {
-    pub(crate) achieved: Algorithm,
-    pub(crate) degrade_level: u8,
-    pub(crate) tighten_cut: bool,
-    pub(crate) plan: ChargingPlan,
-    pub(crate) stages_run: usize,
-    pub(crate) generation: u64,
-    pub(crate) revision: u64,
 }
 
 fn worker_loop(shared: &Shared) {
@@ -746,17 +737,10 @@ fn attempt_with_retries(
                 })
             }));
             match caught {
-                Ok(Ok(ladder_out)) => {
+                Ok(Ok(fr)) => {
                     return Ok(FlightResult {
-                        requested: job.req.algo,
-                        achieved: ladder_out.achieved,
-                        degrade_level: ladder_out.degrade_level,
-                        tighten_cut: ladder_out.tighten_cut,
-                        plan: ladder_out.plan,
-                        stages_run: ladder_out.stages_run,
                         attempts: attempt + 1,
-                        generation: ladder_out.generation,
-                        revision: ladder_out.revision,
+                        ..fr
                     });
                 }
                 // Deadline, planner, and contract errors are final: no

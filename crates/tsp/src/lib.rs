@@ -36,7 +36,6 @@
 
 pub mod construct;
 pub mod exact;
-mod grid;
 pub mod improve;
 pub mod matrix;
 pub mod tour;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bc_units::{Joules, JoulesPerMeter, Meters, MetersPerSecond, Seconds, Watts};
+use bc_units::{Joules, JoulesPerMeter, Meters, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
 use crate::params;
@@ -59,16 +59,6 @@ impl EnergyModel {
         EnergyModel::new(params::SIM_MOVE_COST_J_PER_M.0, params::SIM_CHARGE_DRAW_W.0)
     }
 
-    /// The paper's literal accounting, charging only the 0.9 J/min
-    /// overhead per dwell second. Exposed so the substitution documented
-    /// in DESIGN.md §4 can be compared against the literal reading.
-    pub fn paper_literal() -> Self {
-        EnergyModel::new(
-            params::SIM_MOVE_COST_J_PER_M.0,
-            params::SIM_CHARGING_OVERHEAD_W.0,
-        )
-    }
-
     /// The testbed accounting of Section VII.
     pub fn paper_testbed() -> Self {
         EnergyModel::new(
@@ -121,17 +111,6 @@ impl EnergyModel {
     pub fn total_energy(&self, length: Meters, dwell: Seconds) -> Joules {
         self.movement_energy(length) + self.charging_energy(dwell)
     }
-
-    /// Metres of driving whose energy equals one second of charging —
-    /// the exchange rate BC-OPT uses when trading tour length against
-    /// dwell time. (Dimensionally `W / (J/m) = m/s`.)
-    pub fn metres_per_charge_second(&self) -> MetersPerSecond {
-        if self.move_cost.0 == 0.0 {
-            MetersPerSecond(f64::INFINITY)
-        } else {
-            MetersPerSecond(self.charge_draw.0 / self.move_cost.0)
-        }
-    }
 }
 
 impl fmt::Display for EnergyModel {
@@ -161,25 +140,6 @@ mod tests {
         assert_eq!(e.movement_energy(Meters(10.0)), Joules(20.0));
         assert_eq!(e.charging_energy(Seconds(3.0)), Joules(12.0));
         assert_eq!(e.total_energy(Meters(10.0), Seconds(3.0)), Joules(32.0));
-    }
-
-    #[test]
-    fn literal_accounting_is_cheaper_per_second() {
-        let lit = EnergyModel::paper_literal();
-        let sim = EnergyModel::paper_sim();
-        assert!(lit.charge_draw() < sim.charge_draw());
-        assert_eq!(lit.move_cost(), sim.move_cost());
-    }
-
-    #[test]
-    fn exchange_rate() {
-        let e = EnergyModel::new(2.0, 4.0);
-        assert_eq!(e.metres_per_charge_second(), MetersPerSecond(2.0));
-        let free_move = EnergyModel::new(0.0, 4.0);
-        assert_eq!(
-            free_move.metres_per_charge_second(),
-            MetersPerSecond(f64::INFINITY)
-        );
     }
 
     #[test]

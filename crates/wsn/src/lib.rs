@@ -1,8 +1,9 @@
 //! Wireless sensor network substrate.
 //!
 //! Provides the deployment side of the system: [`Sensor`]s with positions
-//! and energy demands, the [`Network`] container with its spatial index
-//! for radius queries (used heavily by the bundle candidate generator),
+//! and energy demands, the [`Network`] container with its radius queries
+//! over a `bc_geom` point grid (used heavily by the bundle candidate
+//! generator),
 //! and seeded [`deploy`]ment generators matching the paper's evaluation
 //! setups (uniform random fields, Gaussian clusters for the "dense
 //! jungle" motivation, perturbed grids, and explicit coordinate lists for
@@ -26,8 +27,6 @@ pub mod deploy;
 pub mod io;
 pub mod network;
 pub mod sensor;
-pub mod spatial;
 
 pub use network::Network;
 pub use sensor::{Sensor, SensorId};
-pub use spatial::GridIndex;

@@ -13,11 +13,11 @@
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
 //! | [`units`] | `bc-units` | zero-cost dimensional newtypes ([`units::Joules`], [`units::Meters`], …) used across all public APIs |
-//! | [`geom`] | `bc-geom` | points, disks, smallest enclosing disk (MinDisk), ellipse–circle tangency (Theorems 4–5) |
+//! | [`geom`] | `bc-geom` | points, disks, smallest enclosing disk (MinDisk), ellipse–circle tangency (Theorems 4–5), a point grid for radius queries |
 //! | [`tsp`] | `bc-tsp` | tour construction, 2-opt / Or-opt, Held–Karp |
 //! | [`setcover`] | `bc-setcover` | greedy (`ln n + 1`) and exact set cover |
 //! | [`wpt`] | `bc-wpt` | the quadratic charging model (Eq. 1) and charger energy accounting |
-//! | [`wsn`] | `bc-wsn` | sensors, deployments, spatial index |
+//! | [`wsn`] | `bc-wsn` | sensors, deployments, radius queries |
 //! | [`obs`] | `bc-obs` | structured tracing & metrics: recorder trait, stats/JSONL sinks, zero-cost disabled path |
 //! | [`core`] | `bc-core` | bundle generation (OBG) and the SC / CSS / BC / BC-OPT planners (BTO) |
 //! | [`des`] | `bc-des` | deterministic discrete-event simulation engine: pluggable event-queue backends, SoA battery state, logical clock, multi-charger fleets, threshold-triggered replanning |

@@ -198,3 +198,68 @@ fn three_charger_golden_run_is_pinned() {
         ]
     );
 }
+
+/// `seed fleet policy | rounds fault_deaths replans | FNV-1a of the
+/// report's Debug text` for faulty multi-charger fleets: n = 40 in a
+/// 200 m field, BC at r = 25 m, a 12 h horizon, hardware faults at rate
+/// 0.3 under `SkipAndContinue`. A faulty fleet removes dead sensors
+/// before it replans, so these runs exercise the replans that move the
+/// network revision, which no clean golden reaches.
+const FAULTY_FLEET_GOLDEN: [&str; 18] = [
+    "1 2 nearest-idle | 8 8 10 | 7ea84add24a10e2d",
+    "1 2 round-robin | 7 7 8 | 1766683a8cc0a452",
+    "1 2 bundle-partition | 8 7 8 | 90319b81983069f7",
+    "1 3 nearest-idle | 8 8 10 | 44b59038caa4e405",
+    "1 3 round-robin | 8 8 9 | e6d7afcc71b3293a",
+    "1 3 bundle-partition | 8 7 9 | 7eacdd1d026d9685",
+    "2 2 nearest-idle | 8 7 7 | 1de4845d025a0038",
+    "2 2 round-robin | 7 7 6 | d0debe8b77b06a7a",
+    "2 2 bundle-partition | 8 7 7 | d84b11b50bf49dcb",
+    "2 3 nearest-idle | 8 7 7 | 96ef0df90a2a09a7",
+    "2 3 round-robin | 8 8 8 | 8aff7bb1b9f7e85b",
+    "2 3 bundle-partition | 8 7 7 | c23d95c724ffb611",
+    "3 2 nearest-idle | 7 7 6 | bd7e9b8638c20bba",
+    "3 2 round-robin | 8 8 7 | 9148302e8440cc4f",
+    "3 2 bundle-partition | 7 7 6 | d156a738166d799e",
+    "3 3 nearest-idle | 7 7 6 | 4f3f33a41bef6a8d",
+    "3 3 round-robin | 8 8 7 | b69fb19e18197866",
+    "3 3 bundle-partition | 8 8 7 | 69adf95a4fb31b25",
+];
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn faulty_fleet_reports_are_pinned() {
+    let mut got = Vec::new();
+    for seed in 1..=3u64 {
+        for fleet in [2usize, 3] {
+            for pick in 0..3 {
+                let net = deploy::uniform(40, Aabb::square(200.0), 2.0, seed);
+                let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Bc)
+                    .with_fleet(fleet, policy(pick))
+                    .with_faults(
+                        FaultModel::with_rate(seed, 0.3),
+                        RecoveryPolicy::SkipAndContinue,
+                    );
+                sc.horizon_s = Seconds(12.0 * 3600.0);
+                let rep = run(&sc).expect("faulty fleet run");
+                rep.check_fleet_ledger()
+                    .expect("ledgers sum to the fleet total");
+                got.push(format!(
+                    "{seed} {fleet} {} | {} {} {} | {:016x}",
+                    policy(pick).label(),
+                    rep.rounds,
+                    rep.fault_deaths,
+                    rep.replans,
+                    fnv1a(format!("{rep:?}").as_bytes())
+                ));
+            }
+        }
+    }
+    assert_eq!(got, FAULTY_FLEET_GOLDEN, "got:\n{}", got.join("\n"));
+}
