@@ -88,6 +88,9 @@ pub fn remove_sensor(
 /// the bundle radius at the least extra energy, or becomes a new
 /// singleton stop spliced into the tour at the cheapest position.
 ///
+/// A `pos` far outside the field can leave the new network's radius
+/// queries scanning every sensor (see [`Network::within_radius`]).
+///
 /// # Errors
 ///
 /// Returns [`PlanError::InvalidDemand`] if `demand` is negative or not

@@ -174,29 +174,6 @@ impl Polygon {
         // outside (up to boundary contact); test the midpoint.
         self.contains(s.midpoint())
     }
-
-    /// Grows the polygon outward by `margin` from its centroid — a cheap
-    /// inflation for clearance margins around convex obstacles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `margin` is negative or the polygon's centroid is
-    /// undefined.
-    pub fn inflated(&self, margin: f64) -> Polygon {
-        assert!(margin >= 0.0, "margin must be non-negative");
-        let Some(c) = Point::centroid(self.vertices.iter().copied()) else {
-            panic!("inflated: polygon has no vertices");
-        };
-        let vertices = self
-            .vertices
-            .iter()
-            .map(|&v| {
-                let dir = (v - c).normalized().unwrap_or(Point::new(1.0, 0.0));
-                v + dir * margin
-            })
-            .collect();
-        Polygon { vertices }
-    }
 }
 
 impl fmt::Display for Polygon {
@@ -302,16 +279,6 @@ mod tests {
         // Parallel disjoint.
         let d = Segment::new(Point::new(0.0, 1.0), Point::new(2.0, 3.0));
         assert!(!segments_cross_properly(a, d));
-    }
-
-    #[test]
-    fn inflation_grows_outward() {
-        let sq = unit_square();
-        let big = sq.inflated(0.5);
-        assert!(big.signed_area() > sq.signed_area());
-        // Original vertices are inside... actually on a ray; containment
-        // of the original centroid certainly holds.
-        assert!(big.contains(Point::new(0.5, 0.5)));
     }
 
     #[test]

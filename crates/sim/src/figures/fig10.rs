@@ -99,15 +99,6 @@ pub fn save_figures(
     Ok(paths)
 }
 
-/// The way-points of a plan's closed tour, for external plotting
-/// (returned as `(x, y)` pairs in visit order).
-pub fn tour_waypoints(plan: &ChargingPlan) -> Vec<(f64, f64)> {
-    plan.stops
-        .iter()
-        .map(|s| (s.anchor().x, s.anchor().y))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,14 +123,5 @@ mod tests {
         for i in 0..bc.len() {
             assert!(opt[i] <= bc[i] + 1e-6);
         }
-    }
-
-    #[test]
-    fn waypoints_match_stop_count() {
-        let exp = ExpConfig::quick();
-        let net = showcase_network(&exp);
-        let cfg = PlannerConfig::paper_sim(25.0);
-        let plan = bc_core::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
-        assert_eq!(tour_waypoints(&plan).len(), plan.stops.len());
     }
 }
