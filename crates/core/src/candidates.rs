@@ -228,11 +228,11 @@ fn retain_flagged(candidates: &mut Vec<Candidate>, keep: &[bool]) {
 mod tests {
     use super::*;
     use bc_geom::{sed, Aabb};
-    use bc_setcover::BitSet;
     use bc_wsn::deploy;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn coverage_union(fam: &CandidateFamily, n: usize) -> usize {
         let mut covered = vec![false; n];
@@ -246,20 +246,19 @@ mod tests {
 
     /// The all-pairs domination check that the posting-list pruning
     /// replaced, kept as its oracle: candidate `i` goes when some other
-    /// candidate's member bitset is a superset with more members, or as
+    /// candidate's member set is a superset with more members, or as
     /// many and a lower index.
-    fn prune_all_pairs(fam: &CandidateFamily, n: usize) -> Vec<Candidate> {
-        let sets: Vec<BitSet> = fam
+    fn prune_all_pairs(fam: &CandidateFamily) -> Vec<Candidate> {
+        let sets: Vec<BTreeSet<usize>> = fam
             .candidates
             .iter()
-            .map(|c| BitSet::from_indices(n, &c.members))
+            .map(|c| c.members.iter().copied().collect())
             .collect();
-        let counts: Vec<usize> = sets.iter().map(BitSet::count).collect();
         let dominated = |i: usize| {
             (0..sets.len()).any(|j| {
                 i != j
-                    && (counts[i] < counts[j] || (counts[i] == counts[j] && i > j))
-                    && sets[i].is_subset_of(&sets[j])
+                    && (sets[i].len() < sets[j].len() || (sets[i].len() == sets[j].len() && i > j))
+                    && sets[i].is_subset(&sets[j])
             })
         };
         fam.candidates
@@ -444,7 +443,7 @@ mod tests {
                         workers,
                     );
                     assert_members_invariant(&raw);
-                    let want = prune_all_pairs(&raw, net.len());
+                    let want = prune_all_pairs(&raw);
                     let mut got = raw.clone();
                     got.prune_dominated_par(workers);
                     assert_eq!(
@@ -517,11 +516,7 @@ mod tests {
                 for workers in [1usize, 3] {
                     let mut got = fam.clone();
                     got.prune_dominated_par(workers);
-                    assert_eq!(
-                        got.candidates,
-                        prune_all_pairs(&fam, universe),
-                        "case {case}"
-                    );
+                    assert_eq!(got.candidates, prune_all_pairs(&fam), "case {case}");
                 }
             }
         }

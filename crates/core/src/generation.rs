@@ -12,7 +12,7 @@
 //!   bound over the pair-intersection candidate family; falls back to
 //!   greedy if the search exceeds its node budget.
 
-use bc_setcover::{exact_cover, greedy_cover, BitSet, Instance};
+use bc_setcover::{exact_cover, greedy_cover};
 use bc_units::Meters;
 use bc_wsn::Network;
 
@@ -66,11 +66,6 @@ pub fn generate_bundles(net: &Network, r: Meters, strategy: BundleStrategy) -> V
     }
 }
 
-enum CoverKind {
-    Greedy,
-    Exact,
-}
-
 /// Runs set cover over a (possibly shared) candidate family and
 /// materialises the selected candidates as disjoint bundles. The staged
 /// pipeline's Cover stage calls this with the family cached on a
@@ -80,36 +75,24 @@ pub(crate) fn cover_bundles(
     family: &CandidateFamily,
     exact: bool,
 ) -> Vec<ChargingBundle> {
-    let kind = if exact {
-        CoverKind::Exact
-    } else {
-        CoverKind::Greedy
-    };
-    from_cover(net, family, kind)
-}
-
-/// Runs set cover over a candidate family and materialises the selected
-/// candidates as disjoint bundles.
-fn from_cover(net: &Network, family: &CandidateFamily, kind: CoverKind) -> Vec<ChargingBundle> {
     let n = net.len();
-    let sets: Vec<BitSet> = family
+    let sets: Vec<&[usize]> = family
         .candidates
         .iter()
-        .map(|c| BitSet::from_indices(n, &c.members))
+        .map(|c| c.members.as_slice())
         .collect();
+    let selected = if exact {
+        exact_cover(n, &sets, Some(5_000_000)).or_else(|| greedy_cover(n, &sets))
+    } else {
+        greedy_cover(n, &sets)
+    };
     // Candidate families always cover the network (each sensor is its own
     // anchor); if that invariant were ever broken, fall back to singleton
     // bundles rather than panic — the output must still cover everyone.
-    let Ok(inst) = Instance::new(n, sets) else {
+    let Some(selected) = selected else {
         return (0..n)
             .map(|i| ChargingBundle::from_members(vec![i], net))
             .collect();
-    };
-    let selected = match kind {
-        CoverKind::Greedy => greedy_cover(&inst),
-        CoverKind::Exact => {
-            exact_cover(&inst, Some(5_000_000)).unwrap_or_else(|| greedy_cover(&inst))
-        }
     };
     materialise(net, family, &selected)
 }
@@ -167,83 +150,12 @@ pub(crate) fn grid_bundles(net: &Network, r: Meters) -> Vec<ChargingBundle> {
         .collect()
 }
 
-/// A lower bound on the number of radius-`r` bundles any cover needs:
-/// the size of a greedy packing of sensors pairwise more than `2r`
-/// apart. Two such sensors can never share a disk of radius `r`, so
-/// every cover uses at least one bundle per packed sensor.
-///
-/// Used to certify the exact generator's optimality in tests and to
-/// bound the greedy generator's gap without running the exact search.
-pub fn packing_lower_bound(net: &Network, r: Meters) -> usize {
-    assert!(
-        r.is_finite() && r > Meters(0.0),
-        "bundle radius must be positive"
-    );
-    let mut excluded = vec![false; net.len()];
-    let mut count = 0usize;
-    for i in 0..net.len() {
-        if excluded[i] {
-            continue;
-        }
-        count += 1;
-        for j in net.within_radius(net.sensor(i).pos, 2.0 * r.0) {
-            excluded[j] = true;
-        }
-    }
-    count
-}
-
-/// Checks that a bundle family is a partition of the network's sensors
-/// with every bundle radius at most `r`. Used by tests and debug
-/// assertions.
-pub fn is_valid_partition(bundles: &[ChargingBundle], net: &Network, r: Meters) -> bool {
-    let mut seen = vec![false; net.len()];
-    for b in bundles {
-        if b.is_empty() || b.enclosing_radius > r + Meters(1e-6) {
-            return false;
-        }
-        for &s in &b.sensors {
-            if s >= net.len() || seen[s] {
-                return false;
-            }
-            seen[s] = true;
-        }
-    }
-    seen.iter().all(|&s| s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bc_geom::Aabb;
     use bc_units::Meters;
     use bc_wsn::deploy;
-
-    #[test]
-    fn greedy_produces_valid_partition() {
-        let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
-        let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Greedy);
-        assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
-    }
-
-    #[test]
-    fn grid_produces_valid_partition() {
-        let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
-        let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Grid);
-        assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
-    }
-
-    #[test]
-    fn optimal_produces_valid_partition_and_fewest_bundles() {
-        let net = deploy::uniform(25, Aabb::square(200.0), 2.0, 4);
-        let r = Meters(40.0);
-        let greedy = generate_bundles(&net, r, BundleStrategy::Greedy);
-        let grid = generate_bundles(&net, r, BundleStrategy::Grid);
-        let optimal = generate_bundles(&net, r, BundleStrategy::Optimal);
-        assert!(is_valid_partition(&optimal, &net, r));
-        assert!(optimal.len() <= greedy.len());
-        assert!(optimal.len() <= grid.len());
-    }
 
     #[test]
     fn greedy_within_ln_n_of_optimal() {
@@ -291,47 +203,5 @@ mod tests {
         ] {
             assert!(generate_bundles(&net, Meters(5.0), s).is_empty());
         }
-    }
-
-    #[test]
-    fn packing_bound_sandwiches_the_optimum() {
-        for seed in [1u64, 5, 9] {
-            let net = deploy::uniform(25, Aabb::square(250.0), 2.0, seed);
-            for r in [Meters(20.0), Meters(40.0), Meters(80.0)] {
-                let lb = packing_lower_bound(&net, r);
-                let optimal = generate_bundles(&net, r, BundleStrategy::Optimal).len();
-                let greedy = generate_bundles(&net, r, BundleStrategy::Greedy).len();
-                assert!(lb <= optimal, "seed {seed} r {r}: lb {lb} > opt {optimal}");
-                assert!(optimal <= greedy);
-            }
-        }
-    }
-
-    #[test]
-    fn packing_bound_tight_for_far_apart_sensors() {
-        // Sensors > 2r apart: the packing bound equals n, and so does
-        // every cover.
-        let net = deploy::from_coords(
-            &[(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0)],
-            Aabb::square(100.0),
-            2.0,
-        );
-        assert_eq!(packing_lower_bound(&net, Meters(10.0)), 4);
-        assert_eq!(
-            generate_bundles(&net, Meters(10.0), BundleStrategy::Greedy).len(),
-            4
-        );
-    }
-
-    #[test]
-    fn grid_cells_respect_radius_even_at_boundaries() {
-        // Sensors on the exact corners of grid cells.
-        let net = deploy::from_coords(
-            &[(0.0, 0.0), (14.1, 14.1), (14.2, 14.2), (28.3, 0.1)],
-            Aabb::square(100.0),
-            2.0,
-        );
-        let bundles = generate_bundles(&net, Meters(10.0), BundleStrategy::Grid);
-        assert!(is_valid_partition(&bundles, &net, Meters(10.0)));
     }
 }

@@ -154,9 +154,8 @@ fn escape_into(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 // cast-ok: char to code point, lossless
-            => {
-                let _ = write!(out, "\\u{:04x}", c as u32); // cast-ok: char to code point
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
             c => out.push(c),
         }

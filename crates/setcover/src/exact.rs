@@ -7,152 +7,154 @@
 //! bound explores the same space implicitly and solves the paper-scale
 //! instances in milliseconds.
 
-use crate::{greedy_cover, BitSet, Instance};
+use std::cmp::Reverse;
 
-/// Exact minimum set cover via branch and bound.
+use crate::greedy::{greedy_cover, holders};
+
+/// Exact minimum set cover of `0..universe` via branch and bound.
 ///
 /// Branches on the lowest-index uncovered element (every cover must pick
 /// one of the sets containing it), prunes with the density lower bound
 /// `ceil(uncovered / max_set_size)` and seeds the incumbent with the
-/// greedy cover.
+/// greedy cover. Each set lists distinct elements.
 ///
 /// `node_budget` caps the number of explored search nodes; when the budget
 /// is exhausted the function returns `None` (the caller can fall back to
 /// greedy). Passing `None` uses a generous default budget.
 ///
-/// The returned selection is a true optimal cover (minimum cardinality).
-pub fn exact_cover(inst: &Instance, node_budget: Option<u64>) -> Option<Vec<usize>> {
-    if inst.universe() == 0 {
+/// The returned selection is a true optimal cover (minimum cardinality),
+/// or `None` when some element is in no set.
+///
+/// # Panics
+///
+/// Panics if a set names an element outside the universe.
+pub fn exact_cover(
+    universe: usize,
+    sets: &[&[usize]],
+    node_budget: Option<u64>,
+) -> Option<Vec<usize>> {
+    if universe == 0 {
         return Some(Vec::new());
     }
-    let budget = node_budget.unwrap_or(50_000_000);
+    let holders = holders(universe, sets)?;
+    let mut search = Search {
+        sets,
+        holders: &holders,
+        // Positive: some set holds element 0.
+        max_size: sets.iter().map(|s| s.len()).max().unwrap_or(1),
+        hold: vec![0; universe],
+        remaining: universe,
+        chosen: Vec::new(),
+        best: greedy_cover(universe, sets)?,
+        nodes: 0,
+        budget: node_budget.unwrap_or(50_000_000),
+        aborted: false,
+    };
+    search.dfs(0);
+    (!search.aborted).then_some(search.best)
+}
 
-    // Pre-compute, per element, the sets containing it.
-    let mut containing: Vec<Vec<usize>> = vec![Vec::new(); inst.universe()];
-    for (i, s) in inst.sets().iter().enumerate() {
-        for e in s.iter() {
-            containing[e].push(i);
-        }
-    }
-    // Largest set size for the density bound.
-    let max_size = inst.sets().iter().map(BitSet::count).max().unwrap_or(0);
-    if max_size == 0 {
-        return None; // validated instances with non-empty universe never hit this
-    }
+struct Search<'a> {
+    sets: &'a [&'a [usize]],
+    holders: &'a [Vec<usize>],
+    max_size: usize,
+    /// Per element, how many chosen sets hold it; 0 means uncovered.
+    hold: Vec<usize>,
+    remaining: usize,
+    chosen: Vec<usize>,
+    best: Vec<usize>,
+    nodes: u64,
+    budget: u64,
+    aborted: bool,
+}
 
-    let incumbent = greedy_cover(inst);
-    let mut best_len = incumbent.len();
-    let mut best = incumbent;
-
-    struct Ctx<'a> {
-        inst: &'a Instance,
-        containing: &'a [Vec<usize>],
-        max_size: usize,
-        best_len: usize,
-        best: Vec<usize>,
-        nodes: u64,
-        budget: u64,
-        aborted: bool,
-    }
-
-    fn dfs(ctx: &mut Ctx<'_>, uncovered: &BitSet, chosen: &mut Vec<usize>) {
-        if ctx.aborted {
+impl Search<'_> {
+    /// Explores the subtree below `chosen`; every element below `from`
+    /// is covered.
+    fn dfs(&mut self, from: usize) {
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            self.aborted = true;
             return;
         }
-        ctx.nodes += 1;
-        if ctx.nodes > ctx.budget {
-            ctx.aborted = true;
-            return;
-        }
-        let remaining = uncovered.count();
-        if remaining == 0 {
-            if chosen.len() < ctx.best_len {
-                ctx.best_len = chosen.len();
-                ctx.best = chosen.clone();
+        if self.remaining == 0 {
+            if self.chosen.len() < self.best.len() {
+                self.best = self.chosen.clone();
             }
             return;
         }
         // Density lower bound.
-        let lb = chosen.len() + remaining.div_ceil(ctx.max_size);
-        if lb >= ctx.best_len {
+        if self.chosen.len() + self.remaining.div_ceil(self.max_size) >= self.best.len() {
             return;
         }
         // Branch on the first uncovered element; order candidate sets by
-        // decreasing marginal gain so good covers are found early.
-        let Some(e) = uncovered.first() else {
+        // decreasing marginal gain (stable, so ties keep index order) so
+        // good covers are found early.
+        let Some(e) = (from..self.hold.len()).find(|&e| self.hold[e] == 0) else {
             // `remaining > 0` guarantees an uncovered element exists.
             return;
         };
-        let mut candidates: Vec<(usize, usize)> = ctx.containing[e]
-            .iter()
-            .map(|&i| (ctx.inst.sets()[i].intersection_count(uncovered), i))
-            .collect();
-        candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-        for (_, i) in candidates {
-            let mut next = uncovered.clone();
-            next.subtract(&ctx.inst.sets()[i]);
-            chosen.push(i);
-            dfs(ctx, &next, chosen);
-            chosen.pop();
-            if ctx.aborted {
+        let mut branches: Vec<(usize, usize)> =
+            self.holders[e].iter().map(|&i| (self.gain(i), i)).collect();
+        branches.sort_by_key(|b| Reverse(b.0));
+        for (_, i) in branches {
+            self.take(i);
+            self.chosen.push(i);
+            self.dfs(e + 1);
+            self.chosen.pop();
+            self.release(i);
+            if self.aborted {
                 return;
             }
         }
     }
 
-    let mut ctx = Ctx {
-        inst,
-        containing: &containing,
-        max_size,
-        best_len,
-        best: Vec::new(),
-        nodes: 0,
-        budget,
-        aborted: false,
-    };
-    std::mem::swap(&mut ctx.best, &mut best);
-    let mut chosen = Vec::new();
-    dfs(&mut ctx, &BitSet::full(inst.universe()), &mut chosen);
-    if ctx.aborted {
-        return None;
+    /// Number of still-uncovered elements in set `i`.
+    fn gain(&self, i: usize) -> usize {
+        self.sets[i].iter().filter(|&&e| self.hold[e] == 0).count()
     }
-    best_len = ctx.best_len;
-    debug_assert_eq!(ctx.best.len(), best_len);
-    debug_assert!(inst.is_cover(&ctx.best));
-    Some(ctx.best)
+
+    /// Counts set `i`'s elements as held once more.
+    fn take(&mut self, i: usize) {
+        for &e in self.sets[i] {
+            self.hold[e] += 1;
+            if self.hold[e] == 1 {
+                self.remaining -= 1;
+            }
+        }
+    }
+
+    /// Undoes [`Search::take`] of set `i`.
+    fn release(&mut self, i: usize) {
+        for &e in self.sets[i] {
+            self.hold[e] -= 1;
+            if self.hold[e] == 0 {
+                self.remaining += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn inst(universe: usize, families: &[&[usize]]) -> Instance {
-        Instance::new(
-            universe,
-            families
-                .iter()
-                .map(|f| BitSet::from_indices(universe, f))
-                .collect(),
-        )
-        .unwrap()
-    }
+    use crate::is_cover;
 
     #[test]
     fn beats_greedy_on_adversarial_instance() {
         // Greedy picks the big middle set and then needs 2 more; optimum
         // is the two disjoint halves.
-        let i = inst(6, &[&[1, 2, 3, 4], &[0, 1, 2], &[3, 4, 5]]);
-        let greedy = greedy_cover(&i);
-        let exact = exact_cover(&i, None).unwrap();
+        let sets: [&[usize]; 3] = [&[1, 2, 3, 4], &[0, 1, 2], &[3, 4, 5]];
+        let greedy = greedy_cover(6, &sets).unwrap();
+        let exact = exact_cover(6, &sets, None).unwrap();
         assert_eq!(exact.len(), 2);
         assert!(exact.len() <= greedy.len());
-        assert!(i.is_cover(&exact));
+        assert!(is_cover(6, &sets, &exact));
     }
 
     #[test]
     fn exact_on_singleton_family() {
-        let i = inst(3, &[&[0, 1, 2]]);
-        assert_eq!(exact_cover(&i, None).unwrap(), vec![0]);
+        assert_eq!(exact_cover(3, &[&[0, 1, 2]], None).unwrap(), vec![0]);
     }
 
     #[test]
@@ -179,35 +181,28 @@ mod tests {
             }
             // Guarantee coverability.
             fam.push((0..universe).collect());
-            let sets: Vec<BitSet> = fam
-                .iter()
-                .map(|f| BitSet::from_indices(universe, f))
-                .collect();
-            let i = Instance::new(universe, sets).unwrap();
-            let g = greedy_cover(&i);
-            let e = exact_cover(&i, None).unwrap();
+            let sets: Vec<&[usize]> = fam.iter().map(Vec::as_slice).collect();
+            let g = greedy_cover(universe, &sets).unwrap();
+            let e = exact_cover(universe, &sets, None).unwrap();
             assert!(e.len() <= g.len(), "seed {seed}");
-            assert!(i.is_cover(&e), "seed {seed}");
+            assert!(is_cover(universe, &sets, &e), "seed {seed}");
         }
     }
 
     #[test]
     fn ln_n_guarantee_observed() {
         // On every instance we try, greedy <= (ln n + 1) * exact.
-        let i = inst(
-            8,
-            &[
-                &[0, 1, 2, 3],
-                &[4, 5],
-                &[6],
-                &[7],
-                &[0, 4, 6],
-                &[1, 5, 7],
-                &[2, 3],
-            ],
-        );
-        let g = greedy_cover(&i).len() as f64;
-        let e = exact_cover(&i, None).unwrap().len() as f64;
+        let sets: [&[usize]; 7] = [
+            &[0, 1, 2, 3],
+            &[4, 5],
+            &[6],
+            &[7],
+            &[0, 4, 6],
+            &[1, 5, 7],
+            &[2, 3],
+        ];
+        let g = greedy_cover(8, &sets).unwrap().len() as f64;
+        let e = exact_cover(8, &sets, None).unwrap().len() as f64;
         let bound = (8f64).ln() + 1.0;
         assert!(g <= bound * e + 1e-9);
     }
@@ -216,17 +211,12 @@ mod tests {
     fn budget_exhaustion_returns_none() {
         // A zero node budget aborts before exploring anything.
         let families: Vec<Vec<usize>> = (0..16).map(|i| vec![i, (i + 1) % 16]).collect();
-        let sets: Vec<BitSet> = families
-            .iter()
-            .map(|f| BitSet::from_indices(16, f))
-            .collect();
-        let i = Instance::new(16, sets).unwrap();
-        assert_eq!(exact_cover(&i, Some(0)), None);
+        let sets: Vec<&[usize]> = families.iter().map(Vec::as_slice).collect();
+        assert_eq!(exact_cover(16, &sets, Some(0)), None);
     }
 
     #[test]
     fn empty_universe() {
-        let i = Instance::new(0, vec![]).unwrap();
-        assert_eq!(exact_cover(&i, None).unwrap(), Vec::<usize>::new());
+        assert_eq!(exact_cover(0, &[], None).unwrap(), Vec::<usize>::new());
     }
 }

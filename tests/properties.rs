@@ -1,14 +1,15 @@
 //! Property-based tests of the system's core invariants (proptest).
 //!
 //! The brute-force smallest enclosing disk lives here as the test-local
-//! oracle for Welzl's algorithm (the paper's `MinDisk`).
+//! oracle for Welzl's algorithm (the paper's `MinDisk`), and the
+//! partition check as the oracle for bundle generation.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use bundle_charging::geom::{sed, Disk, Point};
 use bundle_charging::prelude::*;
-use bundle_charging::setcover::{exact_cover, greedy_cover, BitSet, Instance};
+use bundle_charging::setcover::{exact_cover, greedy_cover};
 use bundle_charging::tsp::{construct, improve, DistanceMatrix};
 
 /// Brute-force reference: tries every disk supported by one, two or three
@@ -41,6 +42,73 @@ fn smallest_enclosing_disk_brute(points: &[Point]) -> Disk {
         }
     }
     best.unwrap_or_else(|| Disk::point(points[0]))
+}
+
+/// Whether the selected sets cover `0..universe`.
+fn is_cover(universe: usize, sets: &[&[usize]], selection: &[usize]) -> bool {
+    let mut covered = vec![false; universe];
+    for &i in selection {
+        for &e in sets[i] {
+            covered[e] = true;
+        }
+    }
+    covered.iter().all(|&c| c)
+}
+
+/// Checks that a bundle family is a partition of the network's sensors
+/// with every bundle radius at most `r`.
+fn is_valid_partition(bundles: &[ChargingBundle], net: &Network, r: Meters) -> bool {
+    let mut seen = vec![false; net.len()];
+    for b in bundles {
+        if b.is_empty() || b.enclosing_radius > r + Meters(1e-6) {
+            return false;
+        }
+        for &s in &b.sensors {
+            if s >= net.len() || seen[s] {
+                return false;
+            }
+            seen[s] = true;
+        }
+    }
+    seen.iter().all(|&s| s)
+}
+
+#[test]
+fn greedy_produces_valid_partition() {
+    let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
+    let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Greedy);
+    assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
+}
+
+#[test]
+fn grid_produces_valid_partition() {
+    let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
+    let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Grid);
+    assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
+}
+
+#[test]
+fn optimal_produces_valid_partition_and_fewest_bundles() {
+    let net = deploy::uniform(25, Aabb::square(200.0), 2.0, 4);
+    let r = Meters(40.0);
+    let greedy = generate_bundles(&net, r, BundleStrategy::Greedy);
+    let grid = generate_bundles(&net, r, BundleStrategy::Grid);
+    let optimal = generate_bundles(&net, r, BundleStrategy::Optimal);
+    assert!(is_valid_partition(&optimal, &net, r));
+    assert!(optimal.len() <= greedy.len());
+    assert!(optimal.len() <= grid.len());
+}
+
+#[test]
+fn grid_cells_respect_radius_even_at_boundaries() {
+    // Sensors on the exact corners of grid cells.
+    let net = deploy::from_coords(
+        &[(0.0, 0.0), (14.1, 14.1), (14.2, 14.2), (28.3, 0.1)],
+        Aabb::square(100.0),
+        2.0,
+    );
+    let bundles = generate_bundles(&net, Meters(10.0), BundleStrategy::Grid);
+    assert!(is_valid_partition(&bundles, &net, Meters(10.0)));
 }
 
 fn assert_encloses(d: &Disk, pts: &[Point]) {
@@ -128,16 +196,15 @@ proptest! {
         let universe = 14usize;
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut rnd = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-        let mut sets: Vec<BitSet> = (0..10).map(|_| {
-            let members: Vec<usize> = (0..universe).filter(|_| rnd() % 3 == 0).collect();
-            BitSet::from_indices(universe, &members)
+        let mut fam: Vec<Vec<usize>> = (0..10).map(|_| {
+            (0..universe).filter(|_| rnd() % 3 == 0).collect()
         }).collect();
-        sets.push(BitSet::full(universe));
-        let inst = Instance::new(universe, sets).unwrap();
-        let g = greedy_cover(&inst);
-        prop_assert!(inst.is_cover(&g));
-        let e = exact_cover(&inst, None).unwrap();
-        prop_assert!(inst.is_cover(&e));
+        fam.push((0..universe).collect());
+        let sets: Vec<&[usize]> = fam.iter().map(Vec::as_slice).collect();
+        let g = greedy_cover(universe, &sets).unwrap();
+        prop_assert!(is_cover(universe, &sets, &g));
+        let e = exact_cover(universe, &sets, None).unwrap();
+        prop_assert!(is_cover(universe, &sets, &e));
         prop_assert!(e.len() <= g.len());
         let bound = (universe as f64).ln() + 1.0;
         prop_assert!((g.len() as f64) <= bound * (e.len() as f64) + 1e-9);
@@ -169,7 +236,7 @@ proptest! {
         for s in [BundleStrategy::Greedy, BundleStrategy::Grid, BundleStrategy::Optimal] {
             let bundles = generate_bundles(&net, Meters(r), s);
             prop_assert!(
-                bundle_charging::core::generation::is_valid_partition(&bundles, &net, Meters(r)),
+                is_valid_partition(&bundles, &net, Meters(r)),
                 "{s:?} produced an invalid partition"
             );
         }

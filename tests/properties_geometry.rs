@@ -1,13 +1,11 @@
-//! Property tests for the obstacle-routing geometry and the set-algebra
-//! substrate, plus idempotence of the dwell tightener.
+//! Property tests for the obstacle-routing geometry, plus idempotence of
+//! the dwell tightener.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 use bundle_charging::core::{planner, tighten, PlannerConfig};
 use bundle_charging::geom::{visibility::VisibilityRouter, Point, Polygon};
 use bundle_charging::prelude::*;
-use bundle_charging::setcover::BitSet;
 
 fn arb_rect(range: f64) -> impl Strategy<Value = Polygon> {
     (
@@ -42,36 +40,6 @@ proptest! {
         for w in path.windows(2) {
             prop_assert!(router.visible(w[0], w[1]), "blocked leg {} -> {}", w[0], w[1]);
         }
-    }
-
-    /// BitSet behaves exactly like a HashSet model under union,
-    /// difference and intersection.
-    #[test]
-    fn bitset_matches_hashset_model(
-        a in prop::collection::vec(0usize..96, 0..40),
-        b in prop::collection::vec(0usize..96, 0..40),
-    ) {
-        let sa = BitSet::from_indices(96, &a);
-        let sb = BitSet::from_indices(96, &b);
-        let ha: HashSet<usize> = a.iter().copied().collect();
-        let hb: HashSet<usize> = b.iter().copied().collect();
-
-        let mut u = sa.clone();
-        u.union_with(&sb);
-        let hu: HashSet<usize> = ha.union(&hb).copied().collect();
-        prop_assert_eq!(u.iter().collect::<HashSet<_>>(), hu.clone());
-        prop_assert_eq!(u.count(), hu.len());
-
-        let mut d = sa.clone();
-        d.subtract(&sb);
-        let hd: HashSet<usize> = ha.difference(&hb).copied().collect();
-        prop_assert_eq!(d.iter().collect::<HashSet<_>>(), hd);
-
-        let mut i = sa.clone();
-        i.intersect_with(&sb);
-        let hi: HashSet<usize> = ha.intersection(&hb).copied().collect();
-        prop_assert_eq!(i.iter().collect::<HashSet<_>>(), hi.clone());
-        prop_assert_eq!(sa.intersection_count(&sb), hi.len());
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! The exhaustive `O(h)` tangency sweep and Theorem 5's residual helpers
 //! live here as test-local oracles: the library ships only the fast
-//! search they check.
+//! search they check. The packing lower bound certifies the cover sizes.
 
 use proptest::prelude::*;
 
 use bundle_charging::geom::tangency::{self, Tangency};
 use bundle_charging::geom::{sed, Disk, Point};
 use bundle_charging::prelude::*;
-use bundle_charging::setcover::{exact_cover, greedy_cover, BitSet, Instance};
+use bundle_charging::setcover::{exact_cover, greedy_cover};
 
 /// Reference `O(h)` exhaustive sweep at discretisation `h`: evaluates the
 /// focal sum at `h` equally spaced angles and returns the best sample.
@@ -238,21 +238,75 @@ fn theorem1_obg_equals_set_cover() {
     let net = deploy::uniform(18, Aabb::square(150.0), 2.0, 2);
     let r = 35.0;
     let fam = bundle_charging::core::CandidateFamily::pair_intersection(&net, r);
-    let sets: Vec<BitSet> = fam
+    let sets: Vec<&[usize]> = fam
         .candidates
         .iter()
-        .map(|c| BitSet::from_indices(net.len(), &c.members))
+        .map(|c| c.members.as_slice())
         .collect();
-    let inst = Instance::new(net.len(), sets).unwrap();
-    let exact = exact_cover(&inst, None).unwrap();
-    let greedy = greedy_cover(&inst);
-    assert!(inst.is_cover(&exact));
+    let exact = exact_cover(net.len(), &sets, None).unwrap();
+    let greedy = greedy_cover(net.len(), &sets).unwrap();
+    let mut covered = vec![false; net.len()];
+    for &i in &exact {
+        for &s in sets[i] {
+            covered[s] = true;
+        }
+    }
+    assert!(covered.iter().all(|&c| c));
     assert!(exact.len() <= greedy.len());
     // Exhaustive check over all subsets up to |exact|-1 of a trimmed
     // family would be exponential; instead verify against the packing
     // lower bound.
-    let lb = bundle_charging::core::generation::packing_lower_bound(&net, Meters(r));
+    let lb = packing_lower_bound(&net, Meters(r));
     assert!(exact.len() >= lb);
+}
+
+/// A lower bound on the number of radius-`r` bundles any cover needs:
+/// the size of a greedy packing of sensors pairwise more than `2r`
+/// apart. Two such sensors can never share a disk of radius `r`, so
+/// every cover uses at least one bundle per packed sensor.
+fn packing_lower_bound(net: &Network, r: Meters) -> usize {
+    let mut excluded = vec![false; net.len()];
+    let mut count = 0usize;
+    for i in 0..net.len() {
+        if excluded[i] {
+            continue;
+        }
+        count += 1;
+        for j in net.within_radius(net.sensor(i).pos, 2.0 * r.0) {
+            excluded[j] = true;
+        }
+    }
+    count
+}
+
+#[test]
+fn packing_bound_sandwiches_the_optimum() {
+    for seed in [1u64, 5, 9] {
+        let net = deploy::uniform(25, Aabb::square(250.0), 2.0, seed);
+        for r in [Meters(20.0), Meters(40.0), Meters(80.0)] {
+            let lb = packing_lower_bound(&net, r);
+            let optimal = generate_bundles(&net, r, BundleStrategy::Optimal).len();
+            let greedy = generate_bundles(&net, r, BundleStrategy::Greedy).len();
+            assert!(lb <= optimal, "seed {seed} r {r}: lb {lb} > opt {optimal}");
+            assert!(optimal <= greedy);
+        }
+    }
+}
+
+#[test]
+fn packing_bound_tight_for_far_apart_sensors() {
+    // Sensors > 2r apart: the packing bound equals n, and so does
+    // every cover.
+    let net = deploy::from_coords(
+        &[(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0)],
+        Aabb::square(100.0),
+        2.0,
+    );
+    assert_eq!(packing_lower_bound(&net, Meters(10.0)), 4);
+    assert_eq!(
+        generate_bundles(&net, Meters(10.0), BundleStrategy::Greedy).len(),
+        4
+    );
 }
 
 /// The `O(log h)` claim of Section V (Theorem 5), as a count rather than a
