@@ -157,7 +157,7 @@ impl fmt::Display for SeedFailure {
 pub struct SeedSummary {
     /// Charging rounds dispatched.
     pub rounds: usize,
-    /// Plans rebuilt after the first.
+    /// Replan triggers ([`DesReport::replans`]).
     pub replans: usize,
     /// Events processed within the horizon.
     pub events_processed: u64,

@@ -13,9 +13,9 @@
 //! # Round realization
 //!
 //! When the low-battery population reaches the trigger while the fleet is
-//! idle, a `Dispatch` event plans a round **through one [`PlanContext`]** (so
-//! replans reuse the cached candidate family) and unrolls it
-//! into per-charger *segments* (leg → backoff → dwell). Three modes:
+//! idle, a `Dispatch` event launches a round of the plan held from
+//! **one [`PlanContext`]** and unrolls it into per-charger *segments*
+//! (leg → backoff → dwell). Three modes:
 //!
 //! - **single charger + faults**: the round is delegated to
 //!   [`bc_core::execute::Executor`] (`execute_with_dead`), and the realized
@@ -38,9 +38,18 @@
 //!   rounds apply skip-style recovery only, so [`Scenario::validate`]
 //!   rejects faults on a fleet with any other [`Scenario::recovery`].
 //!
+//! # Replanning
+//!
 //! A low-battery crossing that fires *mid-round* for a sensor with no
 //! remaining scheduled service marks the plan stale; the next dispatch
-//! re-plans through the context and counts a replan.
+//! counts a replan. It plans afresh through the context only when the
+//! context's revision differs from the one the held plan was planned
+//! fresh at. A plan is a pure function of the network and the planner
+//! configuration, so at an unchanged revision the fresh plan would be the
+//! one held. A `remove_sensor` repair moves the revision and leaves a
+//! repaired plan, which is not a fresh one, so the next trigger plans
+//! again. With a recorder installed, the `plan.run` spans of a run count
+//! the plans it built.
 
 use crate::clock::{Clock, Time};
 use crate::event::Event;
@@ -147,8 +156,12 @@ pub struct DesReport {
     pub recovery_latency_s: Seconds,
     /// Total energy spent above the fault-free cost of each round.
     pub extra_energy_j: Joules,
-    /// Plans rebuilt after the first (low-battery staleness triggers and
-    /// post-death network repairs), all through the planning context.
+    /// Replan triggers: low-battery staleness triggers, post-death
+    /// network repairs, and the executor's own replans when a single
+    /// charger runs with faults. A staleness trigger builds a plan only
+    /// when the network revision has moved since the held plan was
+    /// planned fresh, so this counts triggers, not plans built; the
+    /// `plan.run` spans of a recorded run count those.
     pub replans: usize,
     /// Recovery visits to the base station across all rounds.
     pub base_returns: usize,
@@ -270,6 +283,9 @@ struct Engine<'a> {
 
     ctx: PlanContext,
     plan: ChargingPlan,
+    /// The context revision `plan` was planned fresh at; `None` once a
+    /// `remove_sensor` repair has replaced it.
+    fresh_revision: Option<u64>,
     /// Current network index → original sensor index.
     orig_of: Vec<usize>,
     needs_replan: bool,
@@ -335,6 +351,7 @@ impl<'a> Engine<'a> {
             sensors: SensorBank::new(n, capacity),
             low_count: 0,
             dispatch_pending: false,
+            fresh_revision: Some(ctx.revision()),
             ctx,
             plan,
             orig_of: (0..n).collect(),
@@ -619,16 +636,22 @@ impl<'a> Engine<'a> {
         }
         // Repair the context's network first: sensors lost to hardware
         // faults are removed (bumping its revision), then a staleness
-        // trigger rebuilds the plan — both through the planning context.
+        // trigger plans afresh unless the held plan is already the fresh
+        // plan of this revision.
         for orig in std::mem::take(&mut self.pending_removals) {
             if let Some(ci) = self.orig_of.iter().position(|&o| o == orig) {
                 self.plan = self.ctx.remove_sensor(&self.plan, ci)?;
+                self.fresh_revision = None;
                 self.orig_of.remove(ci);
                 self.replans += 1;
             }
         }
         if self.needs_replan {
-            self.plan = self.ctx.plan(self.sc.algorithm)?.plan;
+            let revision = self.ctx.revision();
+            if self.fresh_revision != Some(revision) {
+                self.plan = self.ctx.plan(self.sc.algorithm)?.plan;
+                self.fresh_revision = Some(revision);
+            }
             self.needs_replan = false;
             self.replans += 1;
         }

@@ -24,9 +24,10 @@
 //! - a fleet of N mobile chargers with pluggable dispatch policies
 //!   ([`fleet::DispatchPolicy`]) and per-charger ledgers
 //!   ([`fleet::ChargerLedger`]), contract-checked against the run total;
-//! - low-battery **replan triggers** that go through one
-//!   `bc_core::context::PlanContext`, so replans reuse the cached
-//!   candidate family;
+//! - low-battery **replan triggers** against one
+//!   `bc_core::context::PlanContext`: a trigger plans afresh only when
+//!   the context's network revision has moved since the held plan was
+//!   planned fresh, so a run builds one plan per revision;
 //! - a [`scenario::Scenario`] description type and a bounded
 //!   [`trace::TraceRing`] of the event tail for observability.
 //!
