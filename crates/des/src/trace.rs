@@ -19,32 +19,33 @@ use std::collections::VecDeque;
 /// Mirrors one processed record into the active [`bc_obs`] recorder as a
 /// `"des"`-scoped event named after [`Event::kind`], with the simulated
 /// time, queue sequence number and the event's indices as fields. All
-/// values are simulated quantities, so the stream is deterministic.
+/// values are simulated quantities, so the stream is deterministic. The
+/// fields of each event kind are one array on the stack.
 pub fn emit_obs(record: &TraceRecord) {
+    use bc_obs::Field;
     if !bc_obs::active() {
         return;
     }
-    let mut fields = Vec::with_capacity(4);
-    fields.push(bc_obs::Field::new("t_s", record.at.seconds().get()));
-    fields.push(bc_obs::Field::new("seq", record.seq));
+    let t_s = Field::new("t_s", record.at.seconds().get());
+    let seq = Field::new("seq", record.seq);
+    let emit = |fields: &[Field]| bc_obs::event("des", record.event.kind(), fields);
     match record.event {
-        Event::LowBattery { sensor, gen } | Event::Depleted { sensor, gen } => {
-            fields.push(bc_obs::Field::new("sensor", sensor));
-            fields.push(bc_obs::Field::new("gen", gen));
-        }
-        Event::Dispatch => {}
-        Event::Arrival { charger, seg } | Event::ChargingComplete { charger, seg } => {
-            fields.push(bc_obs::Field::new("charger", charger));
-            fields.push(bc_obs::Field::new("seg", seg));
-        }
-        Event::Returned { charger } => {
-            fields.push(bc_obs::Field::new("charger", charger));
-        }
-        Event::FaultDeath { sensor } => {
-            fields.push(bc_obs::Field::new("sensor", sensor));
-        }
+        Event::LowBattery { sensor, gen } | Event::Depleted { sensor, gen } => emit(&[
+            t_s,
+            seq,
+            Field::new("sensor", sensor),
+            Field::new("gen", gen),
+        ]),
+        Event::Dispatch => emit(&[t_s, seq]),
+        Event::Arrival { charger, seg } | Event::ChargingComplete { charger, seg } => emit(&[
+            t_s,
+            seq,
+            Field::new("charger", charger),
+            Field::new("seg", seg),
+        ]),
+        Event::Returned { charger } => emit(&[t_s, seq, Field::new("charger", charger)]),
+        Event::FaultDeath { sensor } => emit(&[t_s, seq, Field::new("sensor", sensor)]),
     }
-    bc_obs::event("des", record.event.kind(), &fields);
 }
 
 /// One processed event as it appeared on the timeline.
