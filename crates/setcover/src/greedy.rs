@@ -1,6 +1,7 @@
 //! Greedy set cover — the selection loop of the paper's Algorithm 2.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// For each element of `0..universe`, the indices of the sets holding it
 /// in ascending order; `None` when some element is in no set.
@@ -26,8 +27,13 @@ pub(crate) fn holders(universe: usize, sets: &[&[usize]]) -> Option<Vec<Vec<usiz
 /// lowest set index, which makes the result deterministic.
 ///
 /// Every set's count of uncovered elements is kept exact through
-/// per-element holder lists, so a pick is one pass over the counts and
-/// covering an element costs one decrement per set holding it.
+/// per-element holder lists, so covering an element costs one decrement
+/// per set holding it. The picks come from a max-heap of `(gain, lowest
+/// index)` entries updated lazily: gains only fall, so an entry's gain is
+/// at least its set's current gain, and the first popped entry whose gain
+/// is current is the lowest index among the largest gains. A popped
+/// entry whose gain is stale goes back with the current gain, or is
+/// dropped once its set covers nothing new.
 ///
 /// Returns the indices of the selected sets, in selection order, or
 /// `None` when some element is in no set.
@@ -38,14 +44,25 @@ pub(crate) fn holders(universe: usize, sets: &[&[usize]]) -> Option<Vec<Vec<usiz
 pub fn greedy_cover(universe: usize, sets: &[&[usize]]) -> Option<Vec<usize>> {
     let holders = holders(universe, sets)?;
     let mut gain: Vec<usize> = sets.iter().map(|s| s.len()).collect();
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = gain
+        .iter()
+        .enumerate()
+        .filter(|&(_, &g)| g > 0)
+        .map(|(i, &g)| (g, Reverse(i)))
+        .collect();
     let mut covered = vec![false; universe];
     let mut uncovered = universe;
     let mut selected = Vec::new();
     while uncovered > 0 {
-        // `min_by_key` keeps the first of equal keys: the lowest index
-        // among the largest gains. Every element has a holder, so that
-        // gain is positive while anything is uncovered.
-        let (best, _) = gain.iter().enumerate().min_by_key(|&(_, &g)| Reverse(g))?;
+        // Every element has a holder, so some set gains while anything
+        // is uncovered and the heap cannot run dry first.
+        let (g, Reverse(best)) = heap.pop()?;
+        if g != gain[best] {
+            if gain[best] > 0 {
+                heap.push((gain[best], Reverse(best)));
+            }
+            continue;
+        }
         for &e in sets[best] {
             if !covered[e] {
                 covered[e] = true;
