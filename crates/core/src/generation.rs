@@ -10,13 +10,18 @@
 //!   fits in a radius-`r` disk) and make each non-empty cell a bundle.
 //! * [`BundleStrategy::Optimal`] — exact minimum cover by branch and
 //!   bound over the pair-intersection candidate family; falls back to
-//!   greedy if the search exceeds its node budget.
+//!   greedy if the search exceeds its budget of 5,000,000 nodes, and
+//!   counts each fallback as a `plan.cover.exact_aborted` counter.
 
 use bc_setcover::{exact_cover, greedy_cover};
 use bc_units::Meters;
 use bc_wsn::Network;
 
 use crate::{Candidate, CandidateFamily, ChargingBundle};
+
+/// Search nodes [`BundleStrategy::Optimal`]'s branch and bound may visit
+/// before it falls back to the greedy cover.
+const EXACT_NODE_BUDGET: u64 = 5_000_000;
 
 /// Which bundle generator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +87,20 @@ pub(crate) fn cover_bundles(
         .map(|c| c.members.as_slice())
         .collect();
     let selected = if exact {
-        exact_cover(n, &sets, Some(5_000_000)).or_else(|| greedy_cover(n, &sets))
+        exact_cover(n, &sets, Some(EXACT_NODE_BUDGET)).or_else(|| {
+            let greedy = greedy_cover(n, &sets);
+            if greedy.is_some() {
+                // The family covers, so the search ran out of nodes and
+                // this "optimal" cover is the greedy one.
+                bc_obs::counter(
+                    "plan",
+                    "cover.exact_aborted",
+                    1,
+                    &[bc_obs::Field::new("sensors", n)],
+                );
+            }
+            greedy
+        })
     } else {
         greedy_cover(n, &sets)
     };
