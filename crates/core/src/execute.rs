@@ -8,14 +8,18 @@
 //! * [`RecoveryPolicy::SkipAndContinue`] — drop dead sensors from their
 //!   stops (dwell shrinks) and abandon stops whose charge attempts are
 //!   exhausted, leaving their live members stranded;
-//! * [`RecoveryPolicy::ReplanRemaining`] — on a mid-tour death, rebuild
-//!   the not-yet-visited remainder with [`crate::replan::remove_sensor`]
-//!   (anchors recentre, dissolved singletons drop out of the tour);
+//! * [`RecoveryPolicy::ReplanRemaining`] — on a death, also recentre the
+//!   stop that held the sensor on its survivors' smallest enclosing disk
+//!   (Definition 2), as [`crate::PlanContext::remove_sensor`] does;
 //! * [`RecoveryPolicy::ReturnToBase`] — on any fault, divert to the base
 //!   station and re-enter the remainder as base-anchored sorties via
 //!   [`crate::sortie::split_into_sorties`]; a base visit also resets a
 //!   stop's transient charge failures, so no live sensor is stranded at
 //!   the price of extra mileage.
+//!
+//! Every policy repairs in place, on the executor's own network: a death
+//! touches only the pending stop that holds the sensor, and only a stop
+//! the death empties leaves the tour (counted abandoned).
 //!
 //! Execution is deterministic: the same `(plan, FaultModel, round,
 //! policy)` produces a byte-identical [`ExecutionReport`].
@@ -27,7 +31,6 @@
 //! values are simulated quantities (never wall clock), so the event
 //! stream inherits the executor's determinism.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -170,6 +173,25 @@ pub struct ExecutedStop {
     pub delivered_j: Joules,
 }
 
+impl ExecutedStop {
+    /// A visit that charges nothing: a base return, a way-point or a stop
+    /// given up on arrival.
+    fn idle(plan_stop: Option<usize>, anchor: Point, drive_m: Meters, drive_s: Seconds) -> Self {
+        ExecutedStop {
+            plan_stop,
+            anchor,
+            drive_m,
+            drive_s,
+            backoff_s: Seconds(0.0),
+            dwell_s: Seconds(0.0),
+            attempts: 0,
+            efficiency: 1.0,
+            served: Vec::new(),
+            delivered_j: Joules(0.0),
+        }
+    }
+}
+
 /// Everything one fault-injected round produced, both the per-stop
 /// timeline (for lifetime replay) and the aggregate recovery metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,10 +212,11 @@ pub struct ExecutionReport {
     pub stops_planned: usize,
     /// Stops that actually charged at least one sensor.
     pub stops_charged: usize,
-    /// Planned charging stops abandoned (emptied by deaths, dissolved by
-    /// a replan, or given up after exhausting retries).
+    /// Planned charging stops abandoned (emptied by deaths or given up
+    /// after exhausting retries).
     pub stops_abandoned: usize,
-    /// Times the remainder was rebuilt by [`RecoveryPolicy::ReplanRemaining`].
+    /// Deaths, pre-dead sensors included, after which
+    /// [`RecoveryPolicy::ReplanRemaining`] repaired a pending stop.
     pub replans: usize,
     /// Base-station visits made by [`RecoveryPolicy::ReturnToBase`].
     pub base_returns: usize,
@@ -324,9 +347,11 @@ impl<'a> Executor<'a> {
 
     /// Like [`Executor::execute`], but with some sensors already dead
     /// when the round starts (their indices in `initially_dead`). Used
-    /// by lifetime simulations that carry hardware deaths across rounds;
-    /// pre-dead sensors are dropped through the recovery policy before
-    /// the charger departs and are *not* counted in `fault_deaths`.
+    /// by lifetime simulations that carry hardware deaths across rounds.
+    /// On every call, each pre-dead sensor goes through the recovery
+    /// policy before the charger departs, like a death at the first
+    /// stop: it is *not* counted in `fault_deaths`, but under
+    /// [`RecoveryPolicy::ReplanRemaining`] it counts one of `replans`.
     pub fn execute_with_dead(
         &self,
         plan: &ChargingPlan,
@@ -353,7 +378,7 @@ impl<'a> Executor<'a> {
             }
         }
         st.run(self)?;
-        Ok(st.finish(self, plan))
+        Ok(st.finish(plan))
     }
 }
 
@@ -364,14 +389,9 @@ struct ExecState<'a> {
     faults: &'a FaultModel,
     schedule: FaultSchedule,
     pending: VecDeque<Item>,
-    /// The current network revision, borrowed from the executor until a
-    /// [`RecoveryPolicy::ReplanRemaining`] death shrinks it, plus the
-    /// original index of each of its sensors.
-    net: Cow<'a, Network>,
-    orig_of: Vec<usize>,
     dead: Vec<bool>,
     charged: Vec<bool>,
-    /// Deaths as `(execution step, original sensor)`, sorted; `next_death`
+    /// Deaths as `(execution step, sensor)`, sorted; `next_death`
     /// points at the first not-yet-fired entry.
     deaths: Vec<(usize, usize)>,
     next_death: usize,
@@ -425,8 +445,6 @@ impl<'a> ExecState<'a> {
             policy: exec.policy,
             faults,
             pending,
-            net: Cow::Borrowed(exec.net),
-            orig_of: (0..exec.net.len()).collect(),
             dead: vec![false; exec.net.len()],
             charged: vec![false; exec.net.len()],
             deaths,
@@ -524,18 +542,8 @@ impl<'a> ExecState<'a> {
                 ],
             );
         }
-        self.timeline.push(ExecutedStop {
-            plan_stop: None,
-            anchor: exec.net.base(),
-            drive_m: d,
-            drive_s: t,
-            backoff_s: Seconds(0.0),
-            dwell_s: Seconds(0.0),
-            attempts: 0,
-            efficiency: 1.0,
-            served: Vec::new(),
-            delivered_j: Joules(0.0),
-        });
+        self.timeline
+            .push(ExecutedStop::idle(None, exec.net.base(), d, t));
     }
 
     fn visit_stop(&mut self, exec: &Executor<'_>, tag: usize, stop: Stop) -> Result<(), ExecError> {
@@ -543,18 +551,8 @@ impl<'a> ExecState<'a> {
         let (d, t) = self.drive(exec, stop.anchor(), self.schedule.stalls[tag]);
         if stop.bundle.is_empty() {
             // Way-point (e.g. the base when include_base is set).
-            self.timeline.push(ExecutedStop {
-                plan_stop: Some(tag),
-                anchor: stop.anchor(),
-                drive_m: d,
-                drive_s: t,
-                backoff_s: Seconds(0.0),
-                dwell_s: Seconds(0.0),
-                attempts: 0,
-                efficiency: 1.0,
-                served: Vec::new(),
-                delivered_j: Joules(0.0),
-            });
+            self.timeline
+                .push(ExecutedStop::idle(Some(tag), stop.anchor(), d, t));
             return Ok(());
         }
         let fails = if self.attempts_cleared[tag] {
@@ -580,13 +578,12 @@ impl<'a> ExecState<'a> {
         let mut served = Vec::new();
         let mut delivered = Joules(0.0);
         for &m in &stop.bundle.sensors {
-            let orig = self.orig_of[m];
-            if self.dead[orig] || self.charged[orig] {
+            if self.dead[m] || self.charged[m] {
                 continue;
             }
-            self.charged[orig] = true;
-            served.push(orig);
-            delivered += self.net.sensor(m).demand;
+            self.charged[m] = true;
+            served.push(m);
+            delivered += exec.net.sensor(m).demand;
         }
         self.duration_s += dwell;
         self.latency_s += dwell - stop.dwell;
@@ -649,39 +646,20 @@ impl<'a> ExecState<'a> {
                 ],
             );
         }
+        self.timeline.push(ExecutedStop {
+            backoff_s: backoff,
+            attempts,
+            ..ExecutedStop::idle(Some(tag), stop.anchor(), drive_m, drive_s)
+        });
         match self.policy {
             RecoveryPolicy::SkipAndContinue | RecoveryPolicy::ReplanRemaining => {
                 // Give up in place; live members stay stranded.
                 self.stops_abandoned += 1;
-                self.timeline.push(ExecutedStop {
-                    plan_stop: Some(tag),
-                    anchor: stop.anchor(),
-                    drive_m,
-                    drive_s,
-                    backoff_s: backoff,
-                    dwell_s: Seconds(0.0),
-                    attempts,
-                    efficiency: 1.0,
-                    served: Vec::new(),
-                    delivered_j: Joules(0.0),
-                });
                 Ok(())
             }
             RecoveryPolicy::ReturnToBase => {
                 // A base visit resets the transient condition: re-queue
                 // the stop and re-enter the remainder from the base.
-                self.timeline.push(ExecutedStop {
-                    plan_stop: Some(tag),
-                    anchor: stop.anchor(),
-                    drive_m,
-                    drive_s,
-                    backoff_s: backoff,
-                    dwell_s: Seconds(0.0),
-                    attempts,
-                    efficiency: 1.0,
-                    served: Vec::new(),
-                    delivered_j: Joules(0.0),
-                });
                 self.attempts_cleared[tag] = true;
                 self.pending.push_front(Item::Visit { tag, stop });
                 self.resplit_from_base(exec)
@@ -689,145 +667,101 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// Marks `orig` dead and lets the policy repair the remainder.
+    /// Marks `sensor` dead and lets the policy repair the remainder.
     fn apply_death(
         &mut self,
         exec: &Executor<'_>,
-        orig: usize,
+        sensor: usize,
         new_death: bool,
     ) -> Result<(), ExecError> {
-        if self.dead[orig] {
+        if self.dead[sensor] {
             return Ok(());
         }
-        self.dead[orig] = true;
+        self.dead[sensor] = true;
         if new_death {
-            self.fault_deaths.push(orig);
+            self.fault_deaths.push(sensor);
             if bc_obs::active() {
                 bc_obs::event(
                     "exec",
                     "fault.death",
                     &[
                         bc_obs::Field::new("round", self.round),
-                        bc_obs::Field::new("sensor", orig),
+                        bc_obs::Field::new("sensor", sensor),
                         bc_obs::Field::new("policy", self.policy.name()),
                     ],
                 );
             }
         }
-        let Some(ci) = self.orig_of.iter().position(|&o| o == orig) else {
-            return Ok(());
-        };
-        let affects_pending = self.pending.iter().any(|it| match it {
-            Item::Visit { stop, .. } => stop.bundle.sensors.contains(&ci),
-            Item::Base => false,
-        });
-        if !affects_pending {
+        if !self.repair_pending(exec, sensor) {
             return Ok(());
         }
         match self.policy {
-            RecoveryPolicy::SkipAndContinue => {
-                self.drop_member(exec, ci);
+            RecoveryPolicy::SkipAndContinue => Ok(()),
+            RecoveryPolicy::ReturnToBase => self.resplit_from_base(exec),
+            RecoveryPolicy::ReplanRemaining => {
+                self.replans += 1;
+                if bc_obs::active() {
+                    bc_obs::event(
+                        "exec",
+                        "replan",
+                        &[
+                            bc_obs::Field::new("round", self.round),
+                            bc_obs::Field::new("revision", self.replans),
+                            bc_obs::Field::new("stops", self.pending.len()),
+                        ],
+                    );
+                }
                 Ok(())
             }
-            RecoveryPolicy::ReturnToBase => {
-                self.drop_member(exec, ci);
-                self.resplit_from_base(exec)
-            }
-            RecoveryPolicy::ReplanRemaining => self.replan_remaining(exec, ci),
         }
     }
 
-    /// Removes current-index `ci` from whichever pending stop holds it,
-    /// keeping the anchor and recomputing the dwell for the survivors.
-    fn drop_member(&mut self, exec: &Executor<'_>, ci: usize) {
-        let mut emptied = 0;
-        for it in self.pending.iter_mut() {
+    /// Removes dead `sensor` from the pending stops that hold it and
+    /// returns whether there was one. A stop the removal empties leaves
+    /// the queue and counts abandoned; any other keeps its survivors,
+    /// with the dwell they need. [`RecoveryPolicy::ReplanRemaining`]
+    /// recentres their anchor on the smallest disk enclosing them
+    /// (Definition 2); the other policies keep it.
+    fn repair_pending(&mut self, exec: &Executor<'_>, sensor: usize) -> bool {
+        let recentre = self.policy == RecoveryPolicy::ReplanRemaining;
+        let mut held = false;
+        self.pending.retain_mut(|it| {
             let Item::Visit { stop, .. } = it else {
-                continue;
+                return true;
             };
-            let Some(at) = stop.bundle.sensors.iter().position(|&m| m == ci) else {
-                continue;
+            let Some(at) = stop.bundle.sensors.iter().position(|&m| m == sensor) else {
+                return true;
             };
-            let mut members = stop.bundle.sensors.clone();
+            held = true;
+            let mut members = std::mem::take(&mut stop.bundle.sensors);
             members.remove(at);
             if members.is_empty() {
-                stop.bundle.sensors.clear();
-                stop.dwell = Seconds(0.0);
-                emptied += 1;
-            } else {
-                let bundle = ChargingBundle::with_anchor(members, stop.bundle.anchor, &self.net);
-                stop.dwell = bundle.dwell_time(&self.net, &exec.cfg.charging);
-                stop.bundle = bundle;
-            }
-        }
-        if emptied > 0 {
-            self.stops_abandoned += emptied;
-            self.pending.retain(|it| match it {
-                Item::Visit { stop, .. } => !stop.bundle.is_empty() || stop.dwell > Seconds(0.0),
-                Item::Base => true,
-            });
-        }
-    }
-
-    /// Rebuilds the unvisited remainder without sensor `ci` via
-    /// [`crate::replan::remove_sensor`], which also yields the next
-    /// network revision, and retags the rebuilt stops.
-    fn replan_remaining(&mut self, exec: &Executor<'_>, ci: usize) -> Result<(), ExecError> {
-        let old: Vec<(usize, Stop)> = self
-            .pending
-            .drain(..)
-            .filter_map(|it| match it {
-                Item::Visit { tag, stop } => Some((tag, stop)),
-                Item::Base => None,
-            })
-            .collect();
-        let remaining =
-            ChargingPlan::new(old.iter().map(|(_, s)| s.clone()).collect(), self.net.len());
-        let (net, new_plan) = crate::replan::remove_sensor(&self.net, &remaining, ci, exec.cfg)?;
-        self.net = Cow::Owned(net);
-        self.orig_of.remove(ci);
-        self.replans += 1;
-        if bc_obs::active() {
-            bc_obs::event(
-                "exec",
-                "replan",
-                &[
-                    bc_obs::Field::new("round", self.round),
-                    bc_obs::Field::new("revision", self.replans),
-                    bc_obs::Field::new("stops", new_plan.stops.len()),
-                ],
-            );
-        }
-        // remove_sensor keeps stop order, drops dissolved singletons and
-        // preserves way-points; walk both lists in lockstep to retag.
-        let mut rebuilt = new_plan.stops.into_iter();
-        for (tag, old_stop) in old {
-            let kept =
-                old_stop.bundle.is_empty() || old_stop.bundle.sensors.iter().any(|&m| m != ci);
-            if kept {
-                // `remove_sensor` keeps every surviving stop; if it ever
-                // dropped one anyway, count it abandoned instead of
-                // panicking mid-recovery.
-                match rebuilt.next() {
-                    Some(stop) => self.pending.push_back(Item::Visit { tag, stop }),
-                    None => self.stops_abandoned += 1,
-                }
-            } else {
                 self.stops_abandoned += 1;
+                return false;
             }
-        }
-        Ok(())
+            let bundle = if recentre {
+                ChargingBundle::from_members(members, exec.net)
+            } else {
+                ChargingBundle::with_anchor(members, stop.bundle.anchor, exec.net)
+            };
+            *stop = Stop::for_bundle(bundle, exec.net, &exec.cfg.charging);
+            true
+        });
+        held
     }
 
     /// Replaces the pending queue with base-anchored sorties over the
     /// remaining stops (the [`RecoveryPolicy::ReturnToBase`] detour).
     fn resplit_from_base(&mut self, exec: &Executor<'_>) -> Result<(), ExecError> {
+        // Every sortie starts and ends at the base, so way-points drop out
+        // (as they do inside `split_into_sorties`, whose sortie ranges
+        // index the stops it keeps).
         let visits: Vec<(usize, Stop)> = self
             .pending
             .drain(..)
             .filter_map(|it| match it {
-                Item::Visit { tag, stop } => Some((tag, stop)),
-                Item::Base => None,
+                Item::Visit { tag, stop } if !stop.bundle.is_empty() => Some((tag, stop)),
+                _ => None,
             })
             .collect();
         if visits.is_empty() {
@@ -853,11 +787,10 @@ impl<'a> ExecState<'a> {
         Ok(())
     }
 
-    fn finish(self, _exec: &Executor<'_>, plan: &ChargingPlan) -> ExecutionReport {
-        let mut served: Vec<usize> = (0..self.charged.len())
+    fn finish(self, plan: &ChargingPlan) -> ExecutionReport {
+        let served: Vec<usize> = (0..self.charged.len())
             .filter(|&s| self.charged[s])
             .collect();
-        served.sort_unstable();
         // Stranded: sensors the plan promised to charge that are still
         // alive but went uncharged.
         let mut planned = vec![false; self.dead.len()];
@@ -1050,6 +983,54 @@ mod tests {
             "replan strands no one: {:?}",
             rep.stranded
         );
+    }
+
+    /// A BC plan of 30 sensors at r = 10 m whose tour starts at the base
+    /// way-point.
+    fn setup_with_base() -> (Network, PlannerConfig, ChargingPlan) {
+        let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 5);
+        let mut cfg = PlannerConfig::paper_sim(10.0);
+        cfg.include_base = true;
+        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+        assert!(plan.stops[0].bundle.is_empty(), "stop 0 is the way-point");
+        (net, cfg, plan)
+    }
+
+    #[test]
+    fn emptying_a_stop_keeps_the_waypoint() {
+        let (net, cfg, plan) = setup_with_base();
+        let lone = plan.stops.iter().find(|s| s.bundle.len() == 1).unwrap();
+        let dead = [lone.bundle.sensors[0]];
+        for policy in [
+            RecoveryPolicy::SkipAndContinue,
+            RecoveryPolicy::ReplanRemaining,
+        ] {
+            let rep = Executor::new(&net, &cfg)
+                .with_policy(policy)
+                .execute_with_dead(&plan, &FaultModel::none(), 0, &dead)
+                .unwrap();
+            assert_eq!(rep.stops_abandoned, 1, "{policy}");
+            assert_eq!(rep.timeline.len(), plan.stops.len() - 1, "{policy}");
+            assert_eq!(rep.timeline[0].plan_stop, Some(0), "{policy}");
+        }
+    }
+
+    #[test]
+    fn return_to_base_resplits_every_stop_past_the_waypoint() {
+        let (net, cfg, plan) = setup_with_base();
+        let shared = plan.stops.iter().find(|s| s.bundle.len() >= 2).unwrap();
+        let rep = Executor::new(&net, &cfg)
+            .with_policy(RecoveryPolicy::ReturnToBase)
+            .execute_with_dead(&plan, &FaultModel::none(), 0, &shared.bundle.sensors[..1])
+            .unwrap();
+        assert!(rep.stranded.is_empty(), "stranded {:?}", rep.stranded);
+        assert_eq!(rep.served.len(), 29);
+        // Sorties start at the base, so the way-point drops out and each
+        // charging stop is visited once.
+        let mut tags: Vec<usize> = rep.timeline.iter().filter_map(|e| e.plan_stop).collect();
+        tags.sort_unstable();
+        let charging: Vec<usize> = (1..plan.stops.len()).collect();
+        assert_eq!(tags, charging);
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::{ChargingPlan, Stop};
 /// One sortie: a contiguous run of stops flown base → stops → base.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sortie {
-    /// Indices into the original plan's stop list, in visit order.
+    /// Indices into the original plan's charging stops (its stops with
+    /// members; way-points are skipped), in visit order.
     pub stops: std::ops::Range<usize>,
     /// Driving distance of the sortie including both base legs.
     pub distance_m: Meters,
