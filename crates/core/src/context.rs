@@ -33,10 +33,9 @@
 //!
 //! A `PlanContext` pins one network revision at a time. Mutation goes
 //! through [`PlanContext::remove_sensor`] and [`PlanContext::add_sensor`],
-//! which wrap the churn operations of [`crate::replan`], install the
-//! mutated network, reset the cached family and bump
-//! [`PlanContext::revision`]: the family never outlives the network it
-//! was built for.
+//! which update a plan locally for the churn, install the mutated
+//! network, reset the cached family and bump [`PlanContext::revision`]:
+//! the family never outlives the network it was built for.
 //!
 //! # Example
 //!
@@ -539,8 +538,11 @@ impl PlanContext {
         false
     }
 
-    /// Removes a sensor ([`crate::replan::remove_sensor`]) and installs
-    /// the mutated network as the next revision.
+    /// Removes a sensor and installs the mutated network as the next
+    /// revision, in which the sensors above `sensor_idx` move down one
+    /// index. Returns `plan` updated locally: the sensor's bundle shrinks
+    /// (anchor recentred, dwell recomputed) or, if it was a singleton,
+    /// its stop leaves the tour.
     ///
     /// # Errors
     ///
@@ -555,8 +557,11 @@ impl PlanContext {
         Ok(new_plan)
     }
 
-    /// Adds a sensor ([`crate::replan::add_sensor`]) and installs the
-    /// mutated network as the next revision.
+    /// Adds a sensor at `pos` with the given demand and installs the
+    /// mutated network as the next revision. Returns `plan` updated
+    /// locally: the sensor joins the stop that can absorb it within the
+    /// bundle radius at the least extra energy, or becomes a singleton
+    /// stop spliced into the tour at the cheapest position.
     ///
     /// # Errors
     ///

@@ -51,7 +51,7 @@ pub mod multi;
 pub mod par;
 pub mod plan;
 pub mod planner;
-pub mod replan;
+mod replan;
 pub mod sortie;
 pub mod terrain;
 pub mod tighten;
@@ -66,7 +66,6 @@ pub use faults::{FaultModel, FaultModelError, FaultSchedule};
 pub use generation::{generate_bundles, BundleStrategy};
 pub use multi::{try_plan_fleet, MultiChargerPlan};
 pub use plan::{ChargingPlan, Metrics, PlanError, Stop};
-pub use replan::{add_sensor, remove_sensor};
 pub use sortie::{split_into_sorties, Sortie, SortieError, SortiePlan};
 pub use terrain::{plan_with_terrain, Terrain, TerrainRoute};
 pub use tighten::{tighten_dwells, validate_cross_credit, TightenReport};

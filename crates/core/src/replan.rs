@@ -8,7 +8,9 @@
 //!
 //! Both operations return a *new* `(Network, ChargingPlan)` pair — sensor
 //! indices are re-assigned by [`Network::new`], so the plan is rebuilt
-//! against the updated indices in the same pass.
+//! against the updated indices in the same pass. Their one caller is
+//! [`crate::PlanContext`], which installs that network as its next
+//! revision.
 
 use bc_geom::Point;
 use bc_units::{Joules, Meters, Seconds};
@@ -24,7 +26,7 @@ use crate::{ChargingBundle, ChargingPlan, PlanError, PlannerConfig, Stop};
 ///
 /// Returns [`PlanError::SensorOutOfBounds`] if `sensor_idx` does not
 /// exist in the network.
-pub fn remove_sensor(
+pub(crate) fn remove_sensor(
     net: &Network,
     plan: &ChargingPlan,
     sensor_idx: usize,
@@ -95,7 +97,7 @@ pub fn remove_sensor(
 ///
 /// Returns [`PlanError::InvalidDemand`] if `demand` is negative or not
 /// finite (a `NaN` demand would otherwise poison every dwell downstream).
-pub fn add_sensor(
+pub(crate) fn add_sensor(
     net: &Network,
     plan: &ChargingPlan,
     pos: Point,

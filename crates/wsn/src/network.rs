@@ -107,7 +107,7 @@ impl Network {
     /// the grid's scan order (see [`PointGrid::within_radius_into`]).
     ///
     /// Sensors far outside the field (which [`Network::new`] accepts and
-    /// `bc_core::add_sensor` can place) may spread the grid past
+    /// `bc_core::PlanContext::add_sensor` can place) may spread the grid past
     /// `max(4 n, 4096)` cells; it then keeps one cell, so hits come in
     /// index order and every query scans every sensor.
     ///

@@ -2,9 +2,7 @@
 //! tightening + sorties + fleets + replanning + alternative laws +
 //! lifetime + self-checks.
 
-use bundle_charging::core::{
-    add_sensor, planner, remove_sensor, split_into_sorties, tighten, try_plan_fleet,
-};
+use bundle_charging::core::{planner, split_into_sorties, tighten, try_plan_fleet, PlanContext};
 use bundle_charging::des::Scenario;
 use bundle_charging::prelude::*;
 use bundle_charging::wpt::{ChargingModel, Law};
@@ -65,18 +63,12 @@ fn replan_under_linear_law() {
     let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
 
-    let (net2, plan2) = add_sensor(
-        &net,
-        &plan,
-        bundle_charging::geom::Point::new(10.0, 10.0),
-        2.0,
-        &cfg,
-    )
-    .unwrap();
-    plan2.validate(&net2, &cfg.charging).unwrap();
-    let (net3, plan3) = remove_sensor(&net2, &plan2, 0, &cfg).unwrap();
-    plan3.validate(&net3, &cfg.charging).unwrap();
-    assert_eq!(net3.len(), 40);
+    let mut ctx = PlanContext::new(net, cfg.clone());
+    let plan2 = ctx.add_sensor(&plan, Point::new(10.0, 10.0), 2.0).unwrap();
+    plan2.validate(ctx.network(), &cfg.charging).unwrap();
+    let plan3 = ctx.remove_sensor(&plan2, 0).unwrap();
+    plan3.validate(ctx.network(), &cfg.charging).unwrap();
+    assert_eq!(ctx.network().len(), 40);
 }
 
 /// The whole planner stack under a table-calibrated law.

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use bundle_charging::core::planner::{self, Algorithm};
-use bundle_charging::core::{add_sensor, PlannerConfig};
+use bundle_charging::core::planner::Algorithm;
+use bundle_charging::core::{PlanContext, PlannerConfig};
 use bundle_charging::geom::{Aabb, Point};
 use bundle_charging::wsn::{deploy, Network};
 
@@ -255,9 +255,11 @@ fn explicit_coordinates_match_the_oracle() {
 
 #[test]
 fn sensors_added_outside_the_field_match_the_oracle() {
-    let cfg = PlannerConfig::paper_sim(25.0);
-    let mut net = deploy::uniform(60, Aabb::square(300.0), 2.0, 7);
-    let mut plan = planner::try_run(Algorithm::Bc, &net, &cfg).expect("plan");
+    let mut ctx = PlanContext::new(
+        deploy::uniform(60, Aabb::square(300.0), 2.0, 7),
+        PlannerConfig::paper_sim(25.0),
+    );
+    let mut plan = ctx.plan(Algorithm::Bc).expect("plan").plan;
     // The last sensor spreads the keys over 238 × 240 cells of 21.2 m,
     // past the grid's max(4 n, 4096) cells, so it keeps one cell.
     let added = [
@@ -266,10 +268,11 @@ fn sensors_added_outside_the_field_match_the_oracle() {
         (Point::new(5000.0, 5000.0), true),
     ];
     for (pos, one_cell) in added {
-        (net, plan) = add_sensor(&net, &plan, pos, 2.0, &cfg).expect("add sensor");
+        plan = ctx.add_sensor(&plan, pos, 2.0).expect("add sensor");
+        let net = ctx.network();
         assert!(!net.field().contains(pos));
         let label = format!("added at {pos}");
-        let unsorted = assert_matches_oracle(&net, 800, 11, &label, one_cell);
+        let unsorted = assert_matches_oracle(net, 800, 11, &label, one_cell);
         assert!(unsorted > 0, "{label}: every hit list came sorted");
     }
 }
