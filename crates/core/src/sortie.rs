@@ -222,6 +222,7 @@ pub fn split_into_sorties(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultRng;
     use crate::planner::{try_run, Algorithm};
     use crate::PlannerConfig;
     use bc_geom::Aabb;
@@ -234,12 +235,46 @@ mod tests {
         (net, cfg, plan)
     }
 
+    /// Under an unbounded budget every remainder of a tour is one sortie:
+    /// a cut between consecutive stops x and y adds |x b| + |b y| − |x y|
+    /// ≥ 0 of driving through the base b. Beside one plan at a 1e9 J
+    /// budget, the remainders here are suffixes of BC plans and random
+    /// thinnings of those suffixes, the shapes recovery leaves; way-points
+    /// (`include_base` on odd seeds) drop out.
     #[test]
     fn generous_budget_gives_single_sortie() {
+        const SUFFIXES: usize = 20;
         let (net, cfg, plan) = setup();
         let sp = split_into_sorties(&plan, net.base(), &cfg.energy, 1e9).unwrap();
         assert_eq!(sp.len(), 1);
         assert_eq!(sp.sorties[0].stops, 0..plan.num_charging_stops());
+
+        for seed in 0..6u64 {
+            let mut rng = FaultRng::new(seed, 0);
+            for n in [40, 200, 400] {
+                let net = deploy::uniform(n, Aabb::square(300.0), 2.0, seed);
+                for r in [10.0, 25.0] {
+                    let mut cfg = PlannerConfig::paper_sim(r);
+                    cfg.include_base = seed % 2 == 1;
+                    let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
+                    let len = plan.stops.len();
+                    for i in 0..SUFFIXES {
+                        let suffix = &plan.stops[i * len / SUFFIXES..];
+                        let thinned = suffix.iter().filter(|_| rng.unit() < 0.5).cloned();
+                        for stops in [suffix.to_vec(), thinned.collect()] {
+                            let rest = ChargingPlan::new(stops, 0);
+                            let k = rest.num_charging_stops();
+                            let sp =
+                                split_into_sorties(&rest, net.base(), &cfg.energy, f64::MAX / 2.0)
+                                    .unwrap();
+                            let got: Vec<_> = sp.sorties.iter().map(|s| s.stops.clone()).collect();
+                            let want: Vec<_> = (k > 0).then_some(0..k).into_iter().collect();
+                            assert_eq!(got, want, "seed {seed}, n {n}, r {r}, suffix {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The smallest budget for which every stop is feasible alone.
