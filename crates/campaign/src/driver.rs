@@ -312,7 +312,10 @@ impl CampaignReport {
     /// hex digits: equal hashes mean byte-identical merged snapshots.
     #[must_use]
     pub fn merge_hash(&self) -> String {
-        format!("{:016x}", fnv1a64(self.snapshot_json().as_bytes()))
+        format!(
+            "{:016x}",
+            fnv_fold(FNV_BASIS, self.snapshot_json().as_bytes())
+        )
     }
 }
 
@@ -351,14 +354,15 @@ fn render_seed_result(out: &mut String, sr: &SeedResult) {
     }
 }
 
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The FNV-1a 64-bit offset basis: the state before the first byte.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit state `h` and returns the new
+/// state; `fnv_fold(FNV_BASIS, bytes)` is the hash of `bytes`.
+pub(crate) fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Runs `seeds` through the scenario factory `make`, fanning across

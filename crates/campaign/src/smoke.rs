@@ -15,6 +15,8 @@ use bc_geom::Aabb;
 use bc_obs::wall;
 use bc_wsn::deploy;
 
+use crate::driver::{fnv_fold, FNV_BASIS};
+
 /// Span (s) the initial fill spreads events over.
 const FILL_SPAN_S: f64 = 1.0e6;
 /// Span (s) of the uniform hold increment added to each popped time.
@@ -55,13 +57,6 @@ impl SplitMix {
     }
 }
 
-fn fnv_fold(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Drives one backend through fill → hold → drain and measures
 /// events/sec plus a pop-sequence checksum.
 #[must_use]
@@ -74,7 +69,7 @@ pub fn bench_queue(
     let mut fill = SplitMix(seed);
     let mut hold = SplitMix(seed ^ 0x5851_f42d_4c95_7f2d);
     let mut q = EventQueue::with_backend(backend);
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_BASIS;
     let t0 = wall::now();
     for _ in 0..pending {
         q.schedule(
@@ -84,22 +79,16 @@ pub fn bench_queue(
     }
     for _ in 0..hold_ops {
         let Some(sch) = q.pop() else { break };
-        fnv_fold(
-            &mut checksum,
-            &sch.at.seconds().get().to_bits().to_le_bytes(),
-        );
-        fnv_fold(&mut checksum, &sch.seq.to_le_bytes());
+        checksum = fnv_fold(checksum, &sch.at.seconds().get().to_bits().to_le_bytes());
+        checksum = fnv_fold(checksum, &sch.seq.to_le_bytes());
         let at = sch
             .at
             .advance(clock::seconds(hold.next_f64() * HOLD_SPAN_S));
         q.schedule(at, sch.event);
     }
     while let Some(sch) = q.pop() {
-        fnv_fold(
-            &mut checksum,
-            &sch.at.seconds().get().to_bits().to_le_bytes(),
-        );
-        fnv_fold(&mut checksum, &sch.seq.to_le_bytes());
+        checksum = fnv_fold(checksum, &sch.at.seconds().get().to_bits().to_le_bytes());
+        checksum = fnv_fold(checksum, &sch.seq.to_le_bytes());
     }
     let elapsed_s = t0.elapsed().as_secs_f64().max(1e-12);
     let ops = 2 * (pending as u64 + hold_ops as u64); // cast-ok: op counts fit u64

@@ -11,11 +11,12 @@
 //! * [`RecoveryPolicy::ReplanRemaining`] — on a death, also recentre the
 //!   stop that held the sensor on its survivors' smallest enclosing disk
 //!   (Definition 2), as [`crate::PlanContext::remove_sensor`] does;
-//! * [`RecoveryPolicy::ReturnToBase`] — on any fault, divert to the base
-//!   station and re-enter the remainder as base-anchored sorties via
-//!   [`crate::sortie::split_into_sorties`]; a base visit also resets a
-//!   stop's transient charge failures, so no live sensor is stranded at
-//!   the price of extra mileage.
+//! * [`RecoveryPolicy::ReturnToBase`] — when a death touches a pending
+//!   stop, or a stop runs out of retries, divert to the base station and
+//!   re-enter the remainder as one base sortie (base → pending stops in
+//!   tour order → base); stalls and degradation never divert. A base
+//!   visit also resets a stop's transient charge failures, so no live
+//!   sensor is stranded, at the price of extra mileage.
 //!
 //! Every policy repairs in place, on the executor's own network: a death
 //! touches only the pending stop that holds the sensor, and only a stop
@@ -41,7 +42,6 @@ use bc_wsn::{Network, Sensor};
 use crate::config::ConfigError;
 use crate::faults::{FaultModel, FaultModelError, FaultSchedule};
 use crate::plan::{ChargingPlan, PlanError, Stop};
-use crate::sortie::{split_into_sorties, SortieError};
 use crate::{ChargingBundle, PlannerConfig};
 
 /// How the executor reacts to faults that invalidate part of the plan.
@@ -49,9 +49,9 @@ use crate::{ChargingBundle, PlannerConfig};
 pub enum RecoveryPolicy {
     /// Drop what broke and keep driving the original tour.
     SkipAndContinue,
-    /// Rebuild the unvisited remainder of the tour after each death.
+    /// Recentre each pending stop that loses a member on its survivors.
     ReplanRemaining,
-    /// Divert to the base station and re-enter the remainder as sorties.
+    /// Divert to the base station and re-enter the remainder as one sortie.
     ReturnToBase,
 }
 
@@ -89,10 +89,6 @@ pub enum ExecError {
     Config(ConfigError),
     /// The fault model is invalid.
     Faults(FaultModelError),
-    /// The remainder could not be split into sorties (only
-    /// [`RecoveryPolicy::ReturnToBase`]; its sortie budget is
-    /// `f64::MAX / 2`, so only a stop energy beyond that fails the split).
-    Sortie(SortieError),
     /// The charger speed is not a positive finite number.
     BadSpeed {
         /// The rejected speed (m/s).
@@ -106,7 +102,6 @@ impl fmt::Display for ExecError {
             ExecError::Plan(e) => write!(f, "invalid plan: {e}"),
             ExecError::Config(e) => write!(f, "invalid configuration: {e}"),
             ExecError::Faults(e) => write!(f, "invalid fault model: {e}"),
-            ExecError::Sortie(e) => write!(f, "recovery sortie split failed: {e}"),
             ExecError::BadSpeed { value } => {
                 write!(f, "charger speed must be positive and finite, got {value}")
             }
@@ -120,7 +115,6 @@ impl std::error::Error for ExecError {
             ExecError::Plan(e) => Some(e),
             ExecError::Config(e) => Some(e),
             ExecError::Faults(e) => Some(e),
-            ExecError::Sortie(e) => Some(e),
             ExecError::BadSpeed { .. } => None,
         }
     }
@@ -280,14 +274,9 @@ impl ExecutionReport {
     }
 }
 
-/// The energy bound of each [`RecoveryPolicy::ReturnToBase`] sortie:
-/// half of `f64::MAX`, unbounded in effect yet small enough that sums of
-/// sortie energies stay finite. The split only minimises detour energy.
-const RETURN_SORTIE_BUDGET_J: f64 = f64::MAX / 2.0;
-
 /// The tour item queue: plan stops still to visit (tagged with their
 /// original stop index) plus recovery visits to the base station.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Item {
     Visit { tag: usize, stop: Stop },
     Base,
@@ -374,10 +363,10 @@ impl<'a> Executor<'a> {
         let mut st = ExecState::new(self, plan, faults, round, schedule, nominal.total_energy_j);
         for &s in initially_dead {
             if s < st.dead.len() {
-                st.apply_death(self, s, false)?;
+                st.apply_death(self, s, false);
             }
         }
-        st.run(self)?;
+        st.run(self);
         Ok(st.finish(plan))
     }
 }
@@ -470,7 +459,7 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    fn run(&mut self, exec: &Executor<'_>) -> Result<(), ExecError> {
+    fn run(&mut self, exec: &Executor<'_>) {
         loop {
             // Deaths fire while their stop is still in the queue, so the
             // policy can react before the charger departs.
@@ -478,7 +467,7 @@ impl<'a> ExecState<'a> {
             {
                 let (_, sensor) = self.deaths[self.next_death];
                 self.next_death += 1;
-                self.apply_death(exec, sensor, true)?;
+                self.apply_death(exec, sensor, true);
             }
             let Some(item) = self.pending.pop_front() else {
                 break;
@@ -486,7 +475,7 @@ impl<'a> ExecState<'a> {
             match item {
                 Item::Base => self.visit_base(exec),
                 Item::Visit { tag, stop } => {
-                    self.visit_stop(exec, tag, stop)?;
+                    self.visit_stop(exec, tag, stop);
                     self.step += 1;
                 }
             }
@@ -495,7 +484,7 @@ impl<'a> ExecState<'a> {
         while self.next_death < self.deaths.len() {
             let (_, sensor) = self.deaths[self.next_death];
             self.next_death += 1;
-            self.apply_death(exec, sensor, true)?;
+            self.apply_death(exec, sensor, true);
         }
         // Close the tour like the nominal metrics do, unless a recovery
         // already parked the charger at the base.
@@ -507,7 +496,6 @@ impl<'a> ExecState<'a> {
                 self.move_energy_j += exec.cfg.energy.movement_energy(Meters(d));
             }
         }
-        Ok(())
     }
 
     /// Drives a leg with the given stall multiplier.
@@ -546,14 +534,14 @@ impl<'a> ExecState<'a> {
             .push(ExecutedStop::idle(None, exec.net.base(), d, t));
     }
 
-    fn visit_stop(&mut self, exec: &Executor<'_>, tag: usize, stop: Stop) -> Result<(), ExecError> {
+    fn visit_stop(&mut self, exec: &Executor<'_>, tag: usize, stop: Stop) {
         self.ended_at_base = false;
         let (d, t) = self.drive(exec, stop.anchor(), self.schedule.stalls[tag]);
         if stop.bundle.is_empty() {
             // Way-point (e.g. the base when include_base is set).
             self.timeline
                 .push(ExecutedStop::idle(Some(tag), stop.anchor(), d, t));
-            return Ok(());
+            return;
         }
         let fails = if self.attempts_cleared[tag] {
             0
@@ -562,7 +550,8 @@ impl<'a> ExecState<'a> {
         };
         let max_retries = self.faults.max_retries;
         if fails > max_retries {
-            return self.unrecoverable_stop(exec, tag, stop, d, t, max_retries);
+            self.unrecoverable_stop(tag, stop, d, t, max_retries);
+            return;
         }
         // `fails` transient failures, then one clean attempt; with the
         // transmitter off, backoff costs time but no energy.
@@ -616,19 +605,17 @@ impl<'a> ExecState<'a> {
             served,
             delivered_j: delivered,
         });
-        Ok(())
     }
 
     /// A stop whose transient failures exceeded the retry budget.
     fn unrecoverable_stop(
         &mut self,
-        exec: &Executor<'_>,
         tag: usize,
         stop: Stop,
         drive_m: Meters,
         drive_s: Seconds,
         max_retries: u32,
-    ) -> Result<(), ExecError> {
+    ) {
         let attempts = max_retries + 1;
         let backoff = self.faults.backoff_total(max_retries);
         self.retries += attempts;
@@ -655,27 +642,21 @@ impl<'a> ExecState<'a> {
             RecoveryPolicy::SkipAndContinue | RecoveryPolicy::ReplanRemaining => {
                 // Give up in place; live members stay stranded.
                 self.stops_abandoned += 1;
-                Ok(())
             }
             RecoveryPolicy::ReturnToBase => {
                 // A base visit resets the transient condition: re-queue
                 // the stop and re-enter the remainder from the base.
                 self.attempts_cleared[tag] = true;
                 self.pending.push_front(Item::Visit { tag, stop });
-                self.resplit_from_base(exec)
+                self.return_to_base();
             }
         }
     }
 
     /// Marks `sensor` dead and lets the policy repair the remainder.
-    fn apply_death(
-        &mut self,
-        exec: &Executor<'_>,
-        sensor: usize,
-        new_death: bool,
-    ) -> Result<(), ExecError> {
+    fn apply_death(&mut self, exec: &Executor<'_>, sensor: usize, new_death: bool) {
         if self.dead[sensor] {
-            return Ok(());
+            return;
         }
         self.dead[sensor] = true;
         if new_death {
@@ -693,11 +674,11 @@ impl<'a> ExecState<'a> {
             }
         }
         if !self.repair_pending(exec, sensor) {
-            return Ok(());
+            return;
         }
         match self.policy {
-            RecoveryPolicy::SkipAndContinue => Ok(()),
-            RecoveryPolicy::ReturnToBase => self.resplit_from_base(exec),
+            RecoveryPolicy::SkipAndContinue => {}
+            RecoveryPolicy::ReturnToBase => self.return_to_base(),
             RecoveryPolicy::ReplanRemaining => {
                 self.replans += 1;
                 if bc_obs::active() {
@@ -711,7 +692,6 @@ impl<'a> ExecState<'a> {
                         ],
                     );
                 }
-                Ok(())
             }
         }
     }
@@ -750,41 +730,20 @@ impl<'a> ExecState<'a> {
         held
     }
 
-    /// Replaces the pending queue with base-anchored sorties over the
-    /// remaining stops (the [`RecoveryPolicy::ReturnToBase`] detour).
-    fn resplit_from_base(&mut self, exec: &Executor<'_>) -> Result<(), ExecError> {
-        // Every sortie starts and ends at the base, so way-points drop out
-        // (as they do inside `split_into_sorties`, whose sortie ranges
-        // index the stops it keeps).
-        let visits: Vec<(usize, Stop)> = self
-            .pending
-            .drain(..)
-            .filter_map(|it| match it {
-                Item::Visit { tag, stop } if !stop.bundle.is_empty() => Some((tag, stop)),
-                _ => None,
-            })
-            .collect();
-        if visits.is_empty() {
-            self.pending.push_back(Item::Base);
-            return Ok(());
-        }
-        let remaining = ChargingPlan::new(visits.iter().map(|(_, s)| s.clone()).collect(), 0);
-        let sp = split_into_sorties(
-            &remaining,
-            exec.net.base(),
-            &exec.cfg.energy,
-            RETURN_SORTIE_BUDGET_J,
-        )
-        .map_err(ExecError::Sortie)?;
-        for sortie in &sp.sorties {
-            self.pending.push_back(Item::Base);
-            for i in sortie.stops.clone() {
-                let (tag, stop) = visits[i].clone();
-                self.pending.push_back(Item::Visit { tag, stop });
-            }
+    /// Re-enters the remainder as one base sortie (the
+    /// [`RecoveryPolicy::ReturnToBase`] detour): the pending charging
+    /// stops keep their tour order between a base visit in front, when
+    /// any remain, and one at the back. Way-points drop out. With no
+    /// bound on a sortie's energy this is the best split of the
+    /// remainder, since a cut between stops x and y adds
+    /// |x b| + |b y| − |x y| ≥ 0 of driving through the base b.
+    fn return_to_base(&mut self) {
+        self.pending
+            .retain(|it| matches!(it, Item::Visit { stop, .. } if !stop.bundle.is_empty()));
+        if !self.pending.is_empty() {
+            self.pending.push_front(Item::Base);
         }
         self.pending.push_back(Item::Base);
-        Ok(())
     }
 
     fn finish(self, plan: &ChargingPlan) -> ExecutionReport {
@@ -1016,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn return_to_base_resplits_every_stop_past_the_waypoint() {
+    fn return_to_base_reenters_every_stop_past_the_waypoint() {
         let (net, cfg, plan) = setup_with_base();
         let shared = plan.stops.iter().find(|s| s.bundle.len() >= 2).unwrap();
         let rep = Executor::new(&net, &cfg)
@@ -1025,8 +984,8 @@ mod tests {
             .unwrap();
         assert!(rep.stranded.is_empty(), "stranded {:?}", rep.stranded);
         assert_eq!(rep.served.len(), 29);
-        // Sorties start at the base, so the way-point drops out and each
-        // charging stop is visited once.
+        // The sortie starts at the base, so the way-point drops out and
+        // each charging stop is visited once.
         let mut tags: Vec<usize> = rep.timeline.iter().filter_map(|e| e.plan_stop).collect();
         tags.sort_unstable();
         let charging: Vec<usize> = (1..plan.stops.len()).collect();

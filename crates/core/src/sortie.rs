@@ -13,6 +13,13 @@
 //! With the visiting order fixed by the underlying planner, the optimal
 //! split is the classical route-first / cluster-second dynamic program:
 //! `best[j] = min over feasible segments (i..j] of best[i] + cost(i, j)`.
+//!
+//! Only finite budgets need the split: the sortie-budget ablation
+//! (`bc_sim::figures::ablations`) and the `site_survey` example call it.
+//! Under an unbounded budget the whole plan is one sortie, since a cut
+//! between stops x and y adds |x b| + |b y| − |x y| ≥ 0 of driving
+//! through the base b; [`crate::RecoveryPolicy::ReturnToBase`] therefore
+//! re-enters a remainder as one sortie without calling this module.
 
 use std::fmt;
 

@@ -680,10 +680,7 @@ impl<'a> Engine<'a> {
         let sc = self.sc;
         let routes = match self.mode {
             Mode::ExecutorRound => self.executor_round()?,
-            Mode::Direct => match &sc.faults {
-                Some(fm) => self.direct_faulty_round(fm),
-                None => self.direct_clean_round(),
-            },
+            Mode::Direct => self.build_direct_routes(sc.faults.as_ref()),
         };
         let now = self.clock.now();
         self.round_served.iter_mut().for_each(|b| *b = false);
@@ -763,23 +760,19 @@ impl<'a> Engine<'a> {
         Ok(vec![segments])
     }
 
-    /// Fault-free rounds. A single charger reproduces the legacy
-    /// integrator exactly: the closing leg is driven *first* (from the
-    /// last stop's anchor into stop 0) and the charger stays in the field
-    /// between rounds. A fleet instead splits the tour by dispatch policy,
-    /// each charger driving base → its arc → base.
-    fn direct_clean_round(&mut self) -> Vec<Vec<Segment>> {
-        self.build_direct_routes(None)
-    }
-
-    /// Multi-charger rounds with faults: apply this round's schedule
-    /// directly — stall-stretched legs, retry backoff, degradation
-    /// stretch, abandoned stops — and pin hardware deaths to the arrival
-    /// at their stop.
-    fn direct_faulty_round(&mut self, fm: &FaultModel) -> Vec<Vec<Segment>> {
-        self.build_direct_routes(Some(fm))
-    }
-
+    /// Rounds outside the executor: fault-free rounds, and multi-charger
+    /// rounds with faults.
+    ///
+    /// Fault-free, a single charger reproduces the legacy integrator
+    /// exactly: the closing leg is driven *first* (from the last stop's
+    /// anchor into stop 0) and the charger stays in the field between
+    /// rounds. A fleet instead splits the tour by dispatch policy, each
+    /// charger driving base → its arc → base.
+    ///
+    /// With a fault model `fm`, apply this round's schedule directly —
+    /// stall-stretched legs, retry backoff, degradation stretch,
+    /// abandoned stops — and pin hardware deaths to the arrival at their
+    /// stop.
     fn build_direct_routes(&mut self, fm: Option<&FaultModel>) -> Vec<Vec<Segment>> {
         let stops = &self.plan.stops;
         let m = stops.len();
