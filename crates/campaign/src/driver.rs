@@ -312,10 +312,8 @@ impl CampaignReport {
     /// hex digits: equal hashes mean byte-identical merged snapshots.
     #[must_use]
     pub fn merge_hash(&self) -> String {
-        format!(
-            "{:016x}",
-            fnv_fold(FNV_BASIS, self.snapshot_json().as_bytes())
-        )
+        let h = fnv_fold(FNV_BASIS, self.snapshot_json().as_bytes());
+        format!("{h:016x}")
     }
 }
 
