@@ -1,7 +1,7 @@
-//! Bit-level goldens for the plans of the planners that compute their
-//! inputs inline (SC's contact dwells, CSS's sensor-level tour, CSS split
-//! over a three-charger fleet) and for the fault-injected execution of a
-//! BC plan under every recovery policy.
+//! Bit-level goldens for the plans of all four planners (SC's contact
+//! dwells, CSS's sensor-level tour, CSS split over a three-charger fleet,
+//! BC's bundle tour and BC-OPT's tightened anchors) and for the
+//! fault-injected execution of a BC plan under every recovery policy.
 //!
 //! The hashes cover every bit a plan or report carries, so any change to
 //! a dwell, an anchor, a tour order or a recovery decision shows here.
@@ -55,6 +55,41 @@ const GOLDEN: [&str; 30] = [
     "2004 400 25 | 39a37c8139e1995b 79cb155d3a744800 3780e22ceac075f2 | 1a7039e62bd6e83a 67a7c10404e4c3a1 23e59b22bd5f92c8",
 ];
 
+/// `seed n r | BC BC-OPT`, as FNV-1a plan hashes, for every seed × size ×
+/// radius.
+const GOLDEN_BC: [&str; 30] = [
+    "2000 100 5 | b75152f8b1be0a45 e4819d5307ff6e1a",
+    "2000 100 10 | 58f5f10576834856 e21c0ab5ae6766b1",
+    "2000 100 25 | 56e7187813470c0b cf9656a53380d952",
+    "2000 400 5 | dfeda79d2f2cd79e dbbfd3daa529be7c",
+    "2000 400 10 | 29dcdf123dba9345 b2311a6fff1900c3",
+    "2000 400 25 | e99bb624b3187fb4 a70a16b1aa835116",
+    "2001 100 5 | c52944dfba4cd19b 46159159ae39df11",
+    "2001 100 10 | 73ee2f1721e7c594 00cdf8cbc556e45b",
+    "2001 100 25 | 4a6a86963a4ff0c6 aae2c7e6e54de0cf",
+    "2001 400 5 | c76f045891055116 a3814f8372bfda67",
+    "2001 400 10 | 9b2243c41d113a05 89a30b1167c5fbfd",
+    "2001 400 25 | 1d388775c076e89a 5fc32ae9b392a8b4",
+    "2002 100 5 | 2360b84dec359738 436ee16dbcd1dd3a",
+    "2002 100 10 | 198fb917757d6db9 6025875a377e3085",
+    "2002 100 25 | d3f3657bc829f174 cb445b4b13cd1002",
+    "2002 400 5 | 67dc9c3ea7162ba1 922c5a6ffcce1f78",
+    "2002 400 10 | 41f60a9a480e7bd1 48565f6b394186ca",
+    "2002 400 25 | 59a1af91551f7420 611b5791749258fc",
+    "2003 100 5 | b2dfda1035aa16f8 197a211669e8d72b",
+    "2003 100 10 | 0614594027cd32b3 d9f70dbc5b7e22b6",
+    "2003 100 25 | 2691e43ee6819166 7c098799094a653b",
+    "2003 400 5 | b9d96884c5c09f7d b43a37912564cf16",
+    "2003 400 10 | 7f3b446136f0e142 ac185f9ac332eb09",
+    "2003 400 25 | bca6556e9ea434fd bc86127fdd9216a4",
+    "2004 100 5 | 1d841b62a7c2b880 a90d1c8f85c559b3",
+    "2004 100 10 | ca0e383b4453abb6 1775dabd9121a14e",
+    "2004 100 25 | c04bb29f573256a0 b4b965d7144100c6",
+    "2004 400 5 | dd12c098ec671a29 700204fc36c08c7c",
+    "2004 400 10 | a74eafbaaaa42990 6fa91ab91648c06a",
+    "2004 400 25 | f08b81b0b97f9cfd f9103bba71ffa926",
+];
+
 /// 64-bit FNV-1a over a stream of little-endian `u64`s.
 struct Fnv(u64);
 
@@ -94,6 +129,13 @@ impl Fnv {
     }
 }
 
+/// Every stop of a plan charges at least one sensor.
+fn assert_every_stop_charges(plan: &ChargingPlan, what: &str) {
+    for (i, stop) in plan.stops.iter().enumerate() {
+        assert!(!stop.bundle.is_empty(), "{what}: stop {i} has no members");
+    }
+}
+
 fn plan_hash(plan: &ChargingPlan) -> u64 {
     let mut h = Fnv::new();
     h.eat_plan(plan);
@@ -109,9 +151,12 @@ fn case(seed: u64, n: usize, r: f64) -> String {
         planner::try_run(Algorithm::Css, &net, &cfg).unwrap_or_else(|e| panic!("CSS plan: {e}"));
     let fleet = try_plan_fleet(&net, &cfg, Algorithm::Css, 3)
         .unwrap_or_else(|e| panic!("CSS fleet plan: {e}"));
+    assert_every_stop_charges(&sc, "SC");
+    assert_every_stop_charges(&css, "CSS");
     let mut fh = Fnv::new();
     fh.eat(fleet.plans.len() as u64);
     for plan in &fleet.plans {
+        assert_every_stop_charges(plan, "CSS fleet");
         fh.eat_plan(plan);
     }
     for &a in &fleet.assignment {
@@ -141,6 +186,22 @@ fn case(seed: u64, n: usize, r: f64) -> String {
     )
 }
 
+/// One line of [`GOLDEN_BC`].
+fn bc_case(seed: u64, n: usize, r: f64) -> String {
+    let net = deploy::uniform(n, Aabb::square(FIELD_SIDE_M), 2.0, seed);
+    let cfg = PlannerConfig::paper_sim(r);
+    let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap_or_else(|e| panic!("BC plan: {e}"));
+    let opt = planner::try_run(Algorithm::BcOpt, &net, &cfg)
+        .unwrap_or_else(|e| panic!("BC-OPT plan: {e}"));
+    assert_every_stop_charges(&bc, "BC");
+    assert_every_stop_charges(&opt, "BC-OPT");
+    format!(
+        "{seed} {n} {r} | {:016x} {:016x}",
+        plan_hash(&bc),
+        plan_hash(&opt)
+    )
+}
+
 /// SC, CSS and CSS-fleet plans and every policy's execution report match
 /// the pinned hashes on all 30 cases.
 #[test]
@@ -155,6 +216,23 @@ fn plans_and_reports_match_pinned_hashes() {
     }
     assert_eq!(got.len(), GOLDEN.len());
     for (g, want) in got.iter().zip(GOLDEN) {
+        assert_eq!(g, want);
+    }
+}
+
+/// BC and BC-OPT plans match the pinned hashes on all 30 cases.
+#[test]
+fn bc_and_bc_opt_plans_match_pinned_hashes() {
+    let mut got = Vec::new();
+    for seed in SEEDS {
+        for n in SIZES {
+            for r in RADII_M {
+                got.push(bc_case(seed, n, r));
+            }
+        }
+    }
+    assert_eq!(got.len(), GOLDEN_BC.len());
+    for (g, want) in got.iter().zip(GOLDEN_BC) {
         assert_eq!(g, want);
     }
 }
