@@ -82,8 +82,7 @@ pub enum DwellPolicy {
 /// use bc_core::PlannerConfig;
 /// use bc_units::Meters;
 ///
-/// let mut cfg = PlannerConfig::paper_sim(20.0);
-/// cfg.include_base = true; // route the tour through the base station
+/// let cfg = PlannerConfig::paper_sim(20.0);
 /// assert_eq!(cfg.bundle_radius, Meters(20.0));
 /// ```
 #[derive(Debug, Clone)]
@@ -96,10 +95,6 @@ pub struct PlannerConfig {
     pub energy: EnergyModel,
     /// TSP pipeline settings.
     pub tsp: SolveConfig,
-    /// Include the base station as a zero-dwell tour stop. The paper's
-    /// simulations optimise the tour among charging positions only, so
-    /// this defaults to `false`.
-    pub include_base: bool,
     /// How BC sets dwell times (SC, CSS and BC-OPT always use realized
     /// distances).
     pub dwell_policy: DwellPolicy,
@@ -114,7 +109,6 @@ impl PlannerConfig {
             charging: ChargingModel::paper_sim(),
             energy: EnergyModel::paper_sim(),
             tsp: SolveConfig::default(),
-            include_base: false,
             dwell_policy: DwellPolicy::default(),
         }
     }
@@ -127,7 +121,6 @@ impl PlannerConfig {
             charging: ChargingModel::paper_testbed(),
             energy: EnergyModel::paper_testbed(),
             tsp: SolveConfig::default(),
-            include_base: false,
             dwell_policy: DwellPolicy::default(),
         }
     }
@@ -195,11 +188,5 @@ mod tests {
         assert!(sim.charging.beta().unwrap() > tb.charging.beta().unwrap());
         assert_eq!(sim.bundle_radius, Meters(10.0));
         assert_eq!(tb.bundle_radius, Meters(1.0));
-    }
-
-    #[test]
-    fn defaults_are_sane() {
-        let cfg = PlannerConfig::paper_sim(10.0);
-        assert!(!cfg.include_base);
     }
 }

@@ -211,9 +211,6 @@ enum Stage {
     SetCover,
     /// Order: TSP over the stop anchors.
     Order,
-    /// CSS order: [`Stage::Order`], but an empty network gets an empty
-    /// plan without the base way-point.
-    CssOrder,
     /// CSS tighten: the Substitute pass.
     Substitute,
     /// BC-OPT tighten: the Algorithm 3 anchor relocation.
@@ -226,7 +223,7 @@ impl Stage {
         match self {
             Stage::WarmCandidates => "stage.candidates",
             Stage::SingletonCover | Stage::CombineSkipCover | Stage::SetCover => "stage.cover",
-            Stage::Order | Stage::CssOrder => "stage.order",
+            Stage::Order => "stage.order",
             Stage::Substitute | Stage::Relocate => "stage.tighten",
         }
     }
@@ -237,7 +234,7 @@ impl Stage {
 fn stages(algo: Algorithm) -> &'static [Stage] {
     match algo {
         Algorithm::Sc => &[Stage::SingletonCover, Stage::Order],
-        Algorithm::Css => &[Stage::CombineSkipCover, Stage::CssOrder, Stage::Substitute],
+        Algorithm::Css => &[Stage::CombineSkipCover, Stage::Order, Stage::Substitute],
         Algorithm::Bc => &[Stage::WarmCandidates, Stage::SetCover, Stage::Order],
         Algorithm::BcOpt => &[
             Stage::WarmCandidates,
@@ -505,12 +502,10 @@ impl PlanContext {
                 };
                 work.stops = crate::planner::stops_for_bundles(bundles, net, cfg);
             }
-            Stage::CssOrder if net.is_empty() => work.plan = Some(ChargingPlan::new(Vec::new(), 0)),
-            // TSP over the stop anchors, plus the optional base way-point.
-            Stage::Order | Stage::CssOrder => {
+            // TSP over the stop anchors.
+            Stage::Order => {
                 let stops = std::mem::take(&mut work.stops);
-                let (plan, or_work) =
-                    crate::planner::order_into_plan(stops, net, &cfg.tsp, cfg.include_base);
+                let (plan, or_work) = crate::planner::order_into_plan(stops, net, &cfg.tsp);
                 count_or_opt(or_work);
                 work.plan = Some(plan);
             }
@@ -643,8 +638,15 @@ mod tests {
     fn empty_network_plans_are_empty() {
         let ctx = ctx(0, 5.0, 0);
         for algo in Algorithm::ALL {
-            let staged = ctx.plan(algo).unwrap();
-            assert_eq!(staged.plan.num_charging_stops(), 0);
+            let stats = Arc::new(StatsRecorder::new());
+            let staged = bc_obs::with_local(stats.clone(), || ctx.plan(algo).unwrap());
+            assert_eq!(staged.plan, ChargingPlan::new(Vec::new(), 0), "{algo}");
+            // Every pipeline orders its (empty) stops, so each counts its
+            // Or-opt work, at zero.
+            let snap = stats.snapshot();
+            for key in ["plan.order.or_moves", "plan.order.or_scored"] {
+                assert_eq!(snap.counters.get(key), Some(&0), "{algo} {key}");
+            }
         }
     }
 

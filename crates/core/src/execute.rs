@@ -168,8 +168,8 @@ pub struct ExecutedStop {
 }
 
 impl ExecutedStop {
-    /// A visit that charges nothing: a base return, a way-point or a stop
-    /// given up on arrival.
+    /// A visit that charges nothing: a base return or a stop given up on
+    /// arrival.
     fn idle(plan_stop: Option<usize>, anchor: Point, drive_m: Meters, drive_s: Seconds) -> Self {
         ExecutedStop {
             plan_stop,
@@ -537,12 +537,6 @@ impl<'a> ExecState<'a> {
     fn visit_stop(&mut self, exec: &Executor<'_>, tag: usize, stop: Stop) {
         self.ended_at_base = false;
         let (d, t) = self.drive(exec, stop.anchor(), self.schedule.stalls[tag]);
-        if stop.bundle.is_empty() {
-            // Way-point (e.g. the base when include_base is set).
-            self.timeline
-                .push(ExecutedStop::idle(Some(tag), stop.anchor(), d, t));
-            return;
-        }
         let fails = if self.attempts_cleared[tag] {
             0
         } else {
@@ -731,15 +725,13 @@ impl<'a> ExecState<'a> {
     }
 
     /// Re-enters the remainder as one base sortie (the
-    /// [`RecoveryPolicy::ReturnToBase`] detour): the pending charging
-    /// stops keep their tour order between a base visit in front, when
-    /// any remain, and one at the back. Way-points drop out. With no
-    /// bound on a sortie's energy this is the best split of the
-    /// remainder, since a cut between stops x and y adds
-    /// |x b| + |b y| − |x y| ≥ 0 of driving through the base b.
+    /// [`RecoveryPolicy::ReturnToBase`] detour): the pending stops keep
+    /// their tour order between a base visit in front, when any remain,
+    /// and one at the back. With no bound on a sortie's energy this is
+    /// the best split of the remainder, since a cut between stops x and
+    /// y adds |x b| + |b y| − |x y| ≥ 0 of driving through the base b.
     fn return_to_base(&mut self) {
-        self.pending
-            .retain(|it| matches!(it, Item::Visit { stop, .. } if !stop.bundle.is_empty()));
+        self.pending.retain(|it| matches!(it, Item::Visit { .. }));
         if !self.pending.is_empty() {
             self.pending.push_front(Item::Base);
         }
@@ -802,8 +794,13 @@ mod tests {
     use bc_wsn::deploy;
 
     fn setup(n: usize, seed: u64) -> (Network, PlannerConfig, ChargingPlan) {
+        setup_at(n, 30.0, seed)
+    }
+
+    /// A BC plan of `n` sensors in a 300 m square at bundle radius `r`.
+    fn setup_at(n: usize, r: f64, seed: u64) -> (Network, PlannerConfig, ChargingPlan) {
         let net = deploy::uniform(n, Aabb::square(300.0), 2.0, seed);
-        let cfg = PlannerConfig::paper_sim(30.0);
+        let cfg = PlannerConfig::paper_sim(r);
         let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         (net, cfg, plan)
     }
@@ -944,22 +941,12 @@ mod tests {
         );
     }
 
-    /// A BC plan of 30 sensors at r = 10 m whose tour starts at the base
-    /// way-point.
-    fn setup_with_base() -> (Network, PlannerConfig, ChargingPlan) {
-        let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 5);
-        let mut cfg = PlannerConfig::paper_sim(10.0);
-        cfg.include_base = true;
-        let plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
-        assert!(plan.stops[0].bundle.is_empty(), "stop 0 is the way-point");
-        (net, cfg, plan)
-    }
-
     #[test]
-    fn emptying_a_stop_keeps_the_waypoint() {
-        let (net, cfg, plan) = setup_with_base();
-        let lone = plan.stops.iter().find(|s| s.bundle.len() == 1).unwrap();
-        let dead = [lone.bundle.sensors[0]];
+    fn an_emptied_stop_is_the_only_one_dropped() {
+        let (net, cfg, plan) = setup_at(30, 10.0, 5);
+        let lone = plan.stops.iter().position(|s| s.bundle.len() == 1).unwrap();
+        let dead = [plan.stops[lone].bundle.sensors[0]];
+        let kept: Vec<usize> = (0..plan.stops.len()).filter(|&i| i != lone).collect();
         for policy in [
             RecoveryPolicy::SkipAndContinue,
             RecoveryPolicy::ReplanRemaining,
@@ -969,14 +956,15 @@ mod tests {
                 .execute_with_dead(&plan, &FaultModel::none(), 0, &dead)
                 .unwrap();
             assert_eq!(rep.stops_abandoned, 1, "{policy}");
-            assert_eq!(rep.timeline.len(), plan.stops.len() - 1, "{policy}");
-            assert_eq!(rep.timeline[0].plan_stop, Some(0), "{policy}");
+            let tags: Vec<usize> = rep.timeline.iter().filter_map(|e| e.plan_stop).collect();
+            assert_eq!(tags, kept, "{policy}");
+            assert!(rep.stranded.is_empty(), "{policy}: {:?}", rep.stranded);
         }
     }
 
     #[test]
-    fn return_to_base_reenters_every_stop_past_the_waypoint() {
-        let (net, cfg, plan) = setup_with_base();
+    fn return_to_base_visits_every_remaining_stop_once() {
+        let (net, cfg, plan) = setup_at(30, 10.0, 5);
         let shared = plan.stops.iter().find(|s| s.bundle.len() >= 2).unwrap();
         let rep = Executor::new(&net, &cfg)
             .with_policy(RecoveryPolicy::ReturnToBase)
@@ -984,12 +972,11 @@ mod tests {
             .unwrap();
         assert!(rep.stranded.is_empty(), "stranded {:?}", rep.stranded);
         assert_eq!(rep.served.len(), 29);
-        // The sortie starts at the base, so the way-point drops out and
-        // each charging stop is visited once.
-        let mut tags: Vec<usize> = rep.timeline.iter().filter_map(|e| e.plan_stop).collect();
-        tags.sort_unstable();
-        let charging: Vec<usize> = (1..plan.stops.len()).collect();
-        assert_eq!(tags, charging);
+        // The death empties no stop, so the sortie re-enters all of them,
+        // each once, between two base visits.
+        let tags: Vec<usize> = rep.timeline.iter().filter_map(|e| e.plan_stop).collect();
+        assert_eq!(tags, (0..plan.stops.len()).collect::<Vec<_>>());
+        assert_eq!(rep.base_returns, 2);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::ChargingBundle;
 /// `bundle.anchor` and transmits for `dwell`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stop {
-    /// The bundle served at this stop. A zero-dwell marker stop (e.g. the
-    /// base station) is represented by an empty member list.
+    /// The bundle served at this stop.
     pub bundle: ChargingBundle,
     /// Dwell time.
     pub dwell: Seconds,
@@ -26,19 +25,6 @@ impl Stop {
     pub fn for_bundle(bundle: ChargingBundle, net: &Network, model: &ChargingModel) -> Self {
         let dwell = bundle.dwell_time(net, model);
         Stop { bundle, dwell }
-    }
-
-    /// A zero-dwell way-point (used for the base station when the tour is
-    /// configured to include it).
-    pub fn waypoint(p: Point) -> Self {
-        Stop {
-            bundle: ChargingBundle {
-                sensors: Vec::new(),
-                anchor: p,
-                enclosing_radius: Meters(0.0),
-            },
-            dwell: Seconds(0.0),
-        }
     }
 
     /// Position of the stop.
@@ -377,15 +363,5 @@ mod tests {
         let m = plan.metrics(&EnergyModel::paper_sim());
         assert_eq!(m.total_energy_j, Joules(0.0));
         assert_eq!(m.avg_charge_time_per_sensor_s, Seconds(0.0));
-    }
-
-    #[test]
-    fn waypoint_stops_do_not_count_as_charging() {
-        let net = deploy::uniform(2, Aabb::square(100.0), 2.0, 5);
-        let model = ChargingModel::paper_sim();
-        let mut plan = make_plan(&net, &model);
-        plan.stops.push(Stop::waypoint(Point::ORIGIN));
-        assert_eq!(plan.num_charging_stops(), 2);
-        assert!(plan.validate(&net, &model).is_ok());
     }
 }

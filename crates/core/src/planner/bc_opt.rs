@@ -60,17 +60,11 @@ pub(crate) fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &Planne
         .collect();
     // The relocation circles stay centred on each bundle's original
     // (smallest-enclosing-disk) center, per Theorem 4.
-    let centers: Vec<Point> = plan
-        .stops
+    let centers: Vec<Point> = members
         .iter()
-        .zip(&members)
-        .map(|(s, m)| {
-            if m.is_empty() {
-                s.anchor()
-            } else {
-                let pts: Vec<Point> = m.iter().map(|&(pos, _)| pos).collect();
-                bc_geom::sed::smallest_enclosing_disk(&pts).center
-            }
+        .map(|m| {
+            let pts: Vec<Point> = m.iter().map(|&(pos, _)| pos).collect();
+            bc_geom::sed::smallest_enclosing_disk(&pts).center
         })
         .collect();
     // Per stop, the bits of the neighbour anchors its last sweep saw,
@@ -87,9 +81,6 @@ pub(crate) fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &Planne
         let mut skipped = 0u64;
         #[allow(clippy::needless_range_loop)] // i indexes stops, members, centers and neighbours
         for i in 0..n {
-            if members[i].is_empty() {
-                continue; // never move the base way-point
-            }
             let prev = plan.stops[(i + n - 1) % n].anchor();
             let next = plan.stops[(i + 1) % n].anchor();
             let seen = [prev.x, prev.y, next.x, next.y].map(f64::to_bits);

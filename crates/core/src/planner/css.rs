@@ -110,9 +110,6 @@ pub(crate) fn substitute(plan: &mut ChargingPlan, net: &Network, cfg: &PlannerCo
     let n = plan.stops.len();
     if n >= 2 {
         for i in 0..n {
-            if plan.stops[i].bundle.is_empty() {
-                continue; // base way-point
-            }
             let prev = plan.stops[(i + n - 1) % n].anchor();
             let next = plan.stops[(i + 1) % n].anchor();
             let members = plan.stops[i].bundle.sensors.clone();

@@ -35,19 +35,13 @@ use bc_wsn::Network;
 
 use crate::{ChargingPlan, PlanError, PlannerConfig, Stop};
 
-/// Orders a bag of stops into a closed tour with the TSP pipeline,
-/// optionally prepending the network's base station as a zero-dwell
-/// way-point, and returns the finished plan with the Or-opt work the
-/// ordering took.
+/// Orders a bag of stops into a closed tour with the TSP pipeline and
+/// returns the finished plan with the Or-opt work the ordering took.
 pub(crate) fn order_into_plan(
-    mut stops: Vec<Stop>,
+    stops: Vec<Stop>,
     net: &Network,
     tsp: &SolveConfig,
-    include_base: bool,
 ) -> (ChargingPlan, OrOptWork) {
-    if include_base {
-        stops.push(Stop::waypoint(net.base()));
-    }
     let anchors: Vec<Point> = stops.iter().map(Stop::anchor).collect();
     let (tour, work) = solve(&anchors, tsp);
     let mut ordered: Vec<Stop> = Vec::with_capacity(stops.len());
@@ -59,12 +53,6 @@ pub(crate) fn order_into_plan(
         );
         if let Some(stop) = slots.get_mut(i).and_then(Option::take) {
             ordered.push(stop);
-        }
-    }
-    // Start the tour at the base way-point when present, for readability.
-    if include_base {
-        if let Some(pos) = ordered.iter().position(|s| s.bundle.is_empty()) {
-            ordered.rotate_left(pos);
         }
     }
     (ChargingPlan::new(ordered, net.len()), work)
@@ -174,17 +162,6 @@ mod tests {
             plan.validate(&net, &cfg.charging)
                 .unwrap_or_else(|e| panic!("{algo}: {e}"));
         }
-    }
-
-    #[test]
-    fn base_station_waypoint_respected() {
-        let net = deploy::uniform(10, Aabb::square(300.0), 2.0, 2);
-        let mut cfg = PlannerConfig::paper_sim(30.0);
-        cfg.include_base = true;
-        let plan = try_run(Algorithm::Sc, &net, &cfg).unwrap();
-        assert!(plan.stops[0].bundle.is_empty(), "tour should start at base");
-        assert_eq!(plan.num_charging_stops(), 10);
-        assert!(plan.validate(&net, &cfg.charging).is_ok());
     }
 
     #[test]

@@ -55,10 +55,6 @@ pub(crate) fn remove_sensor(
     };
     let mut stops = Vec::with_capacity(plan.stops.len());
     for stop in &plan.stops {
-        if stop.bundle.is_empty() {
-            stops.push(stop.clone());
-            continue;
-        }
         let members: Vec<usize> = stop
             .bundle
             .sensors
@@ -131,9 +127,6 @@ pub(crate) fn add_sensor(
     // Option A: join the best absorbing stop.
     let mut best_join: Option<(usize, ChargingBundle, Seconds, Joules)> = None; // (stop, bundle, dwell, extra energy)
     for (si, stop) in stops.iter().enumerate() {
-        if stop.bundle.is_empty() {
-            continue;
-        }
         let mut members = stop.bundle.sensors.clone();
         members.push(new_idx);
         let bundle = ChargingBundle::from_members(members, &new_net);

@@ -153,7 +153,7 @@ pub fn plan_with_terrain(
     // obstacles would be undeployable, so one always exists in practice;
     // fall back to the anchor itself otherwise).
     for stop in &mut stops {
-        if terrain.inside_obstacle(stop.anchor()) && !stop.bundle.is_empty() {
+        if terrain.inside_obstacle(stop.anchor()) {
             let members = stop.bundle.sensors.clone();
             let best = members
                 .iter()

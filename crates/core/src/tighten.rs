@@ -138,9 +138,6 @@ pub fn tighten_dwells(
         let mut changed = false;
         for i in 0..n_stops {
             let members = &plan.stops[i].bundle.sensors;
-            if members.is_empty() {
-                continue;
-            }
             let mut needed = Seconds(0.0);
             for &j in members {
                 // Energy from every other stop at current dwells.

@@ -125,7 +125,6 @@ fn sortie_budgets(exp: &ExpConfig) -> Table {
             let floor = plan
                 .stops
                 .iter()
-                .filter(|s| !s.bundle.is_empty())
                 .map(|s| {
                     cfg.energy.total_energy(
                         bc_units::Meters(2.0 * net.base().distance(s.anchor())),

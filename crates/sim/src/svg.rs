@@ -68,9 +68,6 @@ pub fn render_scene(
     // Bundle disks + anchors of the primary plan.
     if let Some(plan) = primary {
         for stop in &plan.stops {
-            if stop.bundle.is_empty() {
-                continue;
-            }
             out.push_str(&format!(
                 r##"<circle cx="{cx:.2}" cy="{cy:.2}" r="{r:.2}" fill="#1f4e9c10" stroke="#9db6dd" stroke-dasharray="3,3"/>"##,
                 cx = x(stop.anchor().x),

@@ -115,18 +115,3 @@ fn radius_monotonicity_and_sc_invariance() {
         sc_energy = Some(sc);
     }
 }
-
-/// The include_base option adds a way-point without breaking feasibility
-/// and never shortens the tour.
-#[test]
-fn base_station_inclusion() {
-    let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 21);
-    let cfg = PlannerConfig::paper_sim(25.0);
-    let mut with_base = cfg.clone();
-    with_base.include_base = true;
-    let p0 = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
-    let p1 = planner::try_run(Algorithm::Bc, &net, &with_base).unwrap();
-    assert!(p1.validate(&net, &cfg.charging).is_ok());
-    assert_eq!(p1.stops.len(), p0.stops.len() + 1);
-    assert_eq!(p1.num_charging_stops(), p0.num_charging_stops());
-}

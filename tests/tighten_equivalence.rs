@@ -275,14 +275,6 @@ fn tighten_replays_the_oracle_under_worst_case_dwell() {
 }
 
 #[test]
-fn tighten_replays_the_oracle_with_the_base_in_the_tour() {
-    // The base way-point never moves, but its neighbours see it.
-    let mut cfg = PlannerConfig::paper_sim(10.0);
-    cfg.include_base = true;
-    assert!(assert_replays("include_base", &uniform(100, 300.0, 13), &cfg) > 0);
-}
-
-#[test]
 fn tighten_replays_the_oracle_on_a_two_stop_tour() {
     // Each stop's two neighbours are the same anchor.
     let net = deploy::from_coords(&[(0.0, 0.0), (400.0, 0.0)], Aabb::square(1000.0), 2.0);
