@@ -685,6 +685,11 @@ impl<'a> Engine<'a> {
         let now = self.clock.now();
         self.round_served.iter_mut().for_each(|b| *b = false);
         for (c, segments) in routes.into_iter().enumerate() {
+            for seg in &segments {
+                for &s in &seg.served {
+                    self.still_scheduled[s] = true;
+                }
+            }
             let ch = &mut self.chargers[c];
             ch.segments = segments;
             ch.next = 0;
@@ -743,11 +748,6 @@ impl<'a> Engine<'a> {
                 closing: true,
             });
         }
-        for seg in &segments {
-            for &s in &seg.served {
-                self.still_scheduled[s] = true;
-            }
-        }
         // Hardware deaths land at round end, like the legacy loop.
         self.pending_round_deaths = report.fault_deaths.clone();
         self.stranded_rounds += report.stranded.len();
@@ -755,8 +755,6 @@ impl<'a> Engine<'a> {
         self.extra_energy += report.extra_energy_j;
         self.replans += report.replans;
         self.base_returns += report.base_returns;
-        self.round_planned.clear();
-        self.round_deaths.clear();
         Ok(vec![segments])
     }
 
@@ -845,15 +843,20 @@ impl<'a> Engine<'a> {
         }
 
         let anchors: Vec<Point> = stops.iter().map(bc_core::plan::Stop::anchor).collect();
-        let mut routes: Vec<Vec<Segment>> = Vec::with_capacity(self.sc.fleet.size);
-        if self.sc.fleet.size == 1 {
-            // Legacy leg ordering: leg i runs from stop (i-1 mod m) into
-            // stop i, so the closing leg comes first and the charger ends
-            // the round parked at the last stop.
-            let mut segments = Vec::with_capacity(m);
-            for i in 0..m {
-                let prev = anchors[(i + m - 1) % m];
-                let leg_m = Meters(prev.distance(anchors[i]));
+        let base = self.sc.net.base();
+        let (arcs, start, home) = if self.sc.fleet.size == 1 {
+            let last = anchors.last().copied().unwrap_or(base);
+            (vec![(0..m).collect()], last, None)
+        } else {
+            let arcs = assign_stops(self.sc.fleet.dispatch, &anchors, self.sc.fleet.size, base);
+            (arcs, base, Some(base))
+        };
+        let mut routes: Vec<Vec<Segment>> = Vec::with_capacity(arcs.len());
+        for arc in arcs {
+            let mut segments = Vec::with_capacity(arc.len() + 1);
+            let mut pos = start;
+            for i in arc {
+                let leg_m = Meters(pos.distance(anchors[i]));
                 let nominal_s = leg_m.time_at(speed);
                 let leg_s = nominal_s * stop_stall[i];
                 if schedule.is_some() {
@@ -867,63 +870,27 @@ impl<'a> Engine<'a> {
                     backoff_s: stop_backoff[i],
                     dwell_s: stop_dwell[i],
                     efficiency: stop_eff[i],
-                    served: served_of[i].clone(),
+                    served: std::mem::take(&mut served_of[i]),
                     closing: false,
+                });
+                pos = anchors[i];
+            }
+            if let Some(home) = home.filter(|_| !segments.is_empty()) {
+                let leg_m = Meters(pos.distance(home));
+                segments.push(Segment {
+                    stop_tag: None,
+                    anchor: home,
+                    leg_m,
+                    leg_s: leg_m.time_at(speed),
+                    backoff_s: Seconds::ZERO,
+                    dwell_s: Seconds::ZERO,
+                    efficiency: 1.0,
+                    served: Vec::new(),
+                    closing: true,
                 });
             }
             routes.push(segments);
-        } else {
-            let base = self.sc.net.base();
-            let assignment =
-                assign_stops(self.sc.fleet.dispatch, &anchors, self.sc.fleet.size, base);
-            for route in assignment {
-                let mut segments = Vec::with_capacity(route.len() + 1);
-                let mut pos = base;
-                for &i in &route {
-                    let leg_m = Meters(pos.distance(anchors[i]));
-                    let nominal_s = leg_m.time_at(speed);
-                    let leg_s = nominal_s * stop_stall[i];
-                    if schedule.is_some() {
-                        self.recovery_latency += (leg_s - nominal_s).max(Seconds::ZERO);
-                    }
-                    segments.push(Segment {
-                        stop_tag: Some(i),
-                        anchor: anchors[i],
-                        leg_m,
-                        leg_s,
-                        backoff_s: stop_backoff[i],
-                        dwell_s: stop_dwell[i],
-                        efficiency: stop_eff[i],
-                        served: served_of[i].clone(),
-                        closing: false,
-                    });
-                    pos = anchors[i];
-                }
-                if !segments.is_empty() {
-                    let leg_m = Meters(pos.distance(base));
-                    segments.push(Segment {
-                        stop_tag: None,
-                        anchor: base,
-                        leg_m,
-                        leg_s: leg_m.time_at(speed),
-                        backoff_s: Seconds::ZERO,
-                        dwell_s: Seconds::ZERO,
-                        efficiency: 1.0,
-                        served: Vec::new(),
-                        closing: true,
-                    });
-                }
-                routes.push(segments);
-            }
         }
-        for route in &routes {
-            for seg in route {
-                for &s in &seg.served {
-                    self.still_scheduled[s] = true;
-                }
-            }
-        }
-        self.pending_round_deaths.clear();
         routes
     }
 
