@@ -488,7 +488,8 @@ impl PlanContext {
             // order stage's is.
             Stage::CombineSkipCover => {
                 if !net.is_empty() {
-                    let (tour, or_work) = bc_tsp::solve(net.positions(), &cfg.tsp);
+                    let p = net.positions();
+                    let (tour, or_work) = bc_tsp::solve(p, |i, j| p[i].distance(p[j]), &cfg.tsp);
                     count_or_opt(or_work);
                     work.stops = crate::planner::css_combine_skip(net, cfg, &tour.order);
                 }

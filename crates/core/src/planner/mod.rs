@@ -35,18 +35,26 @@ use bc_wsn::Network;
 
 use crate::{ChargingPlan, PlanError, PlannerConfig, Stop};
 
-/// Orders a bag of stops into a closed tour with the TSP pipeline and
-/// returns the finished plan with the Or-opt work the ordering took.
+/// Orders a bag of stops into a closed tour with the TSP pipeline over
+/// the straight line between their anchors, and returns the finished
+/// plan with the Or-opt work the ordering took.
 pub(crate) fn order_into_plan(
     stops: Vec<Stop>,
     net: &Network,
     tsp: &SolveConfig,
 ) -> (ChargingPlan, OrOptWork) {
     let anchors: Vec<Point> = stops.iter().map(Stop::anchor).collect();
-    let (tour, work) = solve(&anchors, tsp);
+    let (tour, work) = solve(&anchors, |i, j| anchors[i].distance(anchors[j]), tsp);
+    let plan = ChargingPlan::new(in_tour_order(stops, &tour.order), net.len());
+    (plan, work)
+}
+
+/// Moves `stops` into the visit order `order`, a permutation of their
+/// indices.
+pub(crate) fn in_tour_order(stops: Vec<Stop>, order: &[usize]) -> Vec<Stop> {
     let mut ordered: Vec<Stop> = Vec::with_capacity(stops.len());
     let mut slots: Vec<Option<Stop>> = stops.into_iter().map(Some).collect();
-    for &i in &tour.order {
+    for &i in order {
         debug_assert!(
             slots.get(i).is_some_and(Option::is_some),
             "tour visits each stop once"
@@ -55,7 +63,7 @@ pub(crate) fn order_into_plan(
             ordered.push(stop);
         }
     }
-    (ChargingPlan::new(ordered, net.len()), work)
+    ordered
 }
 
 /// Fallible planner dispatcher: validates the configuration and the

@@ -110,19 +110,8 @@ pub(crate) fn add_sensor(
     sensors.push(Sensor::new(SensorId(new_idx), pos, demand));
     let new_net = Network::new(sensors, net.field(), net.base());
 
-    // Rebuild stops against the new network (indices are unchanged).
-    let mut stops: Vec<Stop> = plan
-        .stops
-        .iter()
-        .map(|s| Stop {
-            bundle: ChargingBundle {
-                sensors: s.bundle.sensors.clone(),
-                anchor: s.bundle.anchor,
-                enclosing_radius: s.bundle.enclosing_radius,
-            },
-            dwell: s.dwell,
-        })
-        .collect();
+    // The stops carry over unchanged: adding a sensor keeps every index.
+    let mut stops: Vec<Stop> = plan.stops.clone();
 
     // Option A: join the best absorbing stop.
     let mut best_join: Option<(usize, ChargingBundle, Seconds, Joules)> = None; // (stop, bundle, dwell, extra energy)

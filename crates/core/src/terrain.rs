@@ -16,8 +16,9 @@
 
 use bc_geom::visibility::VisibilityRouter;
 use bc_geom::{Point, Polygon};
-use bc_tsp::{solve_matrix, DistanceMatrix};
-use bc_units::{Meters, Seconds};
+use bc_tsp::solve;
+use bc_tsp::tour::cycle_length;
+use bc_units::Meters;
 use bc_wsn::Network;
 
 use crate::planner::Algorithm;
@@ -97,22 +98,11 @@ impl TerrainRoute {
     /// Plan metrics with the movement term re-priced by the routed
     /// distance (dwell terms unchanged).
     pub fn metrics(&self, plan: &ChargingPlan, energy: &bc_wpt::EnergyModel) -> Metrics {
-        let dwell = plan.total_dwell();
-        let move_energy = energy.movement_energy(self.length_m);
-        let charge_energy = energy.charging_energy(dwell);
-        Metrics {
-            num_stops: plan.num_charging_stops(),
-            tour_length_m: self.length_m,
-            charge_time_s: dwell,
-            move_energy_j: move_energy,
-            charge_energy_j: charge_energy,
-            total_energy_j: move_energy + charge_energy,
-            avg_charge_time_per_sensor_s: if plan.num_sensors == 0 {
-                Seconds(0.0)
-            } else {
-                dwell / plan.num_sensors as f64 // cast-ok: sensor count to mean divisor
-            },
-        }
+        let mut m = plan.metrics(energy);
+        m.tour_length_m = self.length_m;
+        m.move_energy_j = energy.movement_energy(self.length_m);
+        m.total_energy_j = m.move_energy_j + m.charge_energy_j;
+        m
     }
 }
 
@@ -175,34 +165,28 @@ pub fn plan_with_terrain(
     // local searches can land in different optima, and the Euclidean
     // order is often already good when few legs detour). A routed path is
     // never shorter than the straight line (the disconnected fallback *is*
-    // the straight line), so both matrices meet `solve_matrix`'s
-    // precondition over the anchors.
+    // the straight line), so both metrics meet `solve`'s precondition
+    // over the anchors. Routing a leg walks the visibility graph, so the
+    // routed lengths are tabled, once per unordered pair.
     let anchors: Vec<Point> = stops.iter().map(Stop::anchor).collect();
-    let routed = DistanceMatrix::from_fn(anchors.len(), |i, j| {
-        terrain.distance(anchors[i], anchors[j])
-    });
-    let euclid = DistanceMatrix::from_points(&anchors);
-    let (tour_r, _) = solve_matrix(&routed, &anchors, &cfg.tsp);
-    let (tour_e, _) = solve_matrix(&euclid, &anchors, &cfg.tsp);
-    let routed_len =
-        |order: &[usize]| -> f64 { bc_tsp::tour::cycle_length(order, |a, b| routed.dist(a, b)) };
-    let order = if routed_len(&tour_r.order) <= routed_len(&tour_e.order) {
+    let k = anchors.len();
+    let mut table = vec![0.0; k * k];
+    for i in 0..k {
+        for j in (i + 1)..k {
+            let d = terrain.distance(anchors[i], anchors[j]);
+            table[i * k + j] = d;
+            table[j * k + i] = d;
+        }
+    }
+    let routed = |i: usize, j: usize| table[i * k + j];
+    let (tour_r, _) = solve(&anchors, routed, &cfg.tsp);
+    let (tour_e, _) = solve(&anchors, |i, j| anchors[i].distance(anchors[j]), &cfg.tsp);
+    let order = if cycle_length(&tour_r.order, routed) <= cycle_length(&tour_e.order, routed) {
         tour_r.order
     } else {
         tour_e.order
     };
-    let mut ordered = Vec::with_capacity(stops.len());
-    let mut slots: Vec<Option<Stop>> = stops.into_iter().map(Some).collect();
-    for &i in &order {
-        debug_assert!(
-            slots.get(i).is_some_and(Option::is_some),
-            "tour visits each stop once"
-        );
-        if let Some(stop) = slots.get_mut(i).and_then(Option::take) {
-            ordered.push(stop);
-        }
-    }
-    let plan = ChargingPlan::new(ordered, net.len());
+    let plan = ChargingPlan::new(crate::planner::in_tour_order(stops, &order), net.len());
     let route = TerrainRoute::trace(&plan, terrain);
     (plan, route)
 }
@@ -211,6 +195,7 @@ pub fn plan_with_terrain(
 mod tests {
     use super::*;
     use bc_geom::Aabb;
+    use bc_units::Seconds;
     use bc_wsn::deploy;
 
     fn walled_terrain() -> Terrain {

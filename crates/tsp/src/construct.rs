@@ -1,17 +1,18 @@
 //! Nearest-neighbour tour construction.
 #![allow(clippy::needless_range_loop)] // index loops mirror the textbook formulations
 
-use crate::{DistanceMatrix, Tour};
+use crate::Tour;
 
-/// Nearest-neighbour construction starting from `start`.
+/// Nearest-neighbour construction over `n` points under the metric
+/// `dist`, starting from `start`.
 ///
-/// Repeatedly moves to the closest unvisited point. `O(n^2)`.
+/// Repeatedly moves to the closest unvisited point. `O(n^2)` metric
+/// evaluations.
 ///
 /// # Panics
 ///
-/// Panics if `start >= m.len()` on a non-empty matrix.
-pub fn nearest_neighbor(m: &DistanceMatrix, start: usize) -> Tour {
-    let n = m.len();
+/// Panics if `start >= n` for `n > 0`.
+pub fn nearest_neighbor<F: Fn(usize, usize) -> f64>(n: usize, start: usize, dist: F) -> Tour {
     if n == 0 {
         return Tour::empty();
     }
@@ -30,7 +31,7 @@ pub fn nearest_neighbor(m: &DistanceMatrix, start: usize) -> Tour {
         let mut best_d = f64::INFINITY;
         for j in 0..n {
             if !visited[j] {
-                let d = m.dist(current, j);
+                let d = dist(current, j);
                 if d < best_d {
                     best_d = d;
                     best = j;
@@ -42,13 +43,14 @@ pub fn nearest_neighbor(m: &DistanceMatrix, start: usize) -> Tour {
         length += best_d;
         current = best;
     }
-    length += m.dist(current, start);
+    length += dist(current, start);
     Tour { order, length }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::line;
     use bc_geom::Point;
 
     fn ring(n: usize, r: f64) -> Vec<Point> {
@@ -69,17 +71,16 @@ mod tests {
     #[test]
     fn nn_visits_every_point_once() {
         let pts = scattered(25);
-        let m = DistanceMatrix::from_points(&pts);
-        let t = nearest_neighbor(&m, 0);
+        let dist = line(&pts);
+        let t = nearest_neighbor(25, 0, dist);
         assert!(t.validate(25));
-        assert!((t.recompute_length(&m) - t.length).abs() < 1e-9);
+        assert!((t.recompute_length(dist) - t.length).abs() < 1e-9);
     }
 
     #[test]
     fn nn_on_ring_is_optimal() {
         let pts = ring(12, 10.0);
-        let m = DistanceMatrix::from_points(&pts);
-        let t = nearest_neighbor(&m, 0);
+        let t = nearest_neighbor(12, 0, line(&pts));
         // Perimeter of the regular 12-gon.
         let side = pts[0].distance(pts[1]);
         assert!((t.length - 12.0 * side).abs() < 1e-9);
@@ -88,9 +89,8 @@ mod tests {
     #[test]
     fn nn_start_variation() {
         let pts = scattered(15);
-        let m = DistanceMatrix::from_points(&pts);
         for s in 0..15 {
-            let t = nearest_neighbor(&m, s);
+            let t = nearest_neighbor(15, s, line(&pts));
             assert!(t.validate(15));
             assert_eq!(t.order[0], s);
         }
@@ -100,11 +100,11 @@ mod tests {
     fn nn_handles_tiny_inputs() {
         for n in 0..4usize {
             let pts = scattered(n);
-            let m = DistanceMatrix::from_points(&pts);
+            let t = nearest_neighbor(n, 0, line(&pts));
             if n > 0 {
-                assert!(nearest_neighbor(&m, 0).validate(n));
+                assert!(t.validate(n));
             } else {
-                assert!(nearest_neighbor(&m, 0).is_empty());
+                assert!(t.is_empty());
             }
         }
     }
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn nn_bad_start_panics() {
-        let m = DistanceMatrix::from_points(&scattered(3));
-        let _ = nearest_neighbor(&m, 7);
+        let pts = scattered(3);
+        let _ = nearest_neighbor(3, 7, line(&pts));
     }
 }

@@ -5,21 +5,20 @@
 //! solve the small instances exactly in the figure pipelines when
 //! requested.
 
-use crate::{DistanceMatrix, Tour};
+use crate::Tour;
 
 /// Largest instance [`held_karp`] accepts.
 pub const HELD_KARP_MAX: usize = 20;
 
-/// Solves the TSP exactly with Held–Karp dynamic programming.
+/// Solves the TSP over `n` points under the metric `dist` exactly with
+/// Held–Karp dynamic programming.
 ///
 /// Returns the optimal closed tour starting (arbitrarily) at point `0`.
 ///
 /// # Panics
 ///
-/// Panics if `m.len() > HELD_KARP_MAX` (the table would not fit in
-/// memory).
-pub fn held_karp(m: &DistanceMatrix) -> Tour {
-    let n = m.len();
+/// Panics if `n > HELD_KARP_MAX` (the table would not fit in memory).
+pub fn held_karp<F: Fn(usize, usize) -> f64>(n: usize, dist: F) -> Tour {
     assert!(
         n <= HELD_KARP_MAX,
         "Held-Karp limited to {HELD_KARP_MAX} points, got {n}"
@@ -35,7 +34,7 @@ pub fn held_karp(m: &DistanceMatrix) -> Tour {
         2 => {
             return Tour {
                 order: vec![0, 1],
-                length: 2.0 * m.dist(0, 1),
+                length: 2.0 * dist(0, 1),
             }
         }
         _ => {}
@@ -63,7 +62,7 @@ pub fn held_karp(m: &DistanceMatrix) -> Tour {
                     continue;
                 }
                 let next_mask = mask | (1 << k);
-                let cand = cur + m.dist(j, k);
+                let cand = cur + dist(j, k);
                 if cand < dp[next_mask * n + k] {
                     dp[next_mask * n + k] = cand;
                     parent[next_mask * n + k] = j;
@@ -75,7 +74,7 @@ pub fn held_karp(m: &DistanceMatrix) -> Tour {
     let mut best_end = 1;
     let mut best_len = f64::INFINITY;
     for j in 1..n {
-        let cand = dp[full * n + j] + m.dist(j, 0);
+        let cand = dp[full * n + j] + dist(j, 0);
         if cand < best_len {
             best_len = cand;
             best_end = j;
@@ -104,6 +103,7 @@ mod tests {
     use super::*;
     use crate::construct::nearest_neighbor;
     use crate::improve::two_opt;
+    use crate::tests::line;
     use bc_geom::Point;
 
     fn scattered(n: usize, seed: f64) -> Vec<Point> {
@@ -117,13 +117,10 @@ mod tests {
 
     #[test]
     fn trivial_sizes() {
-        assert!(held_karp(&DistanceMatrix::from_points(&[])).is_empty());
-        let one = held_karp(&DistanceMatrix::from_points(&[Point::ORIGIN]));
+        assert!(held_karp(0, line(&[])).is_empty());
+        let one = held_karp(1, line(&[Point::ORIGIN]));
         assert_eq!(one.order, vec![0]);
-        let two = held_karp(&DistanceMatrix::from_points(&[
-            Point::ORIGIN,
-            Point::new(3.0, 4.0),
-        ]));
+        let two = held_karp(2, line(&[Point::ORIGIN, Point::new(3.0, 4.0)]));
         assert_eq!(two.length, 10.0);
     }
 
@@ -135,7 +132,7 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let t = held_karp(&DistanceMatrix::from_points(&pts));
+        let t = held_karp(4, line(&pts));
         assert!((t.length - 4.0).abs() < 1e-9);
         assert!(t.validate(4));
     }
@@ -144,10 +141,10 @@ mod tests {
     fn never_worse_than_heuristics() {
         for seed in 0..5 {
             let pts = scattered(11, seed as f64 * 17.0);
-            let m = DistanceMatrix::from_points(&pts);
-            let exact = held_karp(&m);
-            let mut heur = nearest_neighbor(&m, 0);
-            two_opt(&mut heur, &m);
+            let dist = line(&pts);
+            let exact = held_karp(11, dist);
+            let mut heur = nearest_neighbor(11, 0, dist);
+            two_opt(&mut heur, dist);
             assert!(
                 exact.length <= heur.length + 1e-9,
                 "seed {seed}: exact {} > heuristic {}",
@@ -164,7 +161,7 @@ mod tests {
         let pts: Vec<Point> = (0..n)
             .map(|i| Point::from_angle(i as f64 * std::f64::consts::TAU / n as f64) * 5.0)
             .collect();
-        let t = held_karp(&DistanceMatrix::from_points(&pts));
+        let t = held_karp(n, line(&pts));
         let side = pts[0].distance(pts[1]);
         assert!((t.length - n as f64 * side).abs() < 1e-9);
     }
@@ -173,6 +170,6 @@ mod tests {
     #[should_panic(expected = "Held-Karp limited")]
     fn too_large_panics() {
         let pts = scattered(HELD_KARP_MAX + 1, 0.0);
-        let _ = held_karp(&DistanceMatrix::from_points(&pts));
+        let _ = held_karp(pts.len(), line(&pts));
     }
 }

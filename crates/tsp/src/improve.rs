@@ -3,14 +3,15 @@
 use bc_geom::grid::PointGrid;
 use bc_geom::{Aabb, Point};
 
-use crate::{DistanceMatrix, Tour};
+use crate::Tour;
 
-/// Runs 2-opt to local optimality: repeatedly reverses a tour segment when
-/// doing so shortens the tour. Returns `true` if any improvement was made.
+/// Runs 2-opt to local optimality under the metric `dist`: repeatedly
+/// reverses a tour segment when doing so shortens the tour. Returns
+/// `true` if any improvement was made.
 ///
 /// First-improvement strategy with restart, `O(n^2)` per sweep. The tour's
 /// cached length is updated incrementally.
-pub fn two_opt(tour: &mut Tour, m: &DistanceMatrix) -> bool {
+pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
     let n = tour.order.len();
     if n < 4 {
         return false;
@@ -29,7 +30,7 @@ pub fn two_opt(tour: &mut Tour, m: &DistanceMatrix) -> bool {
                 let b = tour.order[i + 1];
                 let c = tour.order[j];
                 let d = tour.order[(j + 1) % n];
-                let delta = m.dist(a, c) + m.dist(b, d) - m.dist(a, b) - m.dist(c, d);
+                let delta = dist(a, c) + dist(b, d) - dist(a, b) - dist(c, d);
                 if delta < -1e-10 {
                     tour.order[i + 1..=j].reverse();
                     tour.length += delta;
@@ -62,8 +63,9 @@ pub struct OrOptWork {
     pub scored: u64,
 }
 
-/// Runs Or-opt to local optimality: relocates segments of 1, 2 or 3
-/// consecutive points to a better position (in either orientation).
+/// Runs Or-opt to local optimality under the metric `dist`: relocates
+/// segments of 1, 2 or 3 consecutive points to a better position (in
+/// either orientation). `points[i]` is the position of point `i`.
 /// Returns the moves applied and the insertion positions scored.
 ///
 /// For each segment length in turn, starts are visited in tour order;
@@ -84,19 +86,19 @@ pub struct OrOptWork {
 ///
 /// # Precondition
 ///
-/// `m.dist(i, j) >= points[i].distance(points[j])` for all `i`, `j`: the
-/// metric never undercuts the straight line, as with Euclidean matrices
-/// and obstacle-routed ones. Debug builds check it, up to rounding, on
-/// the tour's edges.
+/// `dist(i, j) >= points[i].distance(points[j])` for all `i`, `j`: the
+/// metric never undercuts the straight line, as with the straight line
+/// itself and obstacle-routed metrics. Debug builds check it, up to
+/// rounding, on the tour's edges.
 ///
 /// # Panics
 ///
-/// Panics if `points.len() != m.len()`.
-pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWork {
+/// Panics if `points.len() != tour.order.len()`.
+pub fn or_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F, points: &[Point]) -> OrOptWork {
     assert_eq!(
         points.len(),
-        m.len(),
-        "or_opt needs one point per matrix row"
+        tour.order.len(),
+        "or_opt needs one point per tour stop"
     );
     let n = tour.order.len();
     let mut work = OrOptWork::default();
@@ -106,14 +108,14 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
     debug_assert!(
         (0..n).all(|p| {
             let (a, b) = (tour.order[p], tour.order[(p + 1) % n]);
-            m.dist(a, b) >= points[a].distance(points[b]) - QUERY_PAD / 2.0
+            dist(a, b) >= points[a].distance(points[b]) - QUERY_PAD / 2.0
         }),
         "or_opt: the metric undercuts the straight line"
     );
     let grid = PointGrid::new(points, or_opt_cell(points));
     let mut pos_of = vec![0; n];
     let mut edge = vec![0.0; n];
-    let mut longest = index_tour(&tour.order, m, &mut pos_of, &mut edge);
+    let mut longest = index_tour(&tour.order, &dist, &mut pos_of, &mut edge);
     let mut ks: Vec<usize> = Vec::new();
     let mut improved = true;
     while improved {
@@ -128,8 +130,7 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                 let first = tour.order[start];
                 let last = tour.order[(start + seg_len - 1) % n];
                 let after = tour.order[(start + seg_len) % n];
-                let removal_gain =
-                    m.dist(before, first) + m.dist(last, after) - m.dist(before, after);
+                let removal_gain = dist(before, first) + dist(last, after) - dist(before, after);
                 if removal_gain <= 1e-10 {
                     continue;
                 }
@@ -137,8 +138,6 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                 // the edges whose u lies within g + |u v| of either
                 // segment end. Offsets from n - seg_len - 1 on are the
                 // edges that touch the segment, which the scan skips.
-                // (`m.dist(end, u)` reads along one row; the matrix is
-                // symmetric.)
                 let base = (start + seg_len) % n;
                 let reach = removal_gain + QUERY_PAD;
                 ks.clear();
@@ -151,7 +150,7 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                         } else {
                             pos + n - base
                         };
-                        if k + seg_len + 1 < n && m.dist(end, u) <= reach + edge[pos] {
+                        if k + seg_len + 1 < n && dist(end, u) <= reach + edge[pos] {
                             ks.push(k);
                         }
                     });
@@ -163,8 +162,8 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                     let u = tour.order[pos];
                     let v = tour.order[(pos + 1) % n];
                     work.scored += 1;
-                    let fwd = m.dist(u, first) + m.dist(last, v) - m.dist(u, v);
-                    let rev = m.dist(u, last) + m.dist(first, v) - m.dist(u, v);
+                    let fwd = dist(u, first) + dist(last, v) - dist(u, v);
+                    let rev = dist(u, last) + dist(first, v) - dist(u, v);
                     let (cost, reversed) = if fwd <= rev {
                         (fwd, false)
                     } else {
@@ -173,7 +172,7 @@ pub fn or_opt(tour: &mut Tour, m: &DistanceMatrix, points: &[Point]) -> OrOptWor
                     if cost < removal_gain - 1e-10 {
                         relocate(&mut tour.order, start, seg_len, pos, reversed);
                         tour.length -= removal_gain - cost;
-                        longest = index_tour(&tour.order, m, &mut pos_of, &mut edge);
+                        longest = index_tour(&tour.order, &dist, &mut pos_of, &mut edge);
                         work.moves += 1;
                         improved = true;
                         continue 'outer;
@@ -202,13 +201,19 @@ fn or_opt_cell(points: &[Point]) -> f64 {
 }
 
 /// Fills `pos_of[point] = tour position` and `edge[pos]` = the length
-/// under `m` of the edge leaving position `pos`, and returns the longest.
-fn index_tour(order: &[usize], m: &DistanceMatrix, pos_of: &mut [usize], edge: &mut [f64]) -> f64 {
+/// under `dist` of the edge leaving position `pos`, and returns the
+/// longest.
+fn index_tour<F: Fn(usize, usize) -> f64>(
+    order: &[usize],
+    dist: F,
+    pos_of: &mut [usize],
+    edge: &mut [f64],
+) -> f64 {
     let n = order.len();
     let mut longest = 0.0f64;
     for (pos, &u) in order.iter().enumerate() {
         pos_of[u] = pos;
-        edge[pos] = m.dist(u, order[(pos + 1) % n]);
+        edge[pos] = dist(u, order[(pos + 1) % n]);
         longest = longest.max(edge[pos]);
     }
     longest
@@ -250,6 +255,7 @@ fn relocate(order: &mut Vec<usize>, start: usize, len: usize, after_pos: usize, 
 mod tests {
     use super::*;
     use crate::construct::nearest_neighbor;
+    use crate::tests::line;
     use bc_geom::Point;
 
     fn scattered(n: usize) -> Vec<Point> {
@@ -295,9 +301,9 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = Tour::from_order(vec![0, 1, 2, 3], &m); // crossing
-        assert!(two_opt(&mut t, &m));
+        let dist = line(&pts);
+        let mut t = Tour::from_order(vec![0, 1, 2, 3], dist); // crossing
+        assert!(two_opt(&mut t, dist));
         assert!((t.length - 4.0).abs() < 1e-9);
         assert!(t.validate(4));
     }
@@ -305,50 +311,50 @@ mod tests {
     #[test]
     fn improvements_keep_permutation_and_length_consistent() {
         let pts = scattered(50);
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = nearest_neighbor(&m, 0);
+        let dist = line(&pts);
+        let mut t = nearest_neighbor(50, 0, dist);
         let before = t.length;
-        two_opt(&mut t, &m);
-        or_opt(&mut t, &m, &pts);
+        two_opt(&mut t, dist);
+        or_opt(&mut t, dist, &pts);
         assert!(t.validate(50));
         assert!(t.length <= before + 1e-9);
         assert!(
-            (t.recompute_length(&m) - t.length).abs() < 1e-6,
+            (t.recompute_length(dist) - t.length).abs() < 1e-6,
             "cached {} vs recomputed {}",
             t.length,
-            t.recompute_length(&m)
+            t.recompute_length(dist)
         );
     }
 
     #[test]
     fn two_opt_fixed_point() {
         let pts = scattered(30);
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = nearest_neighbor(&m, 0);
-        two_opt(&mut t, &m);
+        let dist = line(&pts);
+        let mut t = nearest_neighbor(30, 0, dist);
+        two_opt(&mut t, dist);
         // A second run from the local optimum must find nothing.
-        assert!(!two_opt(&mut t, &m));
+        assert!(!two_opt(&mut t, dist));
     }
 
     #[test]
     fn or_opt_fixed_point() {
         let pts = scattered(30);
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = nearest_neighbor(&m, 0);
-        let work = or_opt(&mut t, &m, &pts);
+        let dist = line(&pts);
+        let mut t = nearest_neighbor(30, 0, dist);
+        let work = or_opt(&mut t, dist, &pts);
         assert!(work.moves > 0 && work.scored >= work.moves);
-        assert_eq!(or_opt(&mut t, &m, &pts).moves, 0);
+        assert_eq!(or_opt(&mut t, dist, &pts).moves, 0);
         assert!(t.validate(30));
     }
 
     #[test]
     fn tiny_tours_untouched() {
         let pts = scattered(3);
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = nearest_neighbor(&m, 0);
+        let dist = line(&pts);
+        let mut t = nearest_neighbor(3, 0, dist);
         let len = t.length;
-        assert!(!two_opt(&mut t, &m));
-        assert_eq!(or_opt(&mut t, &m, &pts), OrOptWork::default());
+        assert!(!two_opt(&mut t, dist));
+        assert_eq!(or_opt(&mut t, dist, &pts), OrOptWork::default());
         assert_eq!(t.length, len);
     }
 

@@ -5,16 +5,18 @@
 //! TSP crate is available offline, so this crate implements, from
 //! scratch, the one tour pipeline the planners use:
 //!
-//! * [`DistanceMatrix`] — dense symmetric Euclidean distances;
 //! * [`Tour`] — a validated cyclic permutation with length accounting;
 //! * [`construct`] — nearest-neighbour construction;
 //! * [`improve`] — 2-opt and Or-opt local search (Or-opt scores only the
 //!   insertions a grid over the points says can win);
 //! * [`exact`] — Held–Karp dynamic programming for small instances.
 //!
-//! The one-stop entry point is [`solve`]: Held–Karp up to
-//! [`SolveConfig::exact_threshold`] points, otherwise nearest-neighbour
-//! construction followed by 2-opt and Or-opt until a local optimum.
+//! Every routine reads the metric through a closure `dist(i, j)`, the
+//! tour metric `d(l_i, l_j)` of the paper's Table I, evaluated when it is
+//! asked for: no routine tabulates it. The one-stop entry point is
+//! [`solve`]: Held–Karp up to [`SolveConfig::exact_threshold`] points,
+//! otherwise nearest-neighbour construction followed by 2-opt and Or-opt
+//! until a local optimum.
 //!
 //! # Example
 //!
@@ -28,7 +30,7 @@
 //!     Point::new(10.0, 10.0),
 //!     Point::new(0.0, 10.0),
 //! ];
-//! let (tour, _work) = solve(&pts, &SolveConfig::default());
+//! let (tour, _work) = solve(&pts, |i, j| pts[i].distance(pts[j]), &SolveConfig::default());
 //! assert!((tour.length - 40.0).abs() < 1e-9);
 //! ```
 
@@ -37,11 +39,9 @@
 pub mod construct;
 pub mod exact;
 pub mod improve;
-pub mod matrix;
 pub mod tour;
 
 pub use improve::OrOptWork;
-pub use matrix::DistanceMatrix;
 pub use tour::Tour;
 
 use bc_geom::Point;
@@ -69,14 +69,23 @@ impl Default for SolveConfig {
     }
 }
 
-/// Computes a short closed tour through `points`, with the Or-opt work
-/// it took.
+/// Computes a short closed tour through `points` under the metric
+/// `dist`, with the Or-opt work it took.
 ///
 /// Small instances (at most `config.exact_threshold` points) are solved
 /// exactly with Held–Karp; larger ones use nearest-neighbour construction
 /// followed by the configured local-search passes. An empty input yields
-/// an empty tour. Exactly [`DistanceMatrix::from_points`] followed by
-/// [`solve_matrix`].
+/// an empty tour.
+///
+/// `dist(i, j)` is the length of the leg from `points[i]` to `points[j]`.
+/// It must be symmetric with a zero diagonal, and it may be any metric
+/// that never undercuts the straight line: [`improve::or_opt`] buckets
+/// the points in a grid to score only the insertions that can win, so
+/// the tour is the one the full insertion scan would build. The
+/// precondition is `dist(i, j) >= points[i].distance(points[j])` for all
+/// `i`, `j`; it holds with equality for the straight line
+/// `|i, j| points[i].distance(points[j])`, and for shortest paths around
+/// obstacles.
 ///
 /// # Example
 ///
@@ -87,54 +96,31 @@ impl Default for SolveConfig {
 /// let pts: Vec<Point> = (0..20)
 ///     .map(|i| Point::new((i as f64 * 1.7).sin() * 50.0, (i as f64 * 2.3).cos() * 50.0))
 ///     .collect();
-/// let (tour, _work) = solve(&pts, &SolveConfig::default());
+/// let (tour, _work) = solve(&pts, |i, j| pts[i].distance(pts[j]), &SolveConfig::default());
 /// assert_eq!(tour.order.len(), 20);
 /// ```
-pub fn solve(points: &[Point], config: &SolveConfig) -> (Tour, OrOptWork) {
-    let m = DistanceMatrix::from_points(points);
-    solve_matrix(&m, points, config)
-}
-
-/// Like [`solve`] but over a pre-built distance matrix, which may be any
-/// metric that never undercuts the straight line between `points`.
-///
-/// `points[i]` is the position of matrix row `i`; [`improve::or_opt`]
-/// buckets them in a grid to score only the insertions that can win, so
-/// the tour is the one the full insertion scan would build. The
-/// precondition is `m.dist(i, j) >= points[i].distance(points[j])` for
-/// all `i`, `j`; it holds with equality for [`DistanceMatrix::from_points`],
-/// and for shortest-path matrices around obstacles.
-///
-/// # Panics
-///
-/// Panics if `points.len() != m.len()`.
-pub fn solve_matrix(
-    m: &DistanceMatrix,
+pub fn solve<F: Fn(usize, usize) -> f64>(
     points: &[Point],
+    dist: F,
     config: &SolveConfig,
 ) -> (Tour, OrOptWork) {
-    assert_eq!(
-        points.len(),
-        m.len(),
-        "solve_matrix needs one point per matrix row"
-    );
-    let n = m.len();
+    let n = points.len();
     let mut work = OrOptWork::default();
     if n == 0 {
         return (Tour::empty(), work);
     }
     if n <= config.exact_threshold && n <= exact::HELD_KARP_MAX {
-        return (exact::held_karp(m), work);
+        return (exact::held_karp(n, &dist), work);
     }
-    let mut tour = construct::nearest_neighbor(m, 0);
+    let mut tour = construct::nearest_neighbor(n, 0, &dist);
     let mut improved = true;
     while improved {
         improved = false;
-        if config.two_opt && improve::two_opt(&mut tour, m) {
+        if config.two_opt && improve::two_opt(&mut tour, &dist) {
             improved = true;
         }
         if config.or_opt {
-            let pass = improve::or_opt(&mut tour, m, points);
+            let pass = improve::or_opt(&mut tour, &dist, points);
             improved |= pass.moves > 0;
             work.moves += pass.moves;
             work.scored += pass.scored;
@@ -147,10 +133,17 @@ pub fn solve_matrix(
 mod tests {
     use super::*;
 
+    /// The straight-line metric over `pts`, as the planners pass it.
+    pub(crate) fn line(pts: &[Point]) -> impl Fn(usize, usize) -> f64 + Copy + '_ {
+        move |i, j| pts[i].distance(pts[j])
+    }
+
     #[test]
     fn empty_and_singleton() {
-        assert_eq!(solve(&[], &SolveConfig::default()).0.order.len(), 0);
-        let (t, _) = solve(&[Point::new(1.0, 1.0)], &SolveConfig::default());
+        let cfg = SolveConfig::default();
+        assert!(solve(&[], |_, _| 0.0, &cfg).0.is_empty());
+        let pts = [Point::new(1.0, 1.0)];
+        let (t, _) = solve(&pts, line(&pts), &cfg);
         assert_eq!(t.order, vec![0]);
         assert_eq!(t.length, 0.0);
     }
@@ -163,7 +156,7 @@ mod tests {
             Point::new(10.0, 0.0),
             Point::new(10.0, 10.0),
         ];
-        let (t, _) = solve(&pts, &SolveConfig::default());
+        let (t, _) = solve(&pts, line(&pts), &SolveConfig::default());
         assert!((t.length - 40.0).abs() < 1e-9);
     }
 
@@ -180,8 +173,8 @@ mod tests {
             or_opt: false,
             exact_threshold: 0,
         };
-        let (nn, nn_work) = solve(&pts, &construction_only);
-        let (full, full_work) = solve(&pts, &SolveConfig::default());
+        let (nn, nn_work) = solve(&pts, line(&pts), &construction_only);
+        let (full, full_work) = solve(&pts, line(&pts), &SolveConfig::default());
         assert!(full.length <= nn.length + 1e-9);
         assert_eq!(nn_work, OrOptWork::default());
         assert!(full_work.scored >= full_work.moves);
@@ -195,9 +188,10 @@ mod tests {
                 Point::new((a * 3.7).sin() * 30.0, (a * 5.1).cos() * 30.0)
             })
             .collect();
-        let (exact, _) = solve(&pts, &SolveConfig::default()); // n <= threshold -> exact
+        let (exact, _) = solve(&pts, line(&pts), &SolveConfig::default()); // n <= threshold -> exact
         let (heur, _) = solve(
             &pts,
+            line(&pts),
             &SolveConfig {
                 exact_threshold: 0,
                 ..SolveConfig::default()

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use crate::DistanceMatrix;
-
 /// A closed tour: a permutation of `0..n` visited cyclically, together
 /// with its cached length.
 ///
 /// The length is maintained by the construction and improvement routines;
-/// [`Tour::recompute_length`] re-derives it from a matrix when in doubt
+/// [`Tour::recompute_length`] re-derives it from a metric when in doubt
 /// and [`Tour::validate`] checks the permutation invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tour {
@@ -28,15 +26,16 @@ impl Tour {
     }
 
     /// Builds a tour from an explicit visit order, computing its length
-    /// from `m`.
+    /// under the metric `dist`.
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of `0..m.len()`.
-    pub fn from_order(order: Vec<usize>, m: &DistanceMatrix) -> Self {
+    /// Panics if `order` is not a permutation of `0..order.len()`.
+    pub fn from_order<F: Fn(usize, usize) -> f64>(order: Vec<usize>, dist: F) -> Self {
+        let n = order.len();
         let mut t = Tour { order, length: 0.0 };
-        assert!(t.validate(m.len()), "order is not a valid permutation");
-        t.length = t.recompute_length(m);
+        assert!(t.validate(n), "order is not a valid permutation");
+        t.length = t.recompute_length(dist);
         t
     }
 
@@ -65,10 +64,10 @@ impl Tour {
         true
     }
 
-    /// Recomputes the cyclic length from a distance matrix (does not
+    /// Recomputes the cyclic length under the metric `dist` (does not
     /// mutate the cached value; assign the result if desired).
-    pub fn recompute_length(&self, m: &DistanceMatrix) -> f64 {
-        cycle_length(&self.order, |a, b| m.dist(a, b))
+    pub fn recompute_length<F: Fn(usize, usize) -> f64>(&self, dist: F) -> f64 {
+        cycle_length(&self.order, dist)
     }
 }
 
@@ -94,6 +93,7 @@ pub fn cycle_length<F: Fn(usize, usize) -> f64>(order: &[usize], dist: F) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::line;
     use bc_geom::Point;
 
     fn unit_square() -> Vec<Point> {
@@ -108,17 +108,15 @@ mod tests {
     #[test]
     fn from_order_computes_length() {
         let pts = unit_square();
-        let m = DistanceMatrix::from_points(&pts);
-        let t = Tour::from_order(vec![0, 1, 2, 3], &m);
+        let t = Tour::from_order(vec![0, 1, 2, 3], line(&pts));
         assert!((t.length - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn crossing_order_is_longer() {
         let pts = unit_square();
-        let m = DistanceMatrix::from_points(&pts);
-        let good = Tour::from_order(vec![0, 1, 2, 3], &m);
-        let crossed = Tour::from_order(vec![0, 2, 1, 3], &m);
+        let good = Tour::from_order(vec![0, 1, 2, 3], line(&pts));
+        let crossed = Tour::from_order(vec![0, 2, 1, 3], line(&pts));
         assert!(crossed.length > good.length);
     }
 
@@ -152,7 +150,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a valid permutation")]
     fn from_order_panics_on_invalid() {
-        let m = DistanceMatrix::from_points(&unit_square());
-        let _ = Tour::from_order(vec![0, 0, 1, 2], &m);
+        let pts = unit_square();
+        let _ = Tour::from_order(vec![0, 0, 1, 2], line(&pts));
     }
 }

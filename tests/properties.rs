@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use bundle_charging::geom::{sed, Disk, Point};
 use bundle_charging::prelude::*;
 use bundle_charging::setcover::{exact_cover, greedy_cover};
-use bundle_charging::tsp::{construct, improve, DistanceMatrix};
+use bundle_charging::tsp::{construct, improve};
 
 /// Brute-force reference: tries every disk supported by one, two or three
 /// input points and returns the smallest one enclosing all points.
@@ -179,14 +179,14 @@ proptest! {
     /// tour, and keep the cached length consistent.
     #[test]
     fn tour_improvement_invariants(pts in arb_points(30, 200.0)) {
-        let m = DistanceMatrix::from_points(&pts);
-        let mut t = construct::nearest_neighbor(&m, 0);
+        let line = |i: usize, j: usize| pts[i].distance(pts[j]);
+        let mut t = construct::nearest_neighbor(pts.len(), 0, line);
         let before = t.length;
-        improve::two_opt(&mut t, &m);
-        improve::or_opt(&mut t, &m, &pts);
+        improve::two_opt(&mut t, line);
+        improve::or_opt(&mut t, line, &pts);
         prop_assert!(t.validate(pts.len()));
         prop_assert!(t.length <= before + 1e-9);
-        prop_assert!((t.recompute_length(&m) - t.length).abs() < 1e-6);
+        prop_assert!((t.recompute_length(line) - t.length).abs() < 1e-6);
     }
 
     /// Greedy cover always covers and respects the ln(n)+1 bound against

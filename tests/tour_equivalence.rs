@@ -1,30 +1,47 @@
-//! Exactness of bc-tsp's grid-restricted Or-opt. The full insertion scan
-//! it replaced survives here as a test-local oracle: NN → 2-opt ⇄ that
-//! scan must build the same tour, order and length bits, as `solve` and
-//! `solve_matrix` on point sets chosen to stress the restriction (ties,
-//! duplicates, degenerate bounding boxes, one very long edge) and on an
-//! obstacle-routed metric. The plans of one plan-sparse-shaped network,
-//! whose ~1.3k-anchor tour sees ~150 Or-opt moves, are pinned as goldens.
+//! Exactness of bc-tsp's grid-restricted Or-opt and of its metric read on
+//! demand. The full insertion scan Or-opt replaced survives here as a
+//! test-local oracle: NN → 2-opt ⇄ that scan must build the same tour,
+//! order and length bits, as `solve` on point sets chosen to stress the
+//! restriction (ties, duplicates, degenerate bounding boxes, one very long
+//! edge) and on an obstacle-routed metric. The dense distance table
+//! `solve` once read survives as `table`: the straight line evaluated on
+//! demand must give the tour, length bits and Or-opt work of its table.
+//! The plans of one plan-sparse-shaped network, whose ~1.3k-anchor tour
+//! sees ~150 Or-opt moves, are pinned as goldens.
 
 use bundle_charging::core::context::PlanContext;
 use bundle_charging::core::planner::Algorithm;
 use bundle_charging::core::{ChargingPlan, PlannerConfig};
 use bundle_charging::geom::visibility::VisibilityRouter;
 use bundle_charging::geom::{Aabb, Point, Polygon};
-use bundle_charging::tsp::{
-    construct, improve, solve, solve_matrix, DistanceMatrix, SolveConfig, Tour,
-};
+use bundle_charging::tsp::{construct, improve, solve, OrOptWork, SolveConfig, Tour};
 use bundle_charging::wsn::deploy;
 
 // ---------------------------------------------------------------------
-// The oracle: `bc_tsp::improve::or_opt` before its insertion scan was
-// restricted to a grid, copied verbatim with its helpers.
+// The oracles: `bc_tsp::improve::or_opt` before its insertion scan was
+// restricted to a grid, copied verbatim with its helpers, and the dense
+// distance table bc-tsp once read every metric through.
 // ---------------------------------------------------------------------
+
+/// The old `DistanceMatrix::from_fn`: evaluates `f` once per unordered
+/// pair into a dense `n × n` table, mirrors it and keeps a zero diagonal.
+/// Returns the table's lookup.
+fn table(n: usize, f: impl Fn(usize, usize) -> f64) -> impl Fn(usize, usize) -> f64 {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = f(i, j);
+            data[i * n + j] = d;
+            data[j * n + i] = d;
+        }
+    }
+    move |i, j| data[i * n + j]
+}
 
 /// Runs Or-opt to local optimality: relocates segments of 1, 2 or 3
 /// consecutive points to a better position (in either orientation).
 /// Returns `true` if any improvement was made.
-fn or_opt_full_scan(tour: &mut Tour, m: &DistanceMatrix) -> bool {
+fn or_opt_full_scan(tour: &mut Tour, dist: &impl Fn(usize, usize) -> f64) -> bool {
     let n = tour.order.len();
     if n < 4 {
         return false;
@@ -43,8 +60,7 @@ fn or_opt_full_scan(tour: &mut Tour, m: &DistanceMatrix) -> bool {
                 let first = tour.order[start];
                 let last = tour.order[(start + seg_len - 1) % n];
                 let after = tour.order[(start + seg_len) % n];
-                let removal_gain =
-                    m.dist(before, first) + m.dist(last, after) - m.dist(before, after);
+                let removal_gain = dist(before, first) + dist(last, after) - dist(before, after);
                 if removal_gain <= 1e-10 {
                     continue;
                 }
@@ -59,8 +75,8 @@ fn or_opt_full_scan(tour: &mut Tour, m: &DistanceMatrix) -> bool {
                     {
                         continue;
                     }
-                    let fwd = m.dist(u, first) + m.dist(last, v) - m.dist(u, v);
-                    let rev = m.dist(u, last) + m.dist(first, v) - m.dist(u, v);
+                    let fwd = dist(u, first) + dist(last, v) - dist(u, v);
+                    let rev = dist(u, last) + dist(first, v) - dist(u, v);
                     let (cost, reversed) = if fwd <= rev {
                         (fwd, false)
                     } else {
@@ -112,31 +128,32 @@ fn relocate(order: &mut Vec<usize>, start: usize, len: usize, after_pos: usize, 
     *order = out;
 }
 
-/// `solve_matrix`'s heuristic path with the oracle in Or-opt's place.
-fn reference_tour(m: &DistanceMatrix) -> Tour {
-    let mut tour = construct::nearest_neighbor(m, 0);
+/// `solve`'s heuristic path over `n` points with the oracle in Or-opt's
+/// place.
+fn reference_tour(n: usize, dist: &impl Fn(usize, usize) -> f64) -> Tour {
+    let mut tour = construct::nearest_neighbor(n, 0, dist);
     let mut improved = true;
     while improved {
         improved = false;
-        if improve::two_opt(&mut tour, m) {
+        if improve::two_opt(&mut tour, dist) {
             improved = true;
         }
-        if or_opt_full_scan(&mut tour, m) {
+        if or_opt_full_scan(&mut tour, dist) {
             improved = true;
         }
     }
     tour
 }
 
-/// Solves `points` under `m` both ways and demands the same tour, bit for
-/// bit. Returns the Or-opt moves the pipeline applied.
-fn assert_replays(label: &str, m: &DistanceMatrix, points: &[Point]) -> u64 {
+/// Solves `points` under `dist` both ways and demands the same tour, bit
+/// for bit. Returns the Or-opt moves the pipeline applied.
+fn assert_replays(label: &str, dist: impl Fn(usize, usize) -> f64, points: &[Point]) -> u64 {
     assert!(
-        m.len() > SolveConfig::default().exact_threshold,
+        points.len() > SolveConfig::default().exact_threshold,
         "{label}: too small for Or-opt"
     );
-    let want = reference_tour(m);
-    let (got, work) = solve_matrix(m, points, &SolveConfig::default());
+    let want = reference_tour(points.len(), &dist);
+    let (got, work) = solve(points, &dist, &SolveConfig::default());
     assert_eq!(
         got.order, want.order,
         "{label}: tour order differs from the full scan"
@@ -150,6 +167,12 @@ fn assert_replays(label: &str, m: &DistanceMatrix, points: &[Point]) -> u64 {
     );
     assert!(work.scored >= work.moves, "{label}: {work:?}");
     work.moves
+}
+
+/// What two solves must share: the visit order, the length bits and the
+/// Or-opt work.
+fn key((tour, work): &(Tour, OrOptWork)) -> (&[usize], u64, OrOptWork) {
+    (&tour.order, tour.length.to_bits(), *work)
 }
 
 // ---------------------------------------------------------------------
@@ -256,10 +279,17 @@ fn grid_or_opt_replays_the_full_scan_on_point_families() {
     for (name, make, moves_expected) in families {
         let mut moves = 0;
         for (n, seed) in [(11, 1), (12, 2), (29, 3), (64, 4), (150, 5), (300, 6)] {
+            let label = format!("{name} n={n} seed={seed}");
             let pts = make(n, seed);
-            let m = DistanceMatrix::from_points(&pts);
-            moves += assert_replays(&format!("{name} n={n} seed={seed}"), &m, &pts);
-            assert_eq!(solve(&pts, &cfg), solve_matrix(&m, &pts, &cfg));
+            let line = |i: usize, j: usize| pts[i].distance(pts[j]);
+            moves += assert_replays(&label, line, &pts);
+            let on_demand = solve(&pts, line, &cfg);
+            let tabled = solve(&pts, table(n, line), &cfg);
+            assert_eq!(
+                key(&on_demand),
+                key(&tabled),
+                "{label}: the straight line on demand and its table differ"
+            );
         }
         assert_eq!(moves > 0, moves_expected, "{name}: {moves} Or-opt moves");
     }
@@ -268,11 +298,11 @@ fn grid_or_opt_replays_the_full_scan_on_point_families() {
 #[test]
 fn grid_or_opt_replays_the_full_scan_on_submatrix_views() {
     let pts = uniform(300, 400.0, 7);
-    let m = DistanceMatrix::from_points(&pts);
+    let m = table(pts.len(), |i, j| pts[i].distance(pts[j]));
     let pick: Vec<usize> = (0..pts.len()).filter(|i| i % 3 != 1).collect();
     let sub_pts: Vec<Point> = pick.iter().map(|&i| pts[i]).collect();
-    let sub = DistanceMatrix::from_fn(pick.len(), |a, b| m.dist(pick[a], pick[b]));
-    assert!(assert_replays("submatrix", &sub, &sub_pts) > 0);
+    let sub = table(pick.len(), |a, b| m(pick[a], pick[b]));
+    assert!(assert_replays("submatrix", sub, &sub_pts) > 0);
 }
 
 #[test]
@@ -288,16 +318,16 @@ fn grid_or_opt_replays_the_full_scan_on_a_routed_metric() {
         .take(200)
         .collect();
     assert_eq!(pts.len(), 200);
-    let routed = DistanceMatrix::from_fn(pts.len(), |i, j| router.path_length(pts[i], pts[j]));
+    let routed = table(pts.len(), |i, j| router.path_length(pts[i], pts[j]));
     let detours = (0..pts.len())
         .flat_map(|i| (0..i).map(move |j| (i, j)))
-        .filter(|&(i, j)| routed.dist(i, j) > pts[i].distance(pts[j]) + 1e-9)
+        .filter(|&(i, j)| routed(i, j) > pts[i].distance(pts[j]) + 1e-9)
         .count();
     assert!(
         detours > 100,
         "the obstacles must bend many legs, got {detours}"
     );
-    assert!(assert_replays("routed", &routed, &pts) > 0);
+    assert!(assert_replays("routed", routed, &pts) > 0);
 }
 
 // ---------------------------------------------------------------------
