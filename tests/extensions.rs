@@ -87,6 +87,27 @@ fn planners_under_table_law() {
     }
 }
 
+/// BC-OPT under a linear law of 20 m support at r = 10 m: a sweep radius
+/// that would carry a member out of reach costs an infinite dwell, and it
+/// must offer no relocation rather than panic.
+#[test]
+fn bc_opt_plans_under_a_finite_support_law() {
+    let mut cfg = PlannerConfig::paper_sim(10.0);
+    cfg.charging = ChargingModel::linear(0.04, 0.002, 1.0);
+    cfg.validate().unwrap();
+    let net = deploy::uniform(100, Aabb::square(300.0), 2.0, 5);
+    let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
+    let opt = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
+    opt.validate(&net, &cfg.charging).unwrap();
+    let energy = |plan: &ChargingPlan| plan.metrics(&cfg.energy).total_energy_j;
+    assert!(
+        energy(&opt) <= energy(&bc),
+        "{} > {}",
+        energy(&opt),
+        energy(&bc)
+    );
+}
+
 /// Lifetime simulation agrees with single-round accounting: one round's
 /// charger energy matches the plan metrics (up to the round boundary).
 #[test]
