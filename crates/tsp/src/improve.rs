@@ -21,21 +21,25 @@ pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
     while improved {
         improved = false;
         for i in 0..n - 1 {
+            // `a` stays put for every `j`; only a reversal changes `b`.
+            let a = tour.order[i];
+            let mut b = tour.order[i + 1];
+            let mut ab = dist(a, b);
             for j in (i + 2)..n {
                 // Skip the pair that shares the wrap-around edge.
                 if i == 0 && j == n - 1 {
                     continue;
                 }
-                let a = tour.order[i];
-                let b = tour.order[i + 1];
                 let c = tour.order[j];
                 let d = tour.order[(j + 1) % n];
-                let delta = dist(a, c) + dist(b, d) - dist(a, b) - dist(c, d);
+                let delta = dist(a, c) + dist(b, d) - ab - dist(c, d);
                 if delta < -1e-10 {
                     tour.order[i + 1..=j].reverse();
                     tour.length += delta;
                     improved = true;
                     any = true;
+                    b = tour.order[i + 1];
+                    ab = dist(a, b);
                 }
             }
         }
