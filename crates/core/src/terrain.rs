@@ -75,7 +75,8 @@ pub struct TerrainRoute {
 }
 
 impl TerrainRoute {
-    /// Traces a plan's closed tour over the terrain.
+    /// Traces a plan's closed tour over the terrain, routing each leg
+    /// once.
     pub fn trace(plan: &ChargingPlan, terrain: &Terrain) -> Self {
         let n = plan.stops.len();
         let mut legs = Vec::with_capacity(n);
@@ -84,7 +85,7 @@ impl TerrainRoute {
             for i in 0..n {
                 let a = plan.stops[i].anchor();
                 let b = plan.stops[(i + 1) % n].anchor();
-                let (d, path) = (terrain.distance(a, b), terrain.path(a, b));
+                let (d, path) = terrain.router.shortest_path(a, b);
                 length += d;
                 legs.push(path);
             }
@@ -267,6 +268,26 @@ mod tests {
             routed.length_m,
             naive_route.length_m
         );
+    }
+
+    #[test]
+    fn trace_routes_each_leg_as_distance_and_path_do() {
+        let terrain = walled_terrain();
+        let net = deploy_around(40, 300.0, 6, &terrain);
+        let cfg = PlannerConfig::paper_sim(30.0);
+        let (plan, route) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
+        let n = plan.stops.len();
+        assert_eq!(route.legs.len(), n);
+        let mut length = 0.0;
+        for (i, leg) in route.legs.iter().enumerate() {
+            let a = plan.stops[i].anchor();
+            let b = plan.stops[(i + 1) % n].anchor();
+            length += terrain.distance(a, b);
+            assert_eq!(*leg, terrain.path(a, b), "leg {i}");
+        }
+        assert_eq!(route.length_m.0.to_bits(), length.to_bits());
+        // Some leg detours, so the wall is in the way.
+        assert!(route.legs.iter().any(|leg| leg.len() > 2));
     }
 
     #[test]
