@@ -25,6 +25,13 @@
 //!   distinct variant that deterministic sinks can mask);
 //! * `fields` — additional structured key/value context.
 //!
+//! Each event reaches the recorder through its one method,
+//! [`Recorder::record`], together with its causal [`SpanCtx`]. The
+//! aggregating recorders ([`recorders::StatsRecorder`],
+//! [`tree::SpanTreeRecorder`]) keep what they aggregate under the
+//! event's `(scope, name)` pair and spell the `scope.name` keys only in
+//! their snapshots, so recording an event builds no string.
+//!
 //! # Zero cost when disabled
 //!
 //! With no recorder installed, every emission helper is one thread-local
@@ -217,12 +224,21 @@ pub struct ObsEvent<'a> {
     pub fields: &'a [Field],
 }
 
-impl ObsEvent<'_> {
-    /// `scope.name`, the key aggregating recorders file the event under.
-    #[must_use]
-    pub fn key(&self) -> String {
-        format!("{}.{}", self.scope, self.name)
-    }
+/// An emitting site's `(scope, name)`: what the aggregating recorders
+/// keep their series under, so that recording an event builds no string.
+pub(crate) type Pair = (&'static str, &'static str);
+
+/// Whether two pairs spell the same `scope.name` key, as `("a.b", "c")`
+/// and `("a", "b.c")` do. Aggregating recorders file such pairs under
+/// one key, exactly as one `scope.name` string would.
+pub(crate) fn same_key(a: Pair, b: Pair) -> bool {
+    let spelled = |(scope, name): Pair| scope.bytes().chain(Some(b'.')).chain(name.bytes());
+    a == b || (a.0.len() + a.1.len() == b.0.len() + b.1.len() && spelled(a).eq(spelled(b)))
+}
+
+/// The `scope.name` key a pair spells; snapshots are the only callers.
+pub(crate) fn key((scope, name): Pair) -> String {
+    format!("{scope}.{name}")
 }
 
 /// Causal position of an event relative to the emitting thread's span
@@ -251,18 +267,11 @@ pub struct SpanCtx {
 /// aggregator takes one mutex per event) and must not panic: a recorder
 /// failure must never take down a planning or simulation run.
 pub trait Recorder: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: &ObsEvent<'_>);
-
-    /// Consumes one event together with its causal [`SpanCtx`]. The
-    /// dispatch layer always calls this entry point; the default
-    /// implementation discards the context and forwards to
-    /// [`Recorder::record`], so flat recorders need not care. Tree
-    /// recorders ([`tree::SpanTreeRecorder`]) override it, and fanouts
-    /// must forward it so causality survives composition.
-    fn record_ctx(&self, event: &ObsEvent<'_>, _ctx: SpanCtx) {
-        self.record(event);
-    }
+    /// Consumes one event together with its causal [`SpanCtx`], the one
+    /// entry point the dispatch layer calls. Flat recorders ignore the
+    /// context; [`tree::SpanTreeRecorder`] folds spans and counters by
+    /// it, and [`recorders::FanoutRecorder`] passes it on.
+    fn record(&self, event: &ObsEvent<'_>, ctx: SpanCtx);
 
     /// Whether this recorder wants events at all. The dispatch layer
     /// caches this at install time: a recorder answering `false` (the
@@ -379,62 +388,44 @@ fn current() -> Option<Arc<dyn Recorder>> {
 }
 
 #[inline]
-fn dispatch(event: &ObsEvent<'_>) {
+fn dispatch(event: &ObsEvent<'_>, ctx: SpanCtx) {
     if let Some(r) = current() {
-        r.record_ctx(event, ambient_ctx());
+        r.record(event, ctx);
     }
 }
 
+/// Dispatches a point-in-time event (not a span) under the ambient
+/// [`SpanCtx`], when recording is [`active`].
 #[inline]
-fn dispatch_ctx(event: &ObsEvent<'_>, ctx: SpanCtx) {
-    if let Some(r) = current() {
-        r.record_ctx(event, ctx);
+fn emit(scope: &'static str, name: &'static str, kind: Kind, value: Value, fields: &[Field]) {
+    if active() {
+        let event = ObsEvent {
+            scope,
+            name,
+            kind,
+            value,
+            fields,
+        };
+        dispatch(&event, ambient_ctx());
     }
 }
 
 /// Emits a counter increment of `delta`.
 #[inline]
 pub fn counter(scope: &'static str, name: &'static str, delta: u64, fields: &[Field]) {
-    if !active() {
-        return;
-    }
-    dispatch(&ObsEvent {
-        scope,
-        name,
-        kind: Kind::Counter,
-        value: Value::U64(delta),
-        fields,
-    });
+    emit(scope, name, Kind::Counter, Value::U64(delta), fields);
 }
 
 /// Emits one histogram sample.
 #[inline]
 pub fn histogram(scope: &'static str, name: &'static str, sample: f64, fields: &[Field]) {
-    if !active() {
-        return;
-    }
-    dispatch(&ObsEvent {
-        scope,
-        name,
-        kind: Kind::Histogram,
-        value: Value::F64(sample),
-        fields,
-    });
+    emit(scope, name, Kind::Histogram, Value::F64(sample), fields);
 }
 
 /// Emits a point event.
 #[inline]
 pub fn event(scope: &'static str, name: &'static str, fields: &[Field]) {
-    if !active() {
-        return;
-    }
-    dispatch(&ObsEvent {
-        scope,
-        name,
-        kind: Kind::Event,
-        value: Value::None,
-        fields,
-    });
+    emit(scope, name, Kind::Event, Value::None, fields);
 }
 
 /// RAII *causal* span guard: measures from [`ScopedSpan::enter`] to
@@ -558,7 +549,7 @@ impl Drop for ScopedSpan {
                 stack.truncate(pos);
             }
         });
-        dispatch_ctx(
+        dispatch(
             &ObsEvent {
                 scope: self.scope,
                 name: self.name,
@@ -671,14 +662,12 @@ mod tests {
     }
 
     #[test]
-    fn event_key_joins_scope_and_name() {
-        let ev = ObsEvent {
-            scope: "plan",
-            name: "stage.cover",
-            kind: Kind::Span,
-            value: Value::None,
-            fields: &[],
-        };
-        assert_eq!(ev.key(), "plan.stage.cover");
+    fn pairs_spelling_one_key_are_one_key() {
+        assert_eq!(key(("plan", "stage.cover")), "plan.stage.cover");
+        assert!(same_key(("plan", "stage.cover"), ("plan", "stage.cover")));
+        assert!(same_key(("a.b", "c"), ("a", "b.c")));
+        assert!(!same_key(("a", "b-c"), ("a.b", "c")));
+        assert!(!same_key(("ab", "c"), ("a", "bc")), "ab.c is not a.bc");
+        assert!(!same_key(("a", "b"), ("a", "bc")));
     }
 }

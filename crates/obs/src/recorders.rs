@@ -12,7 +12,7 @@
 //! * [`FanoutRecorder`] — duplicates each event to several sinks.
 
 use crate::json::{escape_into, number_into};
-use crate::{Kind, ObsEvent, Recorder, SpanCtx, Value};
+use crate::{key, same_key, Kind, ObsEvent, Pair, Recorder, SpanCtx, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Mutex, PoisonError};
@@ -26,7 +26,7 @@ use std::sync::{Mutex, PoisonError};
 pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
-    fn record(&self, _event: &ObsEvent<'_>) {}
+    fn record(&self, _event: &ObsEvent<'_>, _ctx: SpanCtx) {}
 
     fn enabled(&self) -> bool {
         false
@@ -182,9 +182,6 @@ impl SpanSummary {
     }
 }
 
-/// An emitting site's `(scope, name)`.
-type Pair = (&'static str, &'static str);
-
 /// One kind's series, kept under the `(scope, name)` pairs events carry,
 /// so recording an event builds no string. Pairs that spell the same
 /// `scope.name` (`("a.b", "c")` and `("a", "b.c")`) share one slot and so
@@ -220,11 +217,10 @@ impl<T: Default + Clone> Series<T> {
     /// same key, or opens one.
     #[cold]
     fn open(&mut self, scope: &'static str, name: &'static str) -> usize {
-        let spelled = |(s, n): Pair| s.bytes().chain(Some(b'.')).chain(n.bytes());
         let slot = match self
             .values
             .iter()
-            .position(|&(pair, _)| spelled(pair).eq(spelled((scope, name))))
+            .position(|&(pair, _)| same_key(pair, (scope, name)))
         {
             Some(slot) => slot,
             None => {
@@ -240,7 +236,7 @@ impl<T: Default + Clone> Series<T> {
     fn snapshot(&self) -> BTreeMap<String, T> {
         self.values
             .iter()
-            .map(|&((scope, name), ref v)| (format!("{scope}.{name}"), v.clone()))
+            .map(|&(pair, ref v)| (key(pair), v.clone()))
             .collect()
     }
 }
@@ -300,7 +296,7 @@ impl StatsRecorder {
 }
 
 impl Recorder for StatsRecorder {
-    fn record(&self, event: &ObsEvent<'_>) {
+    fn record(&self, event: &ObsEvent<'_>, _ctx: SpanCtx) {
         let (scope, name) = (event.scope, event.name);
         let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         match (event.kind, event.value) {
@@ -484,7 +480,7 @@ fn render_jsonl_value(out: &mut String, value: Value) {
 }
 
 impl<W: Write + Send> Recorder for JsonlRecorder<W> {
-    fn record(&self, event: &ObsEvent<'_>) {
+    fn record(&self, event: &ObsEvent<'_>, _ctx: SpanCtx) {
         let mut line = String::with_capacity(96);
         line.push_str("{\"scope\":");
         escape_into(&mut line, event.scope);
@@ -510,8 +506,9 @@ impl<W: Write + Send> Recorder for JsonlRecorder<W> {
     }
 }
 
-/// Duplicates every event to each inner recorder, in order. Enabled when
-/// any inner recorder is.
+/// Duplicates every event, with its [`SpanCtx`], to each inner recorder,
+/// in order, so a tree recorder behind a fanout still sees causality.
+/// Enabled when any inner recorder is.
 pub struct FanoutRecorder {
     sinks: Vec<std::sync::Arc<dyn Recorder>>,
 }
@@ -525,20 +522,10 @@ impl FanoutRecorder {
 }
 
 impl Recorder for FanoutRecorder {
-    fn record(&self, event: &ObsEvent<'_>) {
+    fn record(&self, event: &ObsEvent<'_>, ctx: SpanCtx) {
         for s in &self.sinks {
             if s.enabled() {
-                s.record(event);
-            }
-        }
-    }
-
-    // Forwarded explicitly so tree-building sinks behind a fanout still
-    // see causality — the default would flatten the ctx away.
-    fn record_ctx(&self, event: &ObsEvent<'_>, ctx: SpanCtx) {
-        for s in &self.sinks {
-            if s.enabled() {
-                s.record_ctx(event, ctx);
+                s.record(event, ctx);
             }
         }
     }
@@ -555,14 +542,16 @@ mod tests {
     use crate::Field;
     use std::sync::Arc;
 
-    fn ev<'a>(kind: Kind, value: Value, fields: &'a [Field]) -> ObsEvent<'a> {
-        ObsEvent {
+    /// Records one `t.x` event at the stack root.
+    fn emit(r: &dyn Recorder, kind: Kind, value: Value, fields: &[Field]) {
+        let event = ObsEvent {
             scope: "t",
             name: "x",
             kind,
             value,
             fields,
-        }
+        };
+        r.record(&event, SpanCtx::default());
     }
 
     #[test]
@@ -637,13 +626,13 @@ mod tests {
     #[test]
     fn stats_aggregate_counters_spans_histograms() {
         let r = StatsRecorder::new();
-        r.record(&ev(Kind::Counter, Value::U64(2), &[]));
-        r.record(&ev(Kind::Counter, Value::U64(3), &[]));
-        r.record(&ev(Kind::Span, Value::Wall(0.5), &[]));
-        r.record(&ev(Kind::Span, Value::Wall(0.25), &[]));
-        r.record(&ev(Kind::Histogram, Value::F64(4.0), &[]));
-        r.record(&ev(Kind::Histogram, Value::F64(5.0), &[]));
-        r.record(&ev(Kind::Event, Value::None, &[]));
+        emit(&r, Kind::Counter, Value::U64(2), &[]);
+        emit(&r, Kind::Counter, Value::U64(3), &[]);
+        emit(&r, Kind::Span, Value::Wall(0.5), &[]);
+        emit(&r, Kind::Span, Value::Wall(0.25), &[]);
+        emit(&r, Kind::Histogram, Value::F64(4.0), &[]);
+        emit(&r, Kind::Histogram, Value::F64(5.0), &[]);
+        emit(&r, Kind::Event, Value::None, &[]);
         let s = r.snapshot();
         assert_eq!(s.counter("t.x"), 5);
         assert_eq!(s.span_count("t.x"), 2);
@@ -671,9 +660,9 @@ mod tests {
     #[test]
     fn snapshot_json_is_valid_and_deterministic() {
         let r = StatsRecorder::new();
-        r.record(&ev(Kind::Counter, Value::U64(1), &[]));
-        r.record(&ev(Kind::Span, Value::Wall(0.1), &[]));
-        r.record(&ev(Kind::Histogram, Value::F64(0.0), &[]));
+        emit(&r, Kind::Counter, Value::U64(1), &[]);
+        emit(&r, Kind::Span, Value::Wall(0.1), &[]);
+        emit(&r, Kind::Histogram, Value::F64(0.0), &[]);
         let a = r.snapshot().to_json();
         let b = r.snapshot().to_json();
         assert_eq!(a, b);
@@ -687,12 +676,13 @@ mod tests {
     #[test]
     fn jsonl_masks_wall_and_is_parseable() {
         let r = JsonlRecorder::new(Vec::new());
-        r.record(&ev(
+        emit(
+            &r,
             Kind::Span,
             Value::Wall(123.456),
             &[Field::new("algo", "bc-opt"), Field::new("stops", 7usize)],
-        ));
-        r.record(&ev(Kind::Event, Value::None, &[Field::new("ok", true)]));
+        );
+        emit(&r, Kind::Event, Value::None, &[Field::new("ok", true)]);
         let text = String::from_utf8(r.into_inner()).unwrap();
         assert_eq!(validate_jsonl(&text), Ok(2));
         let first = text.lines().next().unwrap();
@@ -728,8 +718,8 @@ mod tests {
         assert_eq!(h.mean(), 7.0);
         // And the snapshot JSON carries them.
         let r = StatsRecorder::new();
-        r.record(&ev(Kind::Histogram, Value::F64(3.0), &[]));
-        r.record(&ev(Kind::Histogram, Value::F64(5.0), &[]));
+        emit(&r, Kind::Histogram, Value::F64(3.0), &[]);
+        emit(&r, Kind::Histogram, Value::F64(5.0), &[]);
         let json = r.snapshot().to_json();
         assert!(json.contains("\"sum\": 8"), "exact sum in JSON:\n{json}");
         assert!(json.contains("\"mean\": 4"), "exact mean in JSON:\n{json}");
@@ -771,13 +761,13 @@ mod tests {
     #[test]
     fn snapshot_merge_combines_all_series() {
         let r1 = StatsRecorder::new();
-        r1.record(&ev(Kind::Counter, Value::U64(2), &[]));
-        r1.record(&ev(Kind::Histogram, Value::F64(4.0), &[]));
-        r1.record(&ev(Kind::Event, Value::None, &[]));
+        emit(&r1, Kind::Counter, Value::U64(2), &[]);
+        emit(&r1, Kind::Histogram, Value::F64(4.0), &[]);
+        emit(&r1, Kind::Event, Value::None, &[]);
         let r2 = StatsRecorder::new();
-        r2.record(&ev(Kind::Counter, Value::U64(3), &[]));
-        r2.record(&ev(Kind::Span, Value::Wall(0.5), &[]));
-        r2.record(&ev(Kind::Event, Value::None, &[]));
+        emit(&r2, Kind::Counter, Value::U64(3), &[]);
+        emit(&r2, Kind::Span, Value::Wall(0.5), &[]);
+        emit(&r2, Kind::Event, Value::None, &[]);
         let mut merged = r1.snapshot();
         merged.merge(&r2.snapshot());
         assert_eq!(merged.counter("t.x"), 5);
@@ -797,13 +787,14 @@ mod tests {
     fn snapshot_json_is_pinned_with_colliding_keys() {
         let r = StatsRecorder::new();
         let emit = |scope, name, kind, value| {
-            r.record(&ObsEvent {
+            let event = ObsEvent {
                 scope,
                 name,
                 kind,
                 value,
                 fields: &[Field::new("ignored", 1u64)],
-            });
+            };
+            r.record(&event, SpanCtx::default());
         };
         emit("a.b", "c", Kind::Counter, Value::U64(2));
         emit("a", "b.c", Kind::Counter, Value::U64(3));
@@ -839,8 +830,8 @@ mod tests {
     #[test]
     fn deterministic_recorder_masks_span_wall_time() {
         let r = StatsRecorder::deterministic();
-        r.record(&ev(Kind::Span, Value::Wall(123.456), &[]));
-        r.record(&ev(Kind::Span, Value::Wall(7.0), &[]));
+        emit(&r, Kind::Span, Value::Wall(123.456), &[]);
+        emit(&r, Kind::Span, Value::Wall(7.0), &[]);
         let s = r.snapshot();
         assert_eq!(s.span_count("t.x"), 2, "span counts survive masking");
         assert_eq!(s.span_total_s("t.x"), 0.0, "wall totals are masked");
@@ -853,7 +844,7 @@ mod tests {
         let b = Arc::new(StatsRecorder::new());
         let fan = FanoutRecorder::new(vec![a.clone(), Arc::new(NullRecorder), b.clone()]);
         assert!(fan.enabled());
-        fan.record(&ev(Kind::Counter, Value::U64(1), &[]));
+        emit(&fan, Kind::Counter, Value::U64(1), &[]);
         assert_eq!(a.snapshot().counter("t.x"), 1);
         assert_eq!(b.snapshot().counter("t.x"), 1);
         let silent = FanoutRecorder::new(vec![Arc::new(NullRecorder)]);

@@ -5,15 +5,23 @@
 //!
 //! # Model
 //!
-//! Every completed [`crate::Kind::Span`] carrying a [`crate::SpanCtx`]
-//! id is a tree node; its `parent` id says where it hangs. Because span
-//! ids are fresh every run they never appear in output — the recorder
-//! uses them only to pair children with parents while spans are in
-//! flight, then *folds by name*: all completions of `plan.stage.tighten`
-//! under the same parent path collapse into one node with a count, a
-//! summed total, and merged counters. Counters emitted while a span is
-//! open attach to that span (the innermost open one); counters with no
-//! open span land in the snapshot's `unattributed` map.
+//! Every completed [`crate::Kind::Span`] is a tree node, and its
+//! [`crate::SpanCtx`] `parent` id says where it hangs. Span ids are fresh
+//! every run, so they never appear in output: the recorder uses them only
+//! to find the node of a span still open. A span *folds as it closes*:
+//! it merges into its parent's child of the same `scope.name` (or into
+//! the roots), adding 1 to the count, its time to the total, and its
+//! counters and already-folded children to that node's. All completions
+//! of `plan.stage.tighten` under one call path are thus one node with a
+//! count, a summed total and merged counters, and the recorder keeps one
+//! node per distinct call path plus one per open span, never one per
+//! completion. Counters emitted while a span is open attach to that span
+//! (the innermost open one); counters with no open span land in the
+//! snapshot's `unattributed` map.
+//!
+//! Nodes and counters are kept under the event's `(scope, name)` pair;
+//! [`SpanTreeRecorder::snapshot`] spells the `scope.name` keys, and pairs
+//! that spell one key (`("a.b", "c")`, `("a", "b.c")`) fold as one.
 //!
 //! # Determinism
 //!
@@ -23,35 +31,89 @@
 //! inputs. With [`SpanTreeRecorder::deterministic`] masking wall
 //! durations, [`SpanTreeSnapshot::to_json`] is byte-identical across
 //! runs and worker counts; the proptest in `tests/observability.rs`
-//! pins this across workers {1, 2, 4}.
+//! pins this across workers {1, 2, 4}. Unmasked totals are sums of
+//! floats: a node's total adds its completions in order, each carrying
+//! the children it had already folded, so deep totals are summed per
+//! parent completion first and may differ in the last bits from one
+//! flat sum over every completion.
 
 use crate::json::{escape_into, number_into};
-use crate::{Kind, ObsEvent, Recorder, SpanCtx, Value};
+use crate::{key, same_key, Kind, ObsEvent, Pair, Recorder, SpanCtx, Value};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
-/// A span that has completed but whose parent is still open: it waits in
-/// the in-flight state, keyed by the parent's id, until the parent
-/// closes and adopts it.
-#[derive(Debug, Clone)]
-struct Pending {
-    name: String,
+/// The folded completions of one call path, or one span still open (its
+/// children and counters so far; count and total are set as it closes).
+#[derive(Debug, Default)]
+struct Node {
+    /// The first `(scope, name)` pair folded in.
+    pair: Pair,
+    count: u64,
     total_s: f64,
-    children: Vec<Pending>,
-    counters: BTreeMap<String, u64>,
+    /// Counter totals, one entry per spelled key, first-seen order.
+    counters: Vec<(Pair, u64)>,
+    /// Folded children, first-seen completion order.
+    children: Vec<Node>,
+}
+
+impl Node {
+    /// Merges `other` (same key) into `self`: count, total and counters
+    /// add, and `other`'s children fold into `self`'s in their order.
+    fn merge(&mut self, other: Node) {
+        self.count += other.count;
+        self.total_s += other.total_s;
+        for (pair, delta) in other.counters {
+            add(&mut self.counters, pair, delta);
+        }
+        for child in other.children {
+            fold_into(&mut self.children, child);
+        }
+    }
+
+    fn snapshot(&self) -> TreeNode {
+        let children: Vec<TreeNode> = self.children.iter().map(Node::snapshot).collect();
+        let child_total: f64 = children.iter().map(|c| c.total_s).sum();
+        TreeNode {
+            name: key(self.pair),
+            count: self.count,
+            total_s: self.total_s,
+            self_s: (self.total_s - child_total).max(0.0),
+            counters: counter_map(&self.counters),
+            children,
+        }
+    }
+}
+
+/// Folds `node` into the sibling whose pair spells the same key, or
+/// appends it.
+fn fold_into(siblings: &mut Vec<Node>, node: Node) {
+    match siblings.iter_mut().find(|s| same_key(s.pair, node.pair)) {
+        Some(group) => group.merge(node),
+        None => siblings.push(node),
+    }
+}
+
+/// Adds `delta` to the counter `pair` spells.
+fn add(counters: &mut Vec<(Pair, u64)>, pair: Pair, delta: u64) {
+    match counters.iter_mut().find(|(p, _)| same_key(*p, pair)) {
+        Some((_, total)) => *total += delta,
+        None => counters.push((pair, delta)),
+    }
+}
+
+fn counter_map(counters: &[(Pair, u64)]) -> BTreeMap<String, u64> {
+    counters.iter().map(|&(pair, n)| (key(pair), n)).collect()
 }
 
 #[derive(Debug, Default)]
 struct TreeState {
-    /// Completed children waiting for their parent span to close,
-    /// keyed by the parent's (run-local) span id, in completion order.
-    pending: BTreeMap<u64, Vec<Pending>>,
-    /// Counter totals attributed to a still-open span, by its id.
-    open_counters: BTreeMap<u64, BTreeMap<String, u64>>,
-    /// Completed root spans, in completion order.
-    roots: Vec<Pending>,
+    /// Open spans that already hold a folded child or a counter, by
+    /// their (run-local) span id.
+    open: BTreeMap<u64, Node>,
+    /// Closed root spans, folded.
+    roots: Vec<Node>,
     /// Counters emitted with no span open anywhere on the stack.
-    unattributed: BTreeMap<String, u64>,
+    unattributed: Vec<(Pair, u64)>,
 }
 
 /// Folds the causal span stream into a [`SpanTreeSnapshot`].
@@ -59,9 +121,8 @@ struct TreeState {
 /// Only [`Kind::Span`] and [`Kind::Counter`] events shape the tree;
 /// histograms and point events pass through untouched (pair this
 /// recorder with a [`crate::recorders::StatsRecorder`] in a fanout when
-/// you want both views). A span recorded without a [`SpanCtx`] id (by
-/// calling [`Recorder::record`] directly) becomes a leaf under the span
-/// its context names, or a root.
+/// you want both views). A span whose [`SpanCtx`] carries no id becomes a
+/// leaf under the span its context names, or a root.
 #[derive(Debug, Default)]
 pub struct SpanTreeRecorder {
     state: Mutex<TreeState>,
@@ -86,19 +147,22 @@ impl SpanTreeRecorder {
         }
     }
 
-    /// Folds everything recorded so far into a snapshot. Spans still
-    /// open (or whose parent never closed) are *not* in the snapshot —
-    /// take it after the instrumented region finishes.
+    /// Copies the folded tree out, spelling its `scope.name` keys. Spans
+    /// still open (or whose parent never closed) are *not* in the
+    /// snapshot — take it after the instrumented region finishes.
     #[must_use]
     pub fn snapshot(&self) -> SpanTreeSnapshot {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         SpanTreeSnapshot {
-            roots: fold_siblings(&state.roots),
-            unattributed: state.unattributed.clone(),
+            roots: state.roots.iter().map(Node::snapshot).collect(),
+            unattributed: counter_map(&state.unattributed),
         }
     }
+}
 
-    fn record_inner(&self, event: &ObsEvent<'_>, ctx: SpanCtx) {
+impl Recorder for SpanTreeRecorder {
+    fn record(&self, event: &ObsEvent<'_>, ctx: SpanCtx) {
+        let pair = (event.scope, event.name);
         match (event.kind, event.value) {
             (Kind::Span, value) => {
                 let total_s = match value {
@@ -108,98 +172,32 @@ impl SpanTreeRecorder {
                 let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                 // A span without an id is a leaf: nothing can have
                 // parented under it.
-                let node = Pending {
-                    name: event.key(),
+                let node = Node {
+                    pair,
+                    count: 1,
                     total_s,
-                    children: ctx
+                    ..ctx
                         .id
-                        .and_then(|id| state.pending.remove(&id))
-                        .unwrap_or_default(),
-                    counters: ctx
-                        .id
-                        .and_then(|id| state.open_counters.remove(&id))
-                        .unwrap_or_default(),
+                        .and_then(|id| state.open.remove(&id))
+                        .unwrap_or_default()
                 };
-                match ctx.parent {
-                    Some(parent) => state.pending.entry(parent).or_default().push(node),
-                    None => state.roots.push(node),
-                }
+                let siblings = match ctx.parent {
+                    Some(parent) => &mut state.open.entry(parent).or_default().children,
+                    None => &mut state.roots,
+                };
+                fold_into(siblings, node);
             }
             (Kind::Counter, Value::U64(delta)) => {
-                let key = event.key();
                 let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                let sink = match ctx.parent {
-                    Some(owner) => state.open_counters.entry(owner).or_default(),
+                let counters = match ctx.parent {
+                    Some(owner) => &mut state.open.entry(owner).or_default().counters,
                     None => &mut state.unattributed,
                 };
-                *sink.entry(key).or_insert(0) += delta;
+                add(counters, pair, delta);
             }
             _ => {}
         }
     }
-}
-
-impl Recorder for SpanTreeRecorder {
-    fn record(&self, event: &ObsEvent<'_>) {
-        // No causal context available: treat as emitted at the stack
-        // root (spans become roots, counters land unattributed).
-        self.record_inner(event, SpanCtx::default());
-    }
-
-    fn record_ctx(&self, event: &ObsEvent<'_>, ctx: SpanCtx) {
-        self.record_inner(event, ctx);
-    }
-}
-
-/// Groups a completion-ordered sibling list by name (first-seen order)
-/// and recurses, so repeated executions of the same logical span — loop
-/// rounds, per-anchor sweeps — collapse into one counted node.
-fn fold_siblings(siblings: &[Pending]) -> Vec<TreeNode> {
-    /// Accumulator for one name group while its siblings stream in.
-    #[derive(Default)]
-    struct Group<'a> {
-        count: u64,
-        total_s: f64,
-        members: Vec<&'a Pending>,
-        counters: BTreeMap<String, u64>,
-    }
-    let mut order: Vec<&str> = Vec::new();
-    let mut groups: BTreeMap<&str, Group<'_>> = BTreeMap::new();
-    for p in siblings {
-        let entry = groups.entry(p.name.as_str()).or_insert_with(|| {
-            order.push(p.name.as_str());
-            Group::default()
-        });
-        entry.count += 1;
-        entry.total_s += p.total_s;
-        entry.members.push(p);
-        for (k, v) in &p.counters {
-            *entry.counters.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-    order
-        .into_iter()
-        .map(|name| {
-            let group = &groups[name];
-            // Children from every member, in completion order, folded
-            // as one sibling list so grandchildren group across rounds.
-            let merged: Vec<Pending> = group
-                .members
-                .iter()
-                .flat_map(|m| m.children.iter().cloned())
-                .collect();
-            let children = fold_siblings(&merged);
-            let child_total: f64 = children.iter().map(|c| c.total_s).sum();
-            TreeNode {
-                name: name.to_string(),
-                count: group.count,
-                total_s: group.total_s,
-                self_s: (group.total_s - child_total).max(0.0),
-                counters: group.counters.clone(),
-                children,
-            }
-        })
-        .collect()
 }
 
 /// One folded node of the span tree.
@@ -447,34 +445,33 @@ mod tests {
     #[test]
     fn self_time_subtracts_children() {
         let tree = SpanTreeRecorder::new();
-        let parent = Pending {
-            name: "p".into(),
-            total_s: 1.0,
-            children: vec![
-                Pending {
-                    name: "c".into(),
-                    total_s: 0.3,
-                    children: Vec::new(),
-                    counters: BTreeMap::new(),
-                },
-                Pending {
-                    name: "c".into(),
-                    total_s: 0.4,
-                    children: Vec::new(),
-                    counters: BTreeMap::new(),
-                },
-            ],
-            counters: BTreeMap::new(),
+        let close = |name, seconds, id, parent: Option<u64>| {
+            let event = ObsEvent {
+                scope: "t",
+                name,
+                kind: Kind::Span,
+                value: Value::Wall(seconds),
+                fields: &[],
+            };
+            let depth = usize::from(parent.is_some());
+            let ctx = SpanCtx {
+                id: Some(id),
+                parent,
+                depth,
+            };
+            tree.record(&event, ctx);
         };
-        tree.state.lock().unwrap().roots.push(parent);
+        close("c", 0.3, 2, Some(1));
+        close("c", 0.4, 3, Some(1));
+        close("p", 1.0, 1, None);
         let snap = tree.snapshot();
-        let p = snap.node(&["p"]).unwrap();
+        let p = snap.node(&["t.p"]).unwrap();
         assert!(
             (p.self_s - 0.3).abs() < 1e-12,
             "1.0 - (0.3 + 0.4), got {}",
             p.self_s
         );
-        let c = snap.node(&["p", "c"]).unwrap();
+        let c = snap.node(&["t.p", "t.c"]).unwrap();
         assert_eq!(c.count, 2);
         assert!((c.total_s - 0.7).abs() < 1e-12);
         // Critical path descends the heaviest chain.
@@ -483,7 +480,7 @@ mod tests {
             .iter()
             .map(|n| n.name.as_str())
             .collect();
-        assert_eq!(path, ["p", "c"]);
+        assert_eq!(path, ["t.p", "t.c"]);
     }
 
     #[test]
@@ -532,22 +529,20 @@ mod tests {
     }
 
     #[test]
-    fn record_without_ctx_lands_at_the_root() {
+    fn default_ctx_lands_at_the_root() {
         let tree = SpanTreeRecorder::deterministic();
-        tree.record(&ObsEvent {
-            scope: "t",
-            name: "flat",
-            kind: Kind::Span,
-            value: Value::Wall(0.0),
-            fields: &[],
-        });
-        tree.record(&ObsEvent {
-            scope: "t",
-            name: "c",
-            kind: Kind::Counter,
-            value: Value::U64(2),
-            fields: &[],
-        });
+        let record = |name, kind, value| {
+            let event = ObsEvent {
+                scope: "t",
+                name,
+                kind,
+                value,
+                fields: &[],
+            };
+            tree.record(&event, SpanCtx::default());
+        };
+        record("flat", Kind::Span, Value::Wall(0.0));
+        record("c", Kind::Counter, Value::U64(2));
         let snap = tree.snapshot();
         assert_eq!(snap.roots.len(), 1);
         assert_eq!(snap.roots[0].name, "t.flat");
