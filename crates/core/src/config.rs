@@ -24,6 +24,12 @@ pub enum ConfigError {
         /// Explanation from [`bc_wpt::Law::validate`].
         reason: String,
     },
+    /// The charging law delivers no power at the bundle radius, so a
+    /// bundle member on its boundary could never be charged.
+    RadiusBeyondReach {
+        /// The rejected bundle radius.
+        radius: Meters,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -45,6 +51,13 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadChargingLaw { reason } => {
                 write!(f, "invalid charging law: {reason}")
+            }
+            ConfigError::RadiusBeyondReach { radius } => {
+                write!(
+                    f,
+                    "the charging law delivers no power at bundle_radius {} m",
+                    radius.0
+                )
             }
         }
     }
@@ -126,8 +139,11 @@ impl PlannerConfig {
     }
 
     /// Checks that the configuration can drive a planner at all: the
-    /// bundle radius is a positive finite number and the charging model
-    /// has positive finite source power and a valid decay law.
+    /// bundle radius is a positive finite number, the charging model
+    /// has positive finite source power and a valid decay law, and the
+    /// law still delivers power at the bundle radius. Every algorithm
+    /// refuses a radius beyond the law's reach, SC too, although SC
+    /// never reads the radius.
     ///
     /// [`crate::planner::try_run`] calls this before dispatching, so a
     /// bad configuration surfaces as a typed error instead of a `NaN`
@@ -150,6 +166,11 @@ impl PlannerConfig {
             .law()
             .validate()
             .map_err(|reason| ConfigError::BadChargingLaw { reason })?;
+        if self.charging.received_power(self.bundle_radius).0 <= 0.0 {
+            return Err(ConfigError::RadiusBeyondReach {
+                radius: self.bundle_radius,
+            });
+        }
         Ok(())
     }
 }
@@ -171,6 +192,21 @@ mod tests {
             assert!(
                 matches!(cfg.validate(), Err(ConfigError::BadBundleRadius { .. })),
                 "radius {r} should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_radius_the_law_cannot_reach() {
+        // A linear law of 20 m support delivers nothing at 20 m or beyond.
+        let mut cfg = PlannerConfig::paper_sim(10.0);
+        cfg.charging = ChargingModel::linear(0.04, 0.002, 1.0);
+        assert!(cfg.validate().is_ok());
+        for r in [20.0, 25.0] {
+            cfg.bundle_radius = Meters(r);
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::RadiusBeyondReach { radius: Meters(r) })
             );
         }
     }

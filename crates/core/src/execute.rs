@@ -37,7 +37,7 @@ use std::fmt;
 
 use bc_geom::Point;
 use bc_units::{Joules, Meters, Seconds};
-use bc_wsn::{Network, Sensor};
+use bc_wsn::Network;
 
 use crate::config::ConfigError;
 use crate::faults::{FaultModel, FaultModelError, FaultSchedule};
@@ -234,44 +234,6 @@ pub struct ExecutionReport {
     /// `total - nominal`; negative when deaths shrink the tour more
     /// than recovery costs.
     pub extra_energy_j: Joules,
-}
-
-impl ExecutionReport {
-    /// Restricts the realized tour to the sensors it actually served and
-    /// returns it as a standalone `(Network, ChargingPlan)` pair, with
-    /// sensor indices remapped to the subnetwork.
-    ///
-    /// The pair satisfies [`ChargingPlan::validate`] by construction:
-    /// every served sensor sits in exactly one executed stop, and
-    /// realized dwells are never below what their members need (recovery
-    /// only ever stretches them).
-    pub fn served_subplan(&self, net: &Network) -> (Network, ChargingPlan) {
-        let mut sub_idx = vec![usize::MAX; net.len()];
-        let sensors: Vec<Sensor> = self
-            .served
-            .iter()
-            .enumerate()
-            .map(|(new, &orig)| {
-                sub_idx[orig] = new;
-                *net.sensor(orig)
-            })
-            .collect();
-        let sub_net = Network::new(sensors, net.field(), net.base());
-        let stops: Vec<Stop> = self
-            .timeline
-            .iter()
-            .filter(|e| !e.served.is_empty())
-            .map(|e| {
-                let members: Vec<usize> = e.served.iter().map(|&s| sub_idx[s]).collect();
-                Stop {
-                    bundle: ChargingBundle::with_anchor(members, e.anchor, &sub_net),
-                    dwell: e.dwell_s,
-                }
-            })
-            .collect();
-        let plan = ChargingPlan::new(stops, sub_net.len());
-        (sub_net, plan)
-    }
 }
 
 /// The tour item queue: plan stops still to visit (tagged with their
@@ -868,20 +830,6 @@ mod tests {
             );
             assert!(rep.total_energy_j.is_finite() && rep.total_energy_j >= Joules(0.0));
             assert!(rep.recovery_latency_s >= Seconds(0.0));
-        }
-    }
-
-    #[test]
-    fn served_subplan_validates_under_all_policies() {
-        let (net, cfg, plan) = setup(45, 41);
-        let fm = FaultModel::with_rate(9, 0.5);
-        for policy in RecoveryPolicy::ALL {
-            let exec = Executor::new(&net, &cfg).with_policy(policy);
-            let rep = exec.execute(&plan, &fm, 2).unwrap();
-            let (sub_net, sub_plan) = rep.served_subplan(&net);
-            sub_plan
-                .validate(&sub_net, &cfg.charging)
-                .unwrap_or_else(|e| panic!("{policy}: served subplan invalid: {e}"));
         }
     }
 

@@ -213,21 +213,18 @@ impl ChargingPlan {
         }
     }
 
-    /// Validates the plan against its network: every sensor is served by
-    /// exactly one stop, and every stop's dwell time delivers at least
-    /// the demanded energy to each of its members.
+    /// Validates the plan against its network: every member names a
+    /// sensor of the network, every sensor is served by exactly one stop,
+    /// and every stop's dwell time delivers at least the demanded energy
+    /// to each of its members.
     ///
     /// # Errors
     ///
     /// Returns the first [`PlanError`] found.
     pub fn validate(&self, net: &Network, model: &ChargingModel) -> Result<(), PlanError> {
-        let mut assigned = vec![false; net.len()];
+        self.assigned_stops(net.len())?;
         for (si, stop) in self.stops.iter().enumerate() {
             for &s in &stop.bundle.sensors {
-                if assigned[s] {
-                    return Err(PlanError::DuplicateAssignment { sensor: s });
-                }
-                assigned[s] = true;
                 let d = stop.bundle.member_distance(s, net);
                 let delivered = model.delivered_energy(d, stop.dwell);
                 let demanded = net.sensor(s).demand;
@@ -241,10 +238,36 @@ impl ChargingPlan {
                 }
             }
         }
-        if let Some(sensor) = assigned.iter().position(|&a| !a) {
-            return Err(PlanError::Unassigned { sensor });
-        }
         Ok(())
+    }
+
+    /// The stop serving each of `len` sensors, checked: every member
+    /// names a sensor of the network, serves in one stop only, and every
+    /// sensor has a stop.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::SensorOutOfBounds`] or
+    /// [`PlanError::DuplicateAssignment`] for the first such member in
+    /// stop order, else [`PlanError::Unassigned`] for the first sensor
+    /// no stop serves.
+    pub(crate) fn assigned_stops(&self, len: usize) -> Result<Vec<usize>, PlanError> {
+        let mut assigned = vec![usize::MAX; len];
+        for (si, stop) in self.stops.iter().enumerate() {
+            for &sensor in &stop.bundle.sensors {
+                match assigned.get_mut(sensor) {
+                    None => return Err(PlanError::SensorOutOfBounds { sensor, len }),
+                    Some(&mut at) if at != usize::MAX => {
+                        return Err(PlanError::DuplicateAssignment { sensor })
+                    }
+                    Some(at) => *at = si,
+                }
+            }
+        }
+        match assigned.iter().position(|&at| at == usize::MAX) {
+            Some(sensor) => Err(PlanError::Unassigned { sensor }),
+            None => Ok(assigned),
+        }
     }
 }
 

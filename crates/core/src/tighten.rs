@@ -66,26 +66,16 @@ pub fn delivered_energy(plan: &ChargingPlan, net: &Network, model: &ChargingMode
 ///
 /// # Errors
 ///
-/// Returns [`PlanError::Undercharged`] for the first failing sensor
-/// (with `stop` set to the sensor's assigned stop, or 0 if unassigned)
-/// or [`PlanError::Unassigned`] if a sensor belongs to no stop.
+/// Returns what [`ChargingPlan::validate`] returns for a member outside
+/// the network ([`PlanError::SensorOutOfBounds`]), a sensor in two stops
+/// or a sensor in none, else [`PlanError::Undercharged`] for the first
+/// failing sensor, with `stop` set to the stop that serves it.
 pub fn validate_cross_credit(
     plan: &ChargingPlan,
     net: &Network,
     model: &ChargingModel,
 ) -> Result<(), PlanError> {
-    let mut assigned_stop = vec![usize::MAX; net.len()];
-    for (si, stop) in plan.stops.iter().enumerate() {
-        for &s in &stop.bundle.sensors {
-            if assigned_stop[s] != usize::MAX {
-                return Err(PlanError::DuplicateAssignment { sensor: s });
-            }
-            assigned_stop[s] = si;
-        }
-    }
-    if let Some(sensor) = assigned_stop.iter().position(|&s| s == usize::MAX) {
-        return Err(PlanError::Unassigned { sensor });
-    }
+    let assigned_stop = plan.assigned_stops(net.len())?;
     let delivered = delivered_energy(plan, net, model);
     for (j, &e) in delivered.iter().enumerate() {
         let demanded = net.sensor(j).demand;

@@ -192,6 +192,58 @@ fn bad_inputs_are_typed_errors_at_every_layer() {
     assert!(err.to_string().contains("death_prob"), "got {err}");
 }
 
+/// A linear law of 20 m support at r = 25 m: a bundle member on the
+/// boundary could never be charged, so every algorithm refuses the
+/// configuration with a typed error (SC too, which never reads the
+/// radius) instead of planning infinite dwells or panicking.
+#[test]
+fn a_radius_beyond_the_laws_reach_is_a_config_error() {
+    let mut cfg = PlannerConfig::paper_sim(25.0);
+    cfg.charging = ChargingModel::linear(0.04, 0.002, 1.0);
+    let net = deploy::uniform(100, Aabb::square(300.0), 2.0, 5);
+    for algo in Algorithm::ALL {
+        let result = std::panic::catch_unwind(|| planner::try_run(algo, &net, &cfg));
+        match result {
+            Ok(Err(PlanError::Config(ConfigError::RadiusBeyondReach { radius }))) => {
+                assert_eq!(radius, Meters(25.0), "{algo}");
+            }
+            Ok(Err(e)) => panic!("{algo}: wrong error: {e}"),
+            Ok(Ok(plan)) => panic!("{algo}: planned {plan}"),
+            Err(_) => panic!("{algo}: panicked"),
+        }
+    }
+}
+
+/// A plan of 8 singleton stops checked against a network of 5 sensors
+/// names sensors the network lacks: both validators and the executor
+/// report the first such member as a typed error.
+#[test]
+fn a_plan_naming_a_missing_sensor_is_a_typed_error() {
+    let cfg = PlannerConfig::paper_sim(10.0);
+    let big = deploy::uniform(8, Aabb::square(100.0), 2.0, 1);
+    let small = deploy::uniform(5, Aabb::square(100.0), 2.0, 1);
+    let stops = (0..big.len())
+        .map(|i| {
+            Stop::for_bundle(
+                ChargingBundle::from_members(vec![i], &big),
+                &big,
+                &cfg.charging,
+            )
+        })
+        .collect();
+    let plan = ChargingPlan::new(stops, big.len());
+    let missing = PlanError::SensorOutOfBounds { sensor: 5, len: 5 };
+    assert_eq!(plan.validate(&small, &cfg.charging), Err(missing.clone()));
+    assert_eq!(
+        bundle_charging::core::tighten::validate_cross_credit(&plan, &small, &cfg.charging),
+        Err(missing.clone())
+    );
+    match Executor::new(&small, &cfg).execute(&plan, &FaultModel::none(), 0) {
+        Err(ExecError::Plan(e)) => assert_eq!(e, missing),
+        other => panic!("expected a plan error, got {other:?}"),
+    }
+}
+
 /// A fault-free model reproduces the planner's own metrics exactly, for
 /// every algorithm.
 #[test]

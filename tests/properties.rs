@@ -1,8 +1,9 @@
 //! Property-based tests of the system's core invariants (proptest).
 //!
 //! The brute-force smallest enclosing disk lives here as the test-local
-//! oracle for Welzl's algorithm (the paper's `MinDisk`), and the
-//! partition check as the oracle for bundle generation.
+//! oracle for Welzl's algorithm (the paper's `MinDisk`), the partition
+//! check as the oracle for bundle generation, and the served subplan as
+//! the check that an execution charged what it reports.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -11,6 +12,49 @@ use bundle_charging::geom::{sed, Disk, Point};
 use bundle_charging::prelude::*;
 use bundle_charging::setcover::{exact_cover, greedy_cover};
 use bundle_charging::tsp::{construct, improve};
+
+/// The part of an executed round that can be checked as a plan.
+trait ServedSubplan {
+    /// Restricts the realized tour to the sensors it actually served and
+    /// returns it as a standalone `(Network, ChargingPlan)` pair, with
+    /// sensor indices remapped to the subnetwork.
+    ///
+    /// The pair satisfies [`ChargingPlan::validate`] by construction:
+    /// every served sensor sits in exactly one executed stop, and
+    /// realized dwells are never below what their members need (recovery
+    /// only ever stretches them).
+    fn served_subplan(&self, net: &Network) -> (Network, ChargingPlan);
+}
+
+impl ServedSubplan for ExecutionReport {
+    fn served_subplan(&self, net: &Network) -> (Network, ChargingPlan) {
+        let mut sub_idx = vec![usize::MAX; net.len()];
+        let sensors: Vec<Sensor> = self
+            .served
+            .iter()
+            .enumerate()
+            .map(|(new, &orig)| {
+                sub_idx[orig] = new;
+                *net.sensor(orig)
+            })
+            .collect();
+        let sub_net = Network::new(sensors, net.field(), net.base());
+        let stops: Vec<Stop> = self
+            .timeline
+            .iter()
+            .filter(|e| !e.served.is_empty())
+            .map(|e| {
+                let members: Vec<usize> = e.served.iter().map(|&s| sub_idx[s]).collect();
+                Stop {
+                    bundle: ChargingBundle::with_anchor(members, e.anchor, &sub_net),
+                    dwell: e.dwell_s,
+                }
+            })
+            .collect();
+        let plan = ChargingPlan::new(stops, sub_net.len());
+        (sub_net, plan)
+    }
+}
 
 /// Brute-force reference: tries every disk supported by one, two or three
 /// input points and returns the smallest one enclosing all points.
@@ -250,6 +294,24 @@ proptest! {
         let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap().metrics(&cfg.energy).total_energy_j;
         let opt = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap().metrics(&cfg.energy).total_energy_j;
         prop_assert!(opt <= bc + Joules(1e-6), "BC-OPT {opt} > BC {bc}");
+    }
+}
+
+/// A BC plan of 45 sensors at r = 30 m, executed under a 0.5 fault rate:
+/// under every policy, what the round served validates as a plan.
+#[test]
+fn served_subplan_validates_under_all_policies() {
+    let net = deploy::uniform(45, Aabb::square(300.0), 2.0, 41);
+    let cfg = PlannerConfig::paper_sim(30.0);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
+    let fm = FaultModel::with_rate(9, 0.5);
+    for policy in RecoveryPolicy::ALL {
+        let exec = Executor::new(&net, &cfg).with_policy(policy);
+        let rep = exec.execute(&plan, &fm, 2).unwrap();
+        let (sub_net, sub_plan) = rep.served_subplan(&net);
+        sub_plan
+            .validate(&sub_net, &cfg.charging)
+            .unwrap_or_else(|e| panic!("{policy}: served subplan invalid: {e}"));
     }
 }
 
