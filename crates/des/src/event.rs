@@ -13,7 +13,7 @@ pub enum Event {
     /// A sensor's battery trajectory crossed the low-battery trigger level.
     /// Stale if the sensor's generation no longer matches `gen`.
     LowBattery {
-        /// Original (scenario) sensor index.
+        /// Sensor index in the scenario's network.
         sensor: usize,
         /// Battery-trajectory generation this event was computed from.
         gen: u64,
@@ -21,17 +21,17 @@ pub enum Event {
     /// A sensor's battery trajectory reached zero energy.
     /// Stale if the sensor's generation no longer matches `gen`.
     Depleted {
-        /// Original (scenario) sensor index.
+        /// Sensor index in the scenario's network.
         sensor: usize,
         /// Battery-trajectory generation this event was computed from.
         gen: u64,
     },
-    /// The low-battery threshold condition was met while the fleet was idle:
+    /// The low-battery threshold condition was met while the charger was idle:
     /// dispatch a charging round (re-checked when the event fires).
     Dispatch,
     /// A charger finished the leg into segment `seg` of its current route.
     Arrival {
-        /// Fleet index of the charger.
+        /// Index of the charger (0: a run drives one charger).
         charger: usize,
         /// Index into the charger's current segment list.
         seg: usize,
@@ -39,21 +39,21 @@ pub enum Event {
     /// A charger finished backoff + dwell at segment `seg`; batteries of the
     /// segment's still-live served sensors are refilled at this instant.
     ChargingComplete {
-        /// Fleet index of the charger.
+        /// Index of the charger (0: a run drives one charger).
         charger: usize,
         /// Index into the charger's current segment list.
         seg: usize,
     },
     /// A charger finished its closing leg and went idle at the base station.
     Returned {
-        /// Fleet index of the charger.
+        /// Index of the charger (0: a run drives one charger).
         charger: usize,
     },
-    /// A pinned hardware fault (replayed from `bc-core::faults`) killed a
-    /// sensor. Scheduled at the instant the owning stop is reached, or at
-    /// round end for rounds delegated to `bc-core::execute`.
+    /// A hardware fault (replayed from `bc-core::faults`) killed a sensor.
+    /// Scheduled at the end of the round whose execution
+    /// (`bc-core::execute`) reported the death.
     FaultDeath {
-        /// Original (scenario) sensor index.
+        /// Sensor index in the scenario's network.
         sensor: usize,
     },
 }

@@ -21,13 +21,13 @@
 //! - event kinds ([`event::Event`]) for battery threshold crossings and
 //!   depletion, charger arrival/charging-complete/return, replayed
 //!   hardware faults, and threshold-triggered dispatch;
-//! - a fleet of N mobile chargers with pluggable dispatch policies
-//!   ([`fleet::DispatchPolicy`]) and per-charger ledgers
-//!   ([`fleet::ChargerLedger`]), contract-checked against the run total;
-//! - low-battery **replan triggers** against one
-//!   `bc_core::context::PlanContext`: a trigger plans afresh only when
-//!   the context's network revision has moved since the held plan was
-//!   planned fresh, so a run builds one plan per revision;
+//! - one mobile charger per run, its rounds replayed from the plan
+//!   (clean) or from `bc_core::execute`'s realized timeline (faults),
+//!   with a [`engine::ChargerLedger`] contract-checked against the run
+//!   total;
+//! - low-battery **replan triggers**, counted against the one plan a run
+//!   builds: the planned network never changes, so a fresh plan would
+//!   be the one held;
 //! - a [`scenario::Scenario`] description type and a bounded
 //!   [`trace::TraceRing`] of the event tail for observability.
 //!
@@ -35,14 +35,15 @@
 //! event traces (see `tests/des_determinism.rs` at the workspace root).
 //!
 //! ```
-//! use bc_des::{run, Scenario, DispatchPolicy};
+//! use bc_des::{run, Scenario};
 //! use bc_core::planner::Algorithm;
+//! use bc_core::{FaultModel, RecoveryPolicy};
 //! use bc_geom::Aabb;
 //! use bc_wsn::deploy;
 //!
 //! let net = deploy::uniform(20, Aabb::square(200.0), 2.0, 1);
 //! let scenario = Scenario::paper_sim(net, 30.0, Algorithm::BcOpt)
-//!     .with_fleet(3, DispatchPolicy::NearestIdle);
+//!     .with_faults(FaultModel::with_rate(1, 0.2), RecoveryPolicy::ReplanRemaining);
 //! let report = run(&scenario).unwrap();
 //! assert!(report.rounds > 0);
 //! report.check_fleet_ledger().unwrap();
@@ -53,17 +54,15 @@
 pub mod clock;
 pub mod engine;
 pub mod event;
-pub mod fleet;
 pub mod queue;
 pub mod scenario;
 pub mod state;
 pub mod trace;
 
 pub use clock::{Clock, Time};
-pub use engine::{run, DesError, DesReport, LedgerImbalance};
+pub use engine::{run, ChargerLedger, DesError, DesReport, LedgerImbalance};
 pub use event::Event;
-pub use fleet::{assign_stops, ChargerLedger, DispatchPolicy};
 pub use queue::{EventQueue, QueueBackend, Scheduled};
-pub use scenario::{FleetConfig, Scenario, ScenarioError};
+pub use scenario::{Scenario, ScenarioError};
 pub use state::SensorBank;
 pub use trace::{TraceRecord, TraceRing};

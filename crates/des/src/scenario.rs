@@ -1,12 +1,11 @@
 //! Scenario description: everything a simulation run depends on.
 //!
-//! A [`Scenario`] bundles the network, the charger fleet, the operating
-//! horizon, the energy parameters and the (optional) fault model into one
-//! value. Two equal scenarios produce byte-identical event traces — the
-//! engine has no other inputs and no hidden randomness.
+//! A [`Scenario`] bundles the network, the operating horizon, the energy
+//! parameters and the (optional) fault model of one mobile charger's
+//! run into one value. Two equal scenarios produce byte-identical event
+//! traces — the engine has no other inputs and no hidden randomness.
 
 use crate::clock;
-use crate::fleet::DispatchPolicy;
 use crate::queue::QueueBackend;
 use bc_core::execute::RecoveryPolicy;
 use bc_core::faults::{FaultModel, FaultModelError};
@@ -15,32 +14,6 @@ use bc_core::PlannerConfig;
 use bc_units::{Joules, MetersPerSecond, Seconds, Watts};
 use bc_wsn::Network;
 use std::fmt;
-
-/// The mobile-charger fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// Number of chargers (≥ 1).
-    pub size: usize,
-    /// How tour stops are divided among them.
-    pub dispatch: DispatchPolicy,
-}
-
-impl FleetConfig {
-    /// The paper's single-charger fleet.
-    #[must_use]
-    pub fn single() -> Self {
-        FleetConfig {
-            size: 1,
-            dispatch: DispatchPolicy::BundlePartition,
-        }
-    }
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self::single()
-    }
-}
 
 /// A complete, self-contained simulation input.
 #[derive(Debug, Clone)]
@@ -67,14 +40,8 @@ pub struct Scenario {
     pub planner: PlannerConfig,
     /// Fault model replayed each round (`None` = perfect execution).
     pub faults: Option<FaultModel>,
-    /// Recovery policy for fault-injected rounds. Only a single charger
-    /// runs its rounds through the executor that applies the policy; a
-    /// fleet (`fleet.size > 1`) recovers skip-style, so with faults on a
-    /// fleet [`Scenario::validate`] accepts only
-    /// [`RecoveryPolicy::SkipAndContinue`].
+    /// Recovery policy for fault-injected rounds.
     pub recovery: RecoveryPolicy,
-    /// The charger fleet.
-    pub fleet: FleetConfig,
     /// Capacity of the event-trace ring buffer (0 disables tracing).
     pub trace_capacity: usize,
     /// Future-event-queue backend. Backend choice affects throughput
@@ -85,7 +52,7 @@ pub struct Scenario {
 impl Scenario {
     /// The paper's Section VI lifetime environment: 24 h horizon, 0.2 mW
     /// drain, 2 J batteries, trigger when a quarter of the network drops
-    /// to 1 J, 1 m/s charger — single charger.
+    /// to 1 J, a 1 m/s charger.
     #[must_use]
     pub fn paper_sim(net: Network, bundle_radius: f64, algorithm: Algorithm) -> Self {
         let n = net.len();
@@ -101,17 +68,9 @@ impl Scenario {
             planner: PlannerConfig::paper_sim(bundle_radius),
             faults: None,
             recovery: RecoveryPolicy::SkipAndContinue,
-            fleet: FleetConfig::single(),
             trace_capacity: 256,
             queue: QueueBackend::BinaryHeap,
         }
-    }
-
-    /// Replaces the fleet.
-    #[must_use]
-    pub fn with_fleet(mut self, size: usize, dispatch: DispatchPolicy) -> Self {
-        self.fleet = FleetConfig { size, dispatch };
-        self
     }
 
     /// Selects the future-event-queue backend.
@@ -122,9 +81,6 @@ impl Scenario {
     }
 
     /// Injects faults into every round, recovered from with `recovery`.
-    /// A fleet of more than one charger supports only
-    /// [`RecoveryPolicy::SkipAndContinue`]; [`Scenario::validate`]
-    /// rejects any other policy there.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultModel, recovery: RecoveryPolicy) -> Self {
         self.faults = Some(faults);
@@ -156,14 +112,8 @@ impl Scenario {
         if self.trigger_count == 0 {
             return Err(ScenarioError::TriggerCount);
         }
-        if self.fleet.size == 0 {
-            return Err(ScenarioError::FleetSize);
-        }
         if let Some(fm) = &self.faults {
             fm.validate().map_err(ScenarioError::Faults)?;
-            if self.fleet.size > 1 && self.recovery != RecoveryPolicy::SkipAndContinue {
-                return Err(ScenarioError::FleetRecovery(self.recovery));
-            }
         }
         Ok(())
     }
@@ -184,14 +134,8 @@ pub enum ScenarioError {
     TriggerLevel(Joules),
     /// Trigger count must be at least 1.
     TriggerCount,
-    /// Fleet must contain at least one charger.
-    FleetSize,
     /// The fault model is invalid.
     Faults(FaultModelError),
-    /// A fleet of more than one charger was given faults and a recovery
-    /// policy other than [`RecoveryPolicy::SkipAndContinue`], which its
-    /// rounds would not apply.
-    FleetRecovery(RecoveryPolicy),
 }
 
 impl fmt::Display for ScenarioError {
@@ -205,14 +149,7 @@ impl fmt::Display for ScenarioError {
                 write!(f, "trigger level must be non-negative, got {l}")
             }
             ScenarioError::TriggerCount => write!(f, "trigger count must be at least 1"),
-            ScenarioError::FleetSize => write!(f, "fleet must contain at least one charger"),
             ScenarioError::Faults(e) => write!(f, "invalid fault model: {e}"),
-            ScenarioError::FleetRecovery(p) => {
-                write!(
-                    f,
-                    "a charger fleet under faults supports only skip recovery, got {p}"
-                )
-            }
         }
     }
 }
@@ -233,7 +170,6 @@ mod tests {
     fn paper_sim_validates() {
         let s = Scenario::paper_sim(net(), 10.0, Algorithm::Bc);
         assert!(s.validate().is_ok());
-        assert_eq!(s.fleet.size, 1);
     }
 
     #[test]
@@ -247,10 +183,6 @@ mod tests {
         assert_eq!(s.validate(), Err(ScenarioError::TriggerCount));
 
         let mut s = Scenario::paper_sim(net(), 10.0, Algorithm::Bc);
-        s.fleet.size = 0;
-        assert_eq!(s.validate(), Err(ScenarioError::FleetSize));
-
-        let mut s = Scenario::paper_sim(net(), 10.0, Algorithm::Bc);
         s.speed_mps = MetersPerSecond(0.0);
         assert!(matches!(s.validate(), Err(ScenarioError::Speed(_))));
     }
@@ -258,13 +190,9 @@ mod tests {
     #[test]
     fn builders_compose() {
         let s = Scenario::paper_sim(net(), 10.0, Algorithm::BcOpt)
-            .with_fleet(3, DispatchPolicy::RoundRobin)
-            .with_faults(
-                FaultModel::with_rate(1, 0.1),
-                RecoveryPolicy::SkipAndContinue,
-            )
+            .with_faults(FaultModel::with_rate(1, 0.1), RecoveryPolicy::ReturnToBase)
             .with_queue(QueueBackend::Calendar);
-        assert_eq!(s.fleet.size, 3);
+        assert_eq!(s.recovery, RecoveryPolicy::ReturnToBase);
         assert!(s.faults.is_some());
         assert_eq!(s.queue, QueueBackend::Calendar);
         assert!(s.validate().is_ok());

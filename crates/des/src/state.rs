@@ -66,8 +66,8 @@ fn no_instant() -> Time {
 
 /// Structure-of-arrays state for every sensor battery in a run.
 ///
-/// Indices are *original* sensor indices (stable across network
-/// revisions), matching the engine's addressing.
+/// Indices are the scenario's sensor indices, matching the engine's
+/// addressing.
 #[derive(Debug, Clone)]
 pub struct SensorBank {
     level: Vec<Joules>,

@@ -108,11 +108,11 @@ fn panicking_seed_is_a_typed_failure_not_an_abort() {
 
 #[test]
 fn failed_run_is_a_typed_run_failure() {
-    // An invalid scenario (zero-size fleet) errors inside bc_des::run.
+    // An invalid scenario (zero trigger count) errors inside bc_des::run.
     let report = run_campaign(&SEEDS, &CampaignConfig::new(2), |seed| {
         let mut sc = make(seed);
         if seed == 1002 {
-            sc.fleet.size = 0;
+            sc.trigger_count = 0;
         }
         sc
     })

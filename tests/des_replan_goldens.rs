@@ -3,40 +3,32 @@
 //!
 //! Each line pins `seed mode | rounds fault_deaths replans | FNV-1a of
 //! the report's Debug text` for one run. The modes are a clean single
-//! charger, a single charger under faults at rate 0.2 with
-//! `SkipAndContinue`, `ReplanRemaining` and `ReturnToBase`, and a clean
-//! 3-charger fleet under nearest-idle dispatch. Every run here replans, so a
-//! change to when the engine plans, or to what a replan returns, shows
-//! up as a changed hash. `tests/des_equivalence.rs` holds these modes
-//! only to the reference integrator's 1e-9 relative tolerance, and the
-//! clean golden in `tests/des_determinism.rs` never replans.
+//! charger, and a single charger under faults at rate 0.2 with
+//! `SkipAndContinue`, `ReplanRemaining` and `ReturnToBase`. Every run
+//! here replans, so a change to when the engine plans, or to what a
+//! replan returns, shows up as a changed hash. `tests/des_equivalence.rs`
+//! holds these modes only to the reference integrator's 1e-9 relative
+//! tolerance, and the clean single-charger golden in
+//! `tests/des_determinism.rs` never replans.
 
 use bundle_charging::core::planner::Algorithm;
 use bundle_charging::core::{FaultModel, RecoveryPolicy};
-use bundle_charging::des::{clock, run, DispatchPolicy, QueueBackend, Scenario};
+use bundle_charging::des::{clock, run, QueueBackend, Scenario};
 use bundle_charging::geom::Aabb;
 use bundle_charging::wsn::deploy;
 
-const GOLDEN: [&str; 10] = [
+const GOLDEN: [&str; 8] = [
     "1 clean | 66 0 65 | 905d7e14b3b0092e",
     "1 skip | 63 100 62 | 29eb06d120d7c0f9",
     "1 replan-remaining | 67 100 4609 | f4492cedbc4ad715",
     "1 return-to-base | 59 100 58 | 7e53f8dc7438c7ab",
-    "1 fleet3 | 80 0 79 | 9ea7d1b8025c8a60",
     "2 clean | 63 0 62 | 4406666f99a2b8f3",
     "2 skip | 54 25 53 | 9bfaeba7c1a69bbd",
     "2 replan-remaining | 55 26 672 | e2705263a7b852df",
     "2 return-to-base | 51 22 50 | 0accd2ac5e9bf16b",
-    "2 fleet3 | 95 0 94 | 2be3e8992ddb84ef",
 ];
 
-const MODES: [&str; 5] = [
-    "clean",
-    "skip",
-    "replan-remaining",
-    "return-to-base",
-    "fleet3",
-];
+const MODES: [&str; 4] = ["clean", "skip", "replan-remaining", "return-to-base"];
 
 /// One seed of the campaign workload in the named mode.
 fn scenario(seed: u64, mode: &str) -> Scenario {
@@ -58,7 +50,6 @@ fn scenario(seed: u64, mode: &str) -> Scenario {
             FaultModel::with_rate(seed, 0.2),
             RecoveryPolicy::ReturnToBase,
         ),
-        "fleet3" => sc.with_fleet(3, DispatchPolicy::NearestIdle),
         other => panic!("unknown mode {other}"),
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use bundle_charging::core::context::PlanContext;
 use bundle_charging::core::planner::Algorithm;
 use bundle_charging::core::{ChargingPlan, Executor, FaultModel, PlannerConfig, RecoveryPolicy};
-use bundle_charging::des::{DispatchPolicy, Scenario};
+use bundle_charging::des::Scenario;
 use bundle_charging::geom::Aabb;
 use bundle_charging::obs::recorders::{JsonlRecorder, NullRecorder, StatsRecorder, StatsSnapshot};
 use bundle_charging::obs::tree::{SpanTreeRecorder, TreeNode};
@@ -171,8 +171,7 @@ fn traced_run(seed: u64) -> Vec<u8> {
         }
 
         let des_net = network(25, seed.wrapping_mul(3));
-        let scenario = Scenario::paper_sim(des_net, 25.0, Algorithm::Bc)
-            .with_fleet(2, DispatchPolicy::RoundRobin);
+        let scenario = Scenario::paper_sim(des_net, 25.0, Algorithm::Bc);
         bundle_charging::des::run(&scenario).unwrap_or_else(|e| panic!("des run: {e:?}"));
     });
     let Ok(jsonl) = Arc::try_unwrap(jsonl) else {
