@@ -169,7 +169,7 @@ pub struct SeedSummary {
     pub fault_deaths: usize,
     /// Fraction of sensor-time alive.
     pub availability: f64,
-    /// Total fleet energy.
+    /// Total charger energy.
     pub charger_energy_j: Joules,
     /// Sensor-seconds spent dead.
     pub downtime_sensor_s: Seconds,

@@ -3,11 +3,13 @@
 //!
 //! [`bench_queue`] drives one [`QueueBackend`] through the classic hold
 //! workload (fill to `pending` events, then pop + reschedule at steady
-//! state, then drain) and reports events/sec. Every backend folds its
+//! state, then drain) and reports events/sec. Event times are drawn
+//! from two [`FaultRng`] streams of the seed. Every backend folds its
 //! pop sequence into an FNV-1a checksum; the checksums must agree, or
 //! the speed numbers are meaningless. The benchmark's `campaign`
 //! workload reports the two backends' rates from it.
 
+use bc_core::faults::FaultRng;
 use bc_core::planner::Algorithm;
 use bc_des::clock::{self, Time};
 use bc_des::{Event, EventQueue, QueueBackend, Scenario};
@@ -37,26 +39,6 @@ pub struct QueueBench {
     pub checksum: String,
 }
 
-/// SplitMix64: tiny, deterministic, seedable — the workload generator.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        let bits = (self.next() >> 11) as f64; // cast-ok: 53 bits fit an f64 mantissa exactly
-        bits / 9_007_199_254_740_992.0
-    }
-}
-
 /// Drives one backend through fill → hold → drain and measures
 /// events/sec plus a pop-sequence checksum.
 #[must_use]
@@ -66,14 +48,14 @@ pub fn bench_queue(
     hold_ops: usize,
     seed: u64,
 ) -> QueueBench {
-    let mut fill = SplitMix(seed);
-    let mut hold = SplitMix(seed ^ 0x5851_f42d_4c95_7f2d);
+    let mut fill = FaultRng::new(seed, 0);
+    let mut hold = FaultRng::new(seed, 1);
     let mut q = EventQueue::with_backend(backend);
     let mut checksum = FNV_BASIS;
     let t0 = wall::now();
     for _ in 0..pending {
         q.schedule(
-            Time::at(clock::seconds(fill.next_f64() * FILL_SPAN_S)),
+            Time::at(clock::seconds(fill.unit() * FILL_SPAN_S)),
             Event::Dispatch,
         );
     }
@@ -81,9 +63,7 @@ pub fn bench_queue(
         let Some(sch) = q.pop() else { break };
         checksum = fnv_fold(checksum, &sch.at.seconds().get().to_bits().to_le_bytes());
         checksum = fnv_fold(checksum, &sch.seq.to_le_bytes());
-        let at = sch
-            .at
-            .advance(clock::seconds(hold.next_f64() * HOLD_SPAN_S));
+        let at = sch.at.advance(clock::seconds(hold.unit() * HOLD_SPAN_S));
         q.schedule(at, sch.event);
     }
     while let Some(sch) = q.pop() {

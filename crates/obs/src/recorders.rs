@@ -118,41 +118,10 @@ impl HistogramSummary {
         let mean = self.sum / n;
         (self.sum_sq / n - mean * mean).max(0.0).sqrt()
     }
-
-    /// Estimated `q`-quantile (`q` in `[0, 1]`) from the log2 buckets.
-    ///
-    /// Walks buckets in ascending order until the nearest-rank index
-    /// falls inside one, then returns that bucket's geometric midpoint
-    /// (`1.5 * 2^k`), clamped to the observed `[min, max]` — so the
-    /// estimate is within a factor of 2 of the true quantile, and exact
-    /// for single-bucket distributions. `0.0` when empty. The sentinel
-    /// bucket (samples `<= 0`) reports `min`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // ceil of q*count is non-negative, clamped to count
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count); // cast-ok: rank clamped to [1, count]
-        let mut seen = 0u64;
-        for (&bucket, &occupancy) in &self.buckets {
-            seen += occupancy;
-            if seen >= rank {
-                if bucket == i64::MIN {
-                    return self.min;
-                }
-                let midpoint = 1.5 * (bucket as f64).exp2(); // cast-ok: bucket exponent to float
-                return midpoint.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
 }
 
 /// The log2 bucket a sample falls in (see [`HistogramSummary`]).
-#[must_use]
-pub fn bucket_of(sample: f64) -> i64 {
+fn bucket_of(sample: f64) -> i64 {
     if sample <= 0.0 || !sample.is_finite() {
         return i64::MIN;
     }
@@ -552,75 +521,6 @@ mod tests {
             fields,
         };
         r.record(&event, SpanCtx::default());
-    }
-
-    #[test]
-    fn histogram_quantile_estimates_within_a_bucket() {
-        let mut h = HistogramSummary::default();
-        assert_eq!(h.quantile(0.5), 0.0);
-        // 90 samples near 1 ms, 10 near 1 s: p50 lands in the low
-        // bucket, p99 in the high one, both clamped to observed range.
-        for _ in 0..90 {
-            h.observe(1.0e-3);
-        }
-        for _ in 0..10 {
-            h.observe(1.0);
-        }
-        let p50 = h.quantile(0.50);
-        assert!((5.0e-4..=2.0e-3).contains(&p50), "p50 {p50}");
-        assert_eq!(h.quantile(0.99), 1.0, "p99 clamps to max");
-        assert_eq!(h.quantile(1.0), 1.0);
-        // Single-bucket distributions are exact at the clamp.
-        let mut one = HistogramSummary::default();
-        one.observe(7.0);
-        assert_eq!(one.quantile(0.5), 7.0);
-        // Non-positive samples share the sentinel bucket -> min.
-        let mut neg = HistogramSummary::default();
-        neg.observe(-2.0);
-        neg.observe(-1.0);
-        assert_eq!(neg.quantile(0.5), -2.0);
-    }
-
-    #[test]
-    fn histogram_quantile_edge_cases() {
-        // Empty histogram: every q reports 0.0, in and out of range.
-        let empty = HistogramSummary::default();
-        for q in [-1.0, 0.0, 0.5, 1.0, 2.0] {
-            assert_eq!(empty.quantile(q), 0.0, "empty at q={q}");
-        }
-        // Single bucket: every quantile is the same bucket midpoint,
-        // inside the observed range; with one sample the clamp makes it
-        // exact.
-        let mut one = HistogramSummary::default();
-        for s in [4.0, 5.0, 6.0, 7.0] {
-            one.observe(s);
-        }
-        for q in [0.0, 0.5, 1.0] {
-            let est = one.quantile(q);
-            assert!(
-                (4.0..=7.0).contains(&est),
-                "single-bucket q={q} in range, got {est}"
-            );
-            assert_eq!(est, one.quantile(0.5), "single bucket: all quantiles agree");
-        }
-        let mut single = HistogramSummary::default();
-        single.observe(7.0);
-        assert_eq!(single.quantile(0.0), 7.0, "one sample is exact at q=0");
-        assert_eq!(single.quantile(1.0), 7.0, "one sample is exact at q=1");
-        // Out-of-range q clamps to [0, 1] rather than panicking or
-        // walking off the bucket list.
-        let mut h = HistogramSummary::default();
-        h.observe(1.0e-3);
-        h.observe(1.0);
-        assert_eq!(h.quantile(-0.5), h.quantile(0.0), "q<0 behaves as q=0");
-        assert_eq!(h.quantile(1.5), h.quantile(1.0), "q>1 behaves as q=1");
-        assert_eq!(h.quantile(1.0), 1.0);
-        // q=0 still reports rank 1 (the smallest sample's bucket).
-        let q0 = h.quantile(0.0);
-        assert!(
-            (5.0e-4..=2.0e-3).contains(&q0),
-            "q=0 in lowest bucket, got {q0}"
-        );
     }
 
     #[test]

@@ -9,6 +9,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::powercast::p2110_harvest_power;
 
+/// Harvesting integration step.
+const TICK: Seconds = Seconds(0.05);
+
 /// The simulated robot-car testbed.
 ///
 /// Executes a [`ChargingPlan`] leg by leg and tick by tick, accumulating
@@ -19,7 +22,6 @@ use crate::powercast::p2110_harvest_power;
 pub struct TestbedRig<'a> {
     net: &'a Network,
     cfg: &'a PlannerConfig,
-    tick: f64,
     noise: Option<f64>,
     seed: u64,
 }
@@ -83,16 +85,12 @@ impl RigReport {
 }
 
 impl<'a> TestbedRig<'a> {
-    /// Default harvesting integration step (s).
-    const DEFAULT_TICK_S: f64 = 0.05;
-
     /// Creates a rig over a network with the charging/energy models taken
     /// from `cfg`. Noise is off by default.
     pub fn new(net: &'a Network, cfg: &'a PlannerConfig) -> Self {
         TestbedRig {
             net,
             cfg,
-            tick: Self::DEFAULT_TICK_S,
             noise: None,
             seed: 0,
         }
@@ -111,17 +109,6 @@ impl<'a> TestbedRig<'a> {
         );
         self.noise = Some(amplitude);
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the integration step.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tick > 0`.
-    pub fn with_tick(mut self, tick: f64) -> Self {
-        assert!(tick > 0.0 && tick.is_finite(), "tick must be positive");
-        self.tick = tick;
         self
     }
 
@@ -162,7 +149,7 @@ impl<'a> TestbedRig<'a> {
             // Park and transmit.
             let mut remaining = stop.dwell;
             while remaining > Seconds(0.0) {
-                let dt = remaining.min(Seconds(self.tick));
+                let dt = remaining.min(TICK);
                 let factor = match self.noise {
                     Some(a) => rng.random_range(1.0 - a..=1.0 + a),
                     None => 1.0,

@@ -85,7 +85,7 @@ fn rig_execution_matches_plan_prediction() {
     let net = deploy::uniform(25, Aabb::square(100.0), 2.0, 5);
     let cfg = PlannerConfig::paper_sim(20.0);
     let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
-    let report = TestbedRig::new(&net, &cfg).with_tick(0.5).execute(&plan);
+    let report = TestbedRig::new(&net, &cfg).execute(&plan);
     let m = plan.metrics(&cfg.energy);
     assert!((report.driven_m - m.tour_length_m).abs() < Meters(1e-6));
     assert!((report.charge_time_s - m.charge_time_s).abs() < Seconds(1e-6));

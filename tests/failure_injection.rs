@@ -120,7 +120,6 @@ fn noisy_rig_with_dwell_margin_still_charges() {
     }
     let report = TestbedRig::new(&net, &cfg)
         .with_noise(0.10, 99)
-        .with_tick(1.0)
         .execute(&plan);
     assert!(
         report.all_fully_charged(),
