@@ -1,6 +1,7 @@
 //! Closed disks in the plane.
 
 use std::fmt;
+use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
 
@@ -100,21 +101,22 @@ impl Disk {
     }
 
     /// The (0, 1, or 2) intersection points of the two disks' boundary
-    /// circles.
+    /// circles, without allocating.
     ///
     /// Tangent circles report a single point. Concentric or too-distant
     /// circles report none. These intersection points are the exact
     /// candidate anchor family used by the optimal bundle generator: any
     /// maximal set of sensors coverable by a radius-`r` disk is covered by a
     /// disk centred at a sensor or at one of these pairwise intersections.
-    pub fn circle_intersections(&self, other: &Disk) -> Vec<Point> {
+    pub fn circle_intersections(&self, other: &Disk) -> Crossings {
+        let none = Crossings::default();
         let d = self.center.distance(other.center);
         if d < EPS {
-            return Vec::new(); // concentric: zero or infinitely many
+            return none; // concentric: zero or infinitely many
         }
         let (r0, r1) = (self.radius, other.radius);
         if d > r0 + r1 + EPS || d < (r0 - r1).abs() - EPS {
-            return Vec::new();
+            return none;
         }
         // Distance from self.center to the radical line along the center line.
         let a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d);
@@ -122,11 +124,17 @@ impl Disk {
         let dir = (other.center - self.center) / d;
         let base = self.center + dir * a;
         if h2 <= EPS * EPS {
-            return vec![base];
+            return Crossings {
+                points: [base, Point::ORIGIN],
+                len: 1,
+            };
         }
         let h = h2.sqrt();
         let off = Point::new(-dir.y, dir.x) * h;
-        vec![base + off, base - off]
+        Crossings {
+            points: [base + off, base - off],
+            len: 2,
+        }
     }
 
     /// Area of the disk.
@@ -139,6 +147,31 @@ impl Disk {
     /// positive x-axis.
     pub fn boundary_point(&self, angle: f64) -> Point {
         self.center + Point::from_angle(angle) * self.radius
+    }
+}
+
+/// The crossing points of two circles, as [`Disk::circle_intersections`]
+/// returns them: held inline, read as a slice or iterated by value.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Crossings {
+    points: [Point; 2],
+    len: usize,
+}
+
+impl Deref for Crossings {
+    type Target = [Point];
+
+    fn deref(&self) -> &[Point] {
+        &self.points[..self.len]
+    }
+}
+
+impl IntoIterator for Crossings {
+    type Item = Point;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Point, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.points.into_iter().take(self.len)
     }
 }
 

@@ -38,7 +38,7 @@ pub mod tangency;
 pub mod visibility;
 
 pub use aabb::Aabb;
-pub use disk::Disk;
+pub use disk::{Crossings, Disk};
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError};
 pub use segment::Segment;
