@@ -2,9 +2,10 @@
 //! `bc_geom::grid::PointGrid`. The HashMap grid index they replaced
 //! survives here as a test-local oracle: built with `Network`'s cell rule
 //! (5% of the field diagonal), it must return the exact hit list, order
-//! included, because `pair_anchors` walks the hits in order and so fixes
-//! the candidate family and every plan. A network spread past the grid's
-//! cell cap gets one cell, which returns the same hits in index order.
+//! included, because the family build walks a sensor's `2r` hits in
+//! order and so fixes the candidate family and every plan. A network
+//! spread past the grid's cell cap gets one cell, which returns the same
+//! hits in index order.
 
 use std::collections::HashMap;
 
