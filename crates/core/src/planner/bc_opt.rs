@@ -19,10 +19,18 @@
 //! answer is already known is skipped (see [`optimize_tour`]). Within a
 //! sweep, a radius is searched only when a lower bound on the cost of
 //! every point of its circle leaves room to beat the best gain so far
-//! (see [`Sweep::cost_floor`]); the radii it skips could not have won, so
-//! the plan is the one the unbounded sweep builds, bit for bit.
+//! (see [`Sweep::cost_floor`]). A search that starts is cut as soon as
+//! it has narrowed its answer to an arc whose cost floor leaves no such
+//! room (see [`Sweep::arc_floor`] and
+//! [`tangency::min_focal_sum_with_cut`]): the search hands over an arc
+//! the answer is certain to lie on, so the answer's cost is at least the
+//! arc's floor. The radii skipped or cut could not have won, so the plan
+//! is the one the unbounded sweep builds, bit for bit.
 
-use bc_geom::{tangency, Disk, Point, Segment};
+use std::f64::consts::FRAC_PI_2;
+
+use bc_geom::tangency::{self, AnswerArc, Tangency};
+use bc_geom::{Disk, Point, Segment};
 use bc_units::{Joules, Meters, Seconds};
 use bc_wsn::Network;
 
@@ -118,6 +126,10 @@ struct Sweep {
     spread: (f64, f64),
     /// The smallest member demand.
     min_demand: Joules,
+    /// Every member of positive demand as `(v, |v|, demand)` with
+    /// `v = m - c`, for [`Sweep::arc_floor`]. A member that needs no
+    /// energy needs no time wherever the stop parks.
+    offsets: Vec<(Point, f64, Joules)>,
 }
 
 impl Sweep {
@@ -145,11 +157,17 @@ impl Sweep {
             .iter()
             .map(|&(_, q)| q)
             .fold(Joules(f64::INFINITY), Joules::min);
+        let offsets = members
+            .iter()
+            .filter(|&&(_, q)| q.0 > 0.0)
+            .map(|&(m, q)| (m - center, (m - center).norm(), q))
+            .collect();
         Sweep {
             members,
             center,
             spread: (a, v.norm()),
             min_demand,
+            offsets,
         }
     }
 
@@ -163,7 +181,7 @@ impl Sweep {
         next: Point,
         cfg: &PlannerConfig,
     ) -> Option<(Point, Joules)> {
-        let (energy, charging) = (&cfg.energy, &cfg.charging);
+        let energy = &cfg.energy;
         let current_legs = prev.distance(stop.anchor()) + stop.anchor().distance(next);
         let current_cost =
             energy.movement_energy(Meters(current_legs)) + energy.charging_energy(stop.dwell);
@@ -182,27 +200,28 @@ impl Sweep {
             bc_obs::active().then(|| bc_obs::ScopedSpan::enter("plan", "tighten.sweep"));
         let focal = FocalSum::new(prev, next, self.center);
         let mut best: Option<(Point, Joules)> = None;
-        let mut searches = 0usize;
+        let (mut searches, mut cut) = (0usize, 0u64);
         for k in 1..=DISTANCE_STEPS {
             // A step wins only with a gain above 1e-9 J and above every
             // earlier winner's, so a circle whose cheapest point cannot
-            // clear that bar is not searched (an infinite floor included).
+            // clear that bar is not searched (an infinite floor included),
+            // and a search stops once the arc its answer lies on cannot.
             let bar = best.map_or(1e-9, |(_, g)| g.0);
             let d = d_max * k as f64 / DISTANCE_STEPS as f64; // cast-ok: sweep-step ratio
             if current_cost.0 - self.cost_floor(&focal, d, cfg) <= bar {
                 continue;
             }
+            let circle = Disk::new(self.center, d);
+            let hopeless =
+                |arc: &AnswerArc| current_cost.0 - self.arc_floor(&focal, arc, d, cfg) <= bar;
+            let Some(t) = tangency::min_focal_sum_with_cut(prev, next, &circle, hopeless) else {
+                cut += 1;
+                continue;
+            };
             searches += 1;
-            let t = tangency::min_focal_sum_on_circle(prev, next, &Disk::new(self.center, d));
-            let dwell = self
-                .members
-                .iter()
-                .map(|&(pos, demand)| charging.charge_time(Meters(t.point.distance(pos)), demand))
-                .fold(Seconds(0.0), Seconds::max);
-            if !dwell.is_finite() {
+            let Some(cost) = self.cost_at(&t, cfg) else {
                 continue; // a member beyond the law's support
-            }
-            let cost = energy.movement_energy(Meters(t.focal_sum)) + energy.charging_energy(dwell);
+            };
             let gain = current_cost - cost;
             if gain.0 > bar {
                 best = Some((t.point, gain));
@@ -210,9 +229,9 @@ impl Sweep {
         }
         if let Some(span) = sweep_span {
             // Work attribution for the tighten hotspot: candidate radii
-            // examined, searched or not, and the focal-sum evaluations of
-            // the tangency searches actually run (Theorem 5's search does
-            // a fixed number each).
+            // examined, searched or not, the focal-sum evaluations of the
+            // tangency searches that ran to their end (Theorem 5's search
+            // does a fixed number each), and the searches cut short.
             let as_u64 = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
             bc_obs::counter("plan", "tighten.candidates", as_u64(DISTANCE_STEPS), &[]);
             bc_obs::counter(
@@ -221,9 +240,26 @@ impl Sweep {
                 as_u64(searches * tangency::EVALS_PER_SEARCH),
                 &[],
             );
+            bc_obs::counter("plan", "tighten.searches_cut", cut, &[]);
             span.finish();
         }
         best
+    }
+
+    /// The cost `E_m F(P) + p_c dwell(P)` of relocating to the tangency
+    /// point `P`, or `None` when some member would get no power there (a
+    /// law of finite support). The dwell is [`ChargingBundle::dwell_time`]
+    /// at `P`, folded from the members in the same order.
+    fn cost_at(&self, t: &Tangency, cfg: &PlannerConfig) -> Option<Joules> {
+        let (energy, charging) = (&cfg.energy, &cfg.charging);
+        let dwell = self
+            .members
+            .iter()
+            .map(|&(pos, demand)| charging.charge_time(Meters(t.point.distance(pos)), demand))
+            .fold(Seconds(0.0), Seconds::max);
+        dwell
+            .is_finite()
+            .then(|| energy.movement_energy(Meters(t.focal_sum)) + energy.charging_energy(dwell))
     }
 
     /// A lower bound, in joules, on the cost `E_m F(P) + p_c dwell(P)` of
@@ -253,6 +289,56 @@ impl Sweep {
     fn reach(&self, d: f64) -> f64 {
         let (a, b) = self.spread;
         (d * d + a - 2.0 * d * b).max(0.0).sqrt()
+    }
+
+    /// A lower bound, in joules, on the cost `E_m F(P) + p_c dwell(P)` of
+    /// every point `P = c + d (cos θ, sin θ)` of the circle `|P - c| = d`
+    /// with `|θ - arc.theta| <= s = arc.half_width`, made without a trig
+    /// call. Write `u = arc.dir`, `u⊥` for `u` turned a quarter left,
+    /// and `P_r = arc.point`.
+    ///
+    /// * Focal sum: `F` is convex, so `F(P) >= F(P_r) + g·(P - P_r)` with
+    ///   `g = ∇F(P_r)`. On the arc `P - P_r = d ((cos t - 1) u +
+    ///   sin t u⊥)` with `|t| <= s`, and `1 - cos t <= s²/2`,
+    ///   `|sin t| <= s` give `F(P) >= F(P_r) - d (s²/2 max(g·u, 0) +
+    ///   s |g·u⊥|)`. The chord `|prev next|` also bounds `F`, and a NaN
+    ///   gradient (`P_r` on a focus) leaves only the chord.
+    /// * Dwell: for a member `m` with `v = m - c`, `ρ = |v|` and
+    ///   `a = ∠(u, v)`, every point of the arc is at least
+    ///   `max(0, a - s)` from `v`'s direction, so `|P - m|² >= d² + ρ² -
+    ///   2 d ρ cos(max(0, a - s))`. When `a > s` is certain (`s < π/2`
+    ///   and `u·v <= 0` or `|u×v| > s ρ`, since `a <= s` would give
+    ///   `sin a <= s`), `cos a cos s + sin a sin s` is at most
+    ///   `cos a + max(-cos a, 0) s²/2 + sin a s`; elsewhere `|ρ - d|` is
+    ///   the bound. Received power never grows with distance, so the
+    ///   largest charge time over the members at those distances is a
+    ///   floor on the dwell; it is infinite only when every point of the
+    ///   arc leaves some member beyond the law's support.
+    ///
+    /// Like [`Sweep::cost_floor`] it is computed in raw `f64` and shrunk
+    /// by a relative `1e-9`. The square root of a short distance would
+    /// magnify the rounding of `ρ - ρ cos(a - s)`, so that gap gives up
+    /// `1e-14 ρ` first, far above its rounding error.
+    fn arc_floor(&self, focal: &FocalSum, arc: &AnswerArc, d: f64, cfg: &PlannerConfig) -> f64 {
+        let (u, s) = (arc.dir, arc.half_width);
+        let g = focal_gradient(arc.point, focal.prev, focal.next);
+        let slide = d * (0.5 * s * s * g.dot(u).max(0.0) + s * u.cross(g).abs());
+        let focal_floor = focal.chord.max(arc.focal_sum - slide);
+        let mut dwell = 0.0_f64;
+        for &(v, rho, demand) in &self.offsets {
+            let (along, across) = (u.dot(v), u.cross(v).abs());
+            let near = if s < FRAC_PI_2 && (along <= 0.0 || across > s * rho) {
+                // At least the largest `v·e` over the arc's directions `e`.
+                let max_proj = (along + 0.5 * s * s * (-along).max(0.0) + s * across).min(rho);
+                let gap = (rho - max_proj - 1e-14 * rho).max(0.0);
+                ((rho - d) * (rho - d) + 2.0 * d * gap).sqrt()
+            } else {
+                (rho - d).abs()
+            };
+            dwell = dwell.max(cfg.charging.charge_time(Meters(near), demand).0);
+        }
+        let (move_cost, draw) = (cfg.energy.move_cost().0, cfg.energy.charge_draw().0);
+        (move_cost * focal_floor + draw * dwell) * (1.0 - 1e-9)
     }
 }
 
@@ -292,6 +378,8 @@ struct FocalSum {
     prev: Point,
     next: Point,
     center: Point,
+    /// `|prev next|`, the least `F` anywhere.
+    chord: f64,
     /// `F(c)`.
     at_center: f64,
     /// `∇F(c)` and its length.
@@ -305,6 +393,7 @@ impl FocalSum {
             prev,
             next,
             center,
+            chord: prev.distance(next),
             at_center: center.distance(prev) + center.distance(next),
             slope: (slope, slope.norm()),
         }
@@ -321,10 +410,7 @@ impl FocalSum {
         let g0 = focal_gradient(p0, self.prev, self.next);
         let at_p0 = p0.distance(self.prev) + p0.distance(self.next);
         let tangent_p0 = at_p0 + g0.dot(self.center - p0) - d * g0.norm();
-        self.prev
-            .distance(self.next)
-            .max(self.at_center - d * steep)
-            .max(tangent_p0)
+        self.chord.max(self.at_center - d * steep).max(tangent_p0)
     }
 }
 
@@ -333,7 +419,10 @@ mod tests {
     use super::*;
     use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
-    use bc_wsn::deploy;
+    use bc_wpt::ChargingModel;
+    use bc_wsn::{deploy, Sensor, SensorId};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn never_worse_than_bc() {
@@ -400,5 +489,125 @@ mod tests {
         let plan = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
         assert_eq!(plan.num_charging_stops(), 1);
         assert!(plan.validate(&net, &cfg.charging).is_ok());
+    }
+
+    /// The sweep of a stop of `members` (position, demand).
+    fn sweep_of(members: &[(Point, f64)]) -> Sweep {
+        let sensors = members
+            .iter()
+            .map(|&(pos, q)| Sensor::new(SensorId(0), pos, q))
+            .collect();
+        let net = Network::new(sensors, Aabb::square(1000.0), Point::ORIGIN);
+        let idx: Vec<usize> = (0..members.len()).collect();
+        let stop = Stop {
+            bundle: ChargingBundle::from_members(idx, &net),
+            dwell: Seconds(0.0),
+        };
+        Sweep::new(&stop, &net)
+    }
+
+    #[test]
+    fn arc_floor_never_exceeds_the_cost_of_the_answer() {
+        let mut table = PlannerConfig::paper_sim(20.0);
+        table.charging = ChargingModel::from_table(
+            &[
+                (0.0, 0.04),
+                (10.0, 0.0225),
+                (30.0, 0.01),
+                (60.0, 0.004),
+                (400.0, 0.0005),
+            ],
+            1.0,
+        );
+        let mut linear = PlannerConfig::paper_sim(10.0);
+        linear.charging = ChargingModel::linear(0.04, 0.002, 1.0);
+        // Each law with the bundle radius its stops are drawn at.
+        let laws = [
+            ("paper_sim", PlannerConfig::paper_sim(10.0), 10.0),
+            ("paper_testbed", PlannerConfig::paper_testbed(1.0), 1.0),
+            ("table", table, 20.0),
+            ("linear", linear, 10.0),
+        ];
+        let mut rng = SmallRng::seed_from_u64(33);
+        let (mut arcs, mut tight, mut infinite, mut on_focus) = (0usize, 0, 0, 0);
+        for (law, cfg, r) in &laws {
+            let r = *r;
+            for case in 0..10_000 {
+                let c0 = Point::new(rng.random_range(-50.0..50.0), rng.random_range(-50.0..50.0));
+                let around = |rng: &mut SmallRng, reach: f64| {
+                    let (a, t) = (
+                        rng.random_range(0.0..std::f64::consts::TAU),
+                        rng.random_range(0.0..reach),
+                    );
+                    c0 + Point::from_angle(a) * t
+                };
+                let mut members: Vec<(Point, f64)> = (0..rng.random_range(1..7))
+                    .map(|_| {
+                        // Every fourth member asks for nothing.
+                        let q = if rng.random_range(0..4) == 0 {
+                            0.0
+                        } else {
+                            rng.random_range(0.1..3.0)
+                        };
+                        (around(&mut rng, r), q)
+                    })
+                    .collect();
+                if case % 5 == 0 {
+                    // A member at the smallest enclosing disk's centre.
+                    let pts: Vec<Point> = members.iter().map(|&(p, _)| p).collect();
+                    let centre = bc_geom::sed::smallest_enclosing_disk(&pts).center;
+                    members.push((centre, rng.random_range(0.1..3.0)));
+                }
+                let sweep = sweep_of(&members);
+                let d = rng.random_range(0.01..2.5) * r;
+                let mut prev = around(&mut rng, 8.0 * r);
+                let next = around(&mut rng, 8.0 * r);
+                if case % 7 == 0 {
+                    // A neighbour anchor on the sweep circle, sometimes at
+                    // a coarse sample, where the scan's reference point is
+                    // a focus and the focal gradient is NaN.
+                    let a = if case % 14 == 0 {
+                        f64::from(rng.random_range(0..64_u32)) * (std::f64::consts::TAU / 64.0)
+                    } else {
+                        rng.random_range(0.0..std::f64::consts::TAU)
+                    };
+                    prev = sweep.center + Point::from_angle(a) * d;
+                }
+                let focal = FocalSum::new(prev, next, sweep.center);
+                let circle = Disk::new(sweep.center, d);
+                let mut seen = Vec::new();
+                let t = tangency::min_focal_sum_with_cut(prev, next, &circle, |arc| {
+                    seen.push(*arc);
+                    false
+                })
+                .expect("a cut that never fires runs to the end");
+                let cost = sweep.cost_at(&t, cfg);
+                for arc in &seen {
+                    arcs += 1;
+                    let floor = sweep.arc_floor(&focal, arc, d, cfg);
+                    on_focus += usize::from(focal_gradient(arc.point, prev, next).x.is_nan());
+                    match cost {
+                        Some(cost) => {
+                            assert!(
+                                floor <= cost.0,
+                                "{law} case {case}: floor {floor} above cost {} on {arc:?}",
+                                cost.0
+                            );
+                            tight += usize::from(floor >= cost.0 * 0.99);
+                        }
+                        None => infinite += usize::from(floor.is_infinite()),
+                    }
+                }
+            }
+        }
+        // The floor is close enough to the cost to cut searches, a
+        // finite-support law makes some of it infinite, and some arcs'
+        // reference points sit on a focus.
+        assert!(
+            tight * 2 > arcs,
+            "{tight} of {arcs} arcs within 1% of their cost"
+        );
+        assert!(infinite > 0, "no arc had an infinite floor");
+        assert!(on_focus > 0, "no arc's reference point was a focus");
     }
 }

@@ -114,13 +114,17 @@ impl PointGrid {
         grid
     }
 
-    /// Writes to `out`, after clearing it, the points within `radius` of
-    /// `center` (squared distance at most `radius² + 1e-12`). `points`
-    /// must be the slice the grid was built over.
+    /// Writes to `out`, after clearing it, the points of the cells it
+    /// scans that lie within `radius` of `center` (squared distance at
+    /// most `radius² + 1e-12`). `points` must be the slice the grid was
+    /// built over.
     ///
     /// Scans the cells whose keys lie within `ceil(radius / cell)` of
     /// `center`'s on both axes: columns, then rows, then points, each in
-    /// ascending order, which is the order of the hits.
+    /// ascending order, which is the order of the hits. Only points of
+    /// that block are tested, so a point just past its edge is not listed
+    /// even when its computed distance passes the test (with cell 10, a
+    /// query at x = 10 of radius 10 leaves out a point at x = -1e-15).
     ///
     /// # Panics
     ///

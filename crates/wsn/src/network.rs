@@ -105,6 +105,10 @@ impl Network {
 
     /// Indices of sensors within `radius` of `center` (inclusive), in
     /// the grid's scan order (see [`PointGrid::within_radius_into`]).
+    /// Only the block of grid cells the query scans is searched, so a
+    /// sensor just past that block's edge is left out even when its
+    /// computed distance is `radius` or within the grid's `1e-12` slack
+    /// of it.
     ///
     /// Sensors far outside the field (which [`Network::new`] accepts and
     /// `bc_core::PlanContext::add_sensor` can place) may spread the grid past
