@@ -144,7 +144,7 @@ mod tests {
             let dist = line(&pts);
             let exact = held_karp(11, dist);
             let mut heur = nearest_neighbor(11, 0, dist);
-            two_opt(&mut heur, dist);
+            two_opt(&mut heur, dist, &pts);
             assert!(
                 exact.length <= heur.length + 1e-9,
                 "seed {seed}: exact {} > heuristic {}",

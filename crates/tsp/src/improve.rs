@@ -1,4 +1,10 @@
 //! Local-search tour improvement: 2-opt and Or-opt.
+//!
+//! Both passes skip work that cannot change their result, so they make
+//! the moves, and leave the order and length bits, of the plain scans
+//! they replaced (`tests/tour_equivalence.rs` keeps those scans as
+//! oracles). Both rely on the metric never undercutting the straight
+//! line between the points.
 
 use bc_geom::grid::PointGrid;
 use bc_geom::{Aabb, Point};
@@ -6,16 +12,59 @@ use bc_geom::{Aabb, Point};
 use crate::Tour;
 
 /// Runs 2-opt to local optimality under the metric `dist`: repeatedly
-/// reverses a tour segment when doing so shortens the tour. Returns
-/// `true` if any improvement was made.
+/// reverses a tour segment when doing so shortens the tour. `points[i]`
+/// is the position of point `i`. Returns `true` if any improvement was
+/// made.
 ///
-/// First-improvement strategy with restart, `O(n^2)` per sweep. The tour's
-/// cached length is updated incrementally.
-pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
+/// First-improvement strategy with restart, `O(n^2)` pairs per sweep.
+/// The tour's cached length is updated incrementally.
+///
+/// Replacing the edges `(a, b)` and `(c, d)` by `(a, c)` and `(b, d)`
+/// saves length only if `dist(a, c) < dist(a, b)` or
+/// `dist(b, d) < dist(c, d)`, and so, as the metric never undercuts the
+/// straight line, only if `|a c| < dist(a, b)` or `|b d| < dist(c, d)`.
+/// A pair with `|a c|² ≥ (dist(a, b) + pad)²` and
+/// `|b d|² ≥ (dist(c, d) + pad)²` is therefore skipped without a square
+/// root: the positions and the edge lengths are kept in tour order
+/// across reversals, and the pad (1e-6 m) keeps rounding from skipping a
+/// pair the full scan would take. Every other pair is priced as the full
+/// scan prices it, so the moves, the order and the length bits are the
+/// full scan's.
+///
+/// # Precondition
+///
+/// The metric is symmetric and never undercuts the straight line, as
+/// [`or_opt`] states; debug builds check the second the same way.
+///
+/// # Panics
+///
+/// Panics if `points.len() != tour.order.len()`.
+pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F, points: &[Point]) -> bool {
+    assert_eq!(
+        points.len(),
+        tour.order.len(),
+        "two_opt needs one point per tour stop"
+    );
     let n = tour.order.len();
     if n < 4 {
         return false;
     }
+    debug_assert!(
+        never_undercuts(&tour.order, &dist, points),
+        "two_opt: the metric undercuts the straight line"
+    );
+    // `at[p]` is the position of the point at tour position `p` (`at[n]`
+    // that of the first again), and `edge[p]` the length of the edge
+    // leaving it.
+    let mut at: Vec<Point> = tour
+        .order
+        .iter()
+        .chain(&tour.order[..1])
+        .map(|&u| points[u])
+        .collect();
+    let mut edge: Vec<f64> = (0..n)
+        .map(|p| dist(tour.order[p], tour.order[(p + 1) % n]))
+        .collect();
     let mut any = false;
     let mut improved = true;
     while improved {
@@ -25,9 +74,10 @@ pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
             let a = tour.order[i];
             let mut b = tour.order[i + 1];
             let mut ab = dist(a, b);
-            for j in (i + 2)..n {
-                // Skip the pair that shares the wrap-around edge.
-                if i == 0 && j == n - 1 {
+            // Skip the pair that shares the wrap-around edge.
+            let end = if i == 0 { n - 1 } else { n };
+            for j in (i + 2)..end {
+                if beyond(at[i], at[j], ab) && beyond(at[i + 1], at[j + 1], edge[j]) {
                     continue;
                 }
                 let c = tour.order[j];
@@ -35,11 +85,15 @@ pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
                 let delta = dist(a, c) + dist(b, d) - ab - dist(c, d);
                 if delta < -1e-10 {
                     tour.order[i + 1..=j].reverse();
+                    at[i + 1..=j].reverse();
+                    edge[i + 1..j].reverse();
                     tour.length += delta;
                     improved = true;
                     any = true;
                     b = tour.order[i + 1];
                     ab = dist(a, b);
+                    edge[i] = ab;
+                    edge[j] = dist(tour.order[j], d);
                 }
             }
         }
@@ -47,16 +101,24 @@ pub fn two_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F) -> bool {
     any
 }
 
-/// Slack (metres) added to the removal gain in Or-opt's distance bounds,
-/// so that floating-point rounding can never drop a winning insertion.
-/// The bounds' own rounding error is about `1e-16` of the distances
-/// involved.
+/// Slack (metres) added to the lengths that bound which moves can win,
+/// in 2-opt's skip test and Or-opt's insertion and invalidation
+/// queries, so that floating-point rounding can never drop a winning
+/// move. The bounds' own rounding error is about `1e-16` of the
+/// distances involved.
 const QUERY_PAD: f64 = 1e-6;
 
 /// Points per grid cell Or-opt aims for. Its queries cover a disk of
 /// radius `g + L` (removal gain plus longest tour edge), so a cell that
 /// holds one or two points keeps the scanned cells close to the disk.
 const POINTS_PER_CELL: f64 = 2.0;
+
+/// Tour positions on each side of a new edge's ends whose starts Or-opt
+/// scans again after a move. A start's window (the point before its
+/// segment through the point after) spans at most four edges, so every
+/// window that holds a new edge starts within this many positions of
+/// one of its ends.
+const WINDOW_REACH: usize = 4;
 
 /// Work done by one [`or_opt`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,6 +150,18 @@ pub struct OrOptWork {
 /// are sorted, so the moves, the final order and the length bits are
 /// those of the full `O(n)`-per-start scan.
 ///
+/// Only starts that can win are scanned. A start (first point, segment
+/// length) whose scan found no improving insertion stays clean, with
+/// its removal gain recorded, until a move could give it one: a move
+/// that changes its window (the point before its segment through the
+/// point after), or one that makes an edge `(u, v)` with `u` within
+/// `g + |u v|` of either end. So each move marks for a new scan the
+/// starts within four positions of its new directed edges, and those
+/// that a [`PointGrid`] box of radius (largest recorded gain + `|u v|`)
+/// around each new edge's `u` finds close enough. A pass skips clean
+/// starts, so the first start it scans with an improving insertion is
+/// the one the restarting scan meets first.
+///
 /// # Precondition
 ///
 /// `dist(i, j) >= points[i].distance(points[j])` for all `i`, `j`: the
@@ -110,16 +184,14 @@ pub fn or_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F, points: &[Po
         return work;
     }
     debug_assert!(
-        (0..n).all(|p| {
-            let (a, b) = (tour.order[p], tour.order[(p + 1) % n]);
-            dist(a, b) >= points[a].distance(points[b]) - QUERY_PAD / 2.0
-        }),
+        never_undercuts(&tour.order, &dist, points),
         "or_opt: the metric undercuts the straight line"
     );
     let grid = PointGrid::new(points, or_opt_cell(points));
     let mut pos_of = vec![0; n];
     let mut edge = vec![0.0; n];
     let mut longest = index_tour(&tour.order, &dist, &mut pos_of, &mut edge);
+    let mut clean = CleanStarts::new(n);
     let mut ks: Vec<usize> = Vec::new();
     let mut improved = true;
     while improved {
@@ -130,12 +202,16 @@ pub fn or_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F, points: &[Po
             }
             for start in 0..n {
                 // Segment occupies positions start..start+seg_len (cyclic).
-                let before = tour.order[(start + n - 1) % n];
                 let first = tour.order[start];
+                if clean.gain[seg_len - 1][first].is_some() {
+                    continue;
+                }
+                let before = tour.order[(start + n - 1) % n];
                 let last = tour.order[(start + seg_len - 1) % n];
                 let after = tour.order[(start + seg_len) % n];
                 let removal_gain = dist(before, first) + dist(last, after) - dist(before, after);
                 if removal_gain <= 1e-10 {
+                    clean.gain[seg_len - 1][first] = Some(removal_gain);
                     continue;
                 }
                 // Scan offsets k (edge (u, v) at position base + k) of
@@ -177,15 +253,110 @@ pub fn or_opt<F: Fn(usize, usize) -> f64>(tour: &mut Tour, dist: F, points: &[Po
                         relocate(&mut tour.order, start, seg_len, pos, reversed);
                         tour.length -= removal_gain - cost;
                         longest = index_tour(&tour.order, &dist, &mut pos_of, &mut edge);
+                        // The move's new directed edges leave `before`,
+                        // `u`, the segment's points when it was
+                        // reversed, and its new last point.
+                        let home = pos_of[u];
+                        let inner = if reversed { 1..seg_len } else { 0..0 };
+                        let tails: Vec<usize> = [pos_of[before], home, (home + seg_len) % n]
+                            .into_iter()
+                            .chain(inner.map(|k| (home + k) % n))
+                            .collect();
+                        clean.forget_moved(&tails, &tour.order);
+                        let max_gain = clean.max_gain();
+                        for &t in &tails {
+                            let (tail, len) = (tour.order[t], edge[t]);
+                            grid.visit_box(points[tail], max_gain + QUERY_PAD + len, |x| {
+                                let least_gain = dist(x, tail) - QUERY_PAD - len;
+                                clean.forget_near(x, least_gain, &tour.order, &pos_of);
+                            });
+                        }
                         work.moves += 1;
                         improved = true;
                         continue 'outer;
                     }
                 }
+                clean.gain[seg_len - 1][first] = Some(removal_gain);
             }
         }
     }
     work
+}
+
+/// Or-opt's starts that are known to have no improving insertion.
+struct CleanStarts {
+    /// `gain[s - 1][p]` is the removal gain of the segment of `s` points
+    /// from point `p` when its last scan found no improving insertion,
+    /// or `None` while it must be scanned.
+    gain: [Vec<Option<f64>>; 3],
+}
+
+impl CleanStarts {
+    /// Every start of an `n`-point tour unscanned.
+    fn new(n: usize) -> Self {
+        CleanStarts {
+            gain: std::array::from_fn(|_| vec![None; n]),
+        }
+    }
+
+    /// The largest recorded gain, or 0 when none is larger.
+    fn max_gain(&self) -> f64 {
+        self.gain
+            .iter()
+            .flatten()
+            .flatten()
+            .fold(0.0, |m, &g| m.max(g))
+    }
+
+    /// Marks for a new scan every start within [`WINDOW_REACH`]
+    /// positions of the ends of the edges leaving tour positions `tails`.
+    fn forget_moved(&mut self, tails: &[usize], order: &[usize]) {
+        let n = order.len();
+        for &t in tails {
+            for k in 0..=2 * WINDOW_REACH + 1 {
+                let p = order[(t + k + n - WINDOW_REACH) % n];
+                for gains in &mut self.gain {
+                    gains[p] = None;
+                }
+            }
+        }
+    }
+
+    /// Marks for a new scan every start with an end at point `x` whose
+    /// recorded gain is at least `least_gain`.
+    fn forget_near(&mut self, x: usize, least_gain: f64, order: &[usize], pos_of: &[usize]) {
+        let n = order.len();
+        for (s, gains) in self.gain.iter_mut().enumerate() {
+            // The start whose first point is `x`, then the one whose last
+            // point is.
+            for first in [x, order[(pos_of[x] + n - s) % n]] {
+                if gains[first].is_some_and(|g| least_gain <= g) {
+                    gains[first] = None;
+                }
+            }
+        }
+    }
+}
+
+/// Whether `|p q|` is at least `len` plus [`QUERY_PAD`], compared
+/// squared.
+fn beyond(p: Point, q: Point, len: f64) -> bool {
+    p.distance_squared(q) >= (len + QUERY_PAD) * (len + QUERY_PAD)
+}
+
+/// Whether no edge of the tour `order` is shorter under `dist` than the
+/// straight line between its points, beyond half of [`QUERY_PAD`] of
+/// rounding.
+fn never_undercuts<F: Fn(usize, usize) -> f64>(
+    order: &[usize],
+    dist: &F,
+    points: &[Point],
+) -> bool {
+    let n = order.len();
+    (0..n).all(|p| {
+        let (a, b) = (order[p], order[(p + 1) % n]);
+        dist(a, b) >= points[a].distance(points[b]) - QUERY_PAD / 2.0
+    })
 }
 
 /// The grid cell that buckets `points` into about `n / POINTS_PER_CELL`
@@ -307,7 +478,7 @@ mod tests {
         ];
         let dist = line(&pts);
         let mut t = Tour::from_order(vec![0, 1, 2, 3], dist); // crossing
-        assert!(two_opt(&mut t, dist));
+        assert!(two_opt(&mut t, dist, &pts));
         assert!((t.length - 4.0).abs() < 1e-9);
         assert!(t.validate(4));
     }
@@ -318,7 +489,7 @@ mod tests {
         let dist = line(&pts);
         let mut t = nearest_neighbor(50, 0, dist);
         let before = t.length;
-        two_opt(&mut t, dist);
+        two_opt(&mut t, dist, &pts);
         or_opt(&mut t, dist, &pts);
         assert!(t.validate(50));
         assert!(t.length <= before + 1e-9);
@@ -335,9 +506,9 @@ mod tests {
         let pts = scattered(30);
         let dist = line(&pts);
         let mut t = nearest_neighbor(30, 0, dist);
-        two_opt(&mut t, dist);
+        two_opt(&mut t, dist, &pts);
         // A second run from the local optimum must find nothing.
-        assert!(!two_opt(&mut t, dist));
+        assert!(!two_opt(&mut t, dist, &pts));
     }
 
     #[test]
@@ -357,7 +528,7 @@ mod tests {
         let dist = line(&pts);
         let mut t = nearest_neighbor(3, 0, dist);
         let len = t.length;
-        assert!(!two_opt(&mut t, dist));
+        assert!(!two_opt(&mut t, dist, &pts));
         assert_eq!(or_opt(&mut t, dist, &pts), OrOptWork::default());
         assert_eq!(t.length, len);
     }

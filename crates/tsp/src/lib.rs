@@ -7,7 +7,9 @@
 //!
 //! * [`Tour`] — a validated cyclic permutation with length accounting;
 //! * [`construct`] — nearest-neighbour construction;
-//! * [`improve`] — 2-opt and Or-opt local search (Or-opt scores only the
+//! * [`improve`] — 2-opt and Or-opt local search (2-opt skips, without a
+//!   square root, the pairs that cannot shorten the tour; Or-opt scans
+//!   again only the starts a move can change, and scores only the
 //!   insertions a grid over the points says can win);
 //! * [`exact`] — Held–Karp dynamic programming for small instances.
 //!
@@ -79,9 +81,12 @@ impl Default for SolveConfig {
 ///
 /// `dist(i, j)` is the length of the leg from `points[i]` to `points[j]`.
 /// It must be symmetric with a zero diagonal, and it may be any metric
-/// that never undercuts the straight line: [`improve::or_opt`] buckets
-/// the points in a grid to score only the insertions that can win, so
-/// the tour is the one the full insertion scan would build. The
+/// that never undercuts the straight line. Both local-search passes rely
+/// on that to skip work: [`improve::two_opt`] skips the pairs whose
+/// straight-line lengths show they cannot shorten the tour, and
+/// [`improve::or_opt`] buckets the points in a grid to score only the
+/// insertions that can win and scans again only the starts a move can
+/// change, so the tour is the one the full scans would build. The
 /// precondition is `dist(i, j) >= points[i].distance(points[j])` for all
 /// `i`, `j`; it holds with equality for the straight line
 /// `|i, j| points[i].distance(points[j])`, and for shortest paths around
@@ -116,7 +121,7 @@ pub fn solve<F: Fn(usize, usize) -> f64>(
     let mut improved = true;
     while improved {
         improved = false;
-        if config.two_opt && improve::two_opt(&mut tour, &dist) {
+        if config.two_opt && improve::two_opt(&mut tour, &dist, points) {
             improved = true;
         }
         if config.or_opt {

@@ -226,7 +226,7 @@ proptest! {
         let line = |i: usize, j: usize| pts[i].distance(pts[j]);
         let mut t = construct::nearest_neighbor(pts.len(), 0, line);
         let before = t.length;
-        improve::two_opt(&mut t, line);
+        improve::two_opt(&mut t, line, &pts);
         improve::or_opt(&mut t, line, &pts);
         prop_assert!(t.validate(pts.len()));
         prop_assert!(t.length <= before + 1e-9);

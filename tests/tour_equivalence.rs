@@ -1,13 +1,15 @@
-//! Exactness of bc-tsp's grid-restricted Or-opt and of its metric read on
-//! demand. The full insertion scan Or-opt replaced survives here as a
-//! test-local oracle: NN → 2-opt ⇄ that scan must build the same tour,
-//! order and length bits, as `solve` on point sets chosen to stress the
-//! restriction (ties, duplicates, degenerate bounding boxes, one very long
-//! edge) and on an obstacle-routed metric. The dense distance table
-//! `solve` once read survives as `table`: the straight line evaluated on
-//! demand must give the tour, length bits and Or-opt work of its table.
-//! The plans of one plan-sparse-shaped network, whose ~1.3k-anchor tour
-//! sees ~150 Or-opt moves, are pinned as goldens.
+//! Exactness of bc-tsp's pruned 2-opt and Or-opt and of its metric read
+//! on demand. The full scans the two passes replaced survive here as
+//! test-local oracles: NN → 2-opt ⇄ Or-opt through them must build the
+//! same tour, order and length bits, as `solve` on point sets chosen to
+//! stress the pruning (ties, duplicates, degenerate bounding boxes, one
+//! very long edge) and on an obstacle-routed metric, and each pass must
+//! replay its oracle from nearest-neighbour and scrambled starts. The
+//! dense distance table `solve` once read survives as `table`: the
+//! straight line evaluated on demand must give the tour, length bits and
+//! Or-opt work of its table. The plans of one plan-sparse-shaped network,
+//! whose ~1.3k-anchor tour sees ~150 Or-opt moves, are pinned as goldens,
+//! and so is Or-opt's work on a uniform set of that size.
 
 use bundle_charging::core::context::PlanContext;
 use bundle_charging::core::planner::Algorithm;
@@ -19,8 +21,9 @@ use bundle_charging::wsn::deploy;
 
 // ---------------------------------------------------------------------
 // The oracles: `bc_tsp::improve::or_opt` before its insertion scan was
-// restricted to a grid, copied verbatim with its helpers, and the dense
-// distance table bc-tsp once read every metric through.
+// restricted to a grid and `bc_tsp::improve::two_opt` before it skipped
+// pairs, copied verbatim with their helpers, and the dense distance
+// table bc-tsp once read every metric through.
 // ---------------------------------------------------------------------
 
 /// The old `DistanceMatrix::from_fn`: evaluates `f` once per unordered
@@ -36,6 +39,48 @@ fn table(n: usize, f: impl Fn(usize, usize) -> f64) -> impl Fn(usize, usize) -> 
         }
     }
     move |i, j| data[i * n + j]
+}
+
+/// Runs 2-opt to local optimality under the metric `dist`: repeatedly
+/// reverses a tour segment when doing so shortens the tour. Returns
+/// `true` if any improvement was made.
+///
+/// First-improvement strategy with restart, `O(n^2)` per sweep. The tour's
+/// cached length is updated incrementally.
+fn two_opt_full_scan(tour: &mut Tour, dist: &impl Fn(usize, usize) -> f64) -> bool {
+    let n = tour.order.len();
+    if n < 4 {
+        return false;
+    }
+    let mut any = false;
+    let mut improved = true;
+    while improved {
+        improved = false;
+        for i in 0..n - 1 {
+            // `a` stays put for every `j`; only a reversal changes `b`.
+            let a = tour.order[i];
+            let mut b = tour.order[i + 1];
+            let mut ab = dist(a, b);
+            for j in (i + 2)..n {
+                // Skip the pair that shares the wrap-around edge.
+                if i == 0 && j == n - 1 {
+                    continue;
+                }
+                let c = tour.order[j];
+                let d = tour.order[(j + 1) % n];
+                let delta = dist(a, c) + dist(b, d) - ab - dist(c, d);
+                if delta < -1e-10 {
+                    tour.order[i + 1..=j].reverse();
+                    tour.length += delta;
+                    improved = true;
+                    any = true;
+                    b = tour.order[i + 1];
+                    ab = dist(a, b);
+                }
+            }
+        }
+    }
+    any
 }
 
 /// Runs Or-opt to local optimality: relocates segments of 1, 2 or 3
@@ -128,14 +173,14 @@ fn relocate(order: &mut Vec<usize>, start: usize, len: usize, after_pos: usize, 
     *order = out;
 }
 
-/// `solve`'s heuristic path over `n` points with the oracle in Or-opt's
-/// place.
+/// `solve`'s heuristic path over `n` points with the oracles in the
+/// places of 2-opt and Or-opt.
 fn reference_tour(n: usize, dist: &impl Fn(usize, usize) -> f64) -> Tour {
     let mut tour = construct::nearest_neighbor(n, 0, dist);
     let mut improved = true;
     while improved {
         improved = false;
-        if improve::two_opt(&mut tour, dist) {
+        if two_opt_full_scan(&mut tour, dist) {
             improved = true;
         }
         if or_opt_full_scan(&mut tour, dist) {
@@ -330,6 +375,88 @@ fn grid_or_opt_replays_the_full_scan_on_a_routed_metric() {
     assert!(assert_replays("routed", routed, &pts) > 0);
 }
 
+/// A seeded random visit order of `0..n` (Fisher–Yates).
+fn scrambled(n: usize, seed: u64) -> Vec<usize> {
+    let mut r = Mix(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        #[allow(clippy::cast_possible_truncation)] // j <= i, a usize
+        let j = (r.next() % (i as u64 + 1)) as usize; // cast-ok: at most i
+        order.swap(i, j);
+    }
+    order
+}
+
+/// What a pass run must share with its oracle's: the visit order, the
+/// length bits and whether it moved.
+fn outcome(tour: &Tour, moved: bool) -> (&[usize], u64, bool) {
+    (&tour.order, tour.length.to_bits(), moved)
+}
+
+/// Runs 2-opt, then Or-opt, from `start` on the straight line between
+/// `pts`, each beside its oracle, and asserts that each matches it.
+/// Returns Or-opt's moves.
+fn assert_each_pass_replays(label: &str, pts: &[Point], start: &Tour) -> u64 {
+    let line = |i: usize, j: usize| pts[i].distance(pts[j]);
+    let (mut got, mut want) = (start.clone(), start.clone());
+    let moved = improve::two_opt(&mut got, line, pts);
+    let want_moved = two_opt_full_scan(&mut want, &line);
+    assert_eq!(
+        outcome(&got, moved),
+        outcome(&want, want_moved),
+        "{label}: 2-opt differs from the full scan"
+    );
+    let (mut got, mut want) = (start.clone(), start.clone());
+    let work = improve::or_opt(&mut got, line, pts);
+    let want_moved = or_opt_full_scan(&mut want, &line);
+    assert_eq!(
+        outcome(&got, work.moves > 0),
+        outcome(&want, want_moved),
+        "{label}: Or-opt differs from the full scan"
+    );
+    work.moves
+}
+
+#[test]
+fn each_pass_replays_its_oracle_from_scrambled_starts() {
+    type Family = fn(usize, u64) -> Vec<Point>;
+    let families: [(&str, Family); 7] = [
+        ("uniform", |n, s| uniform(n, 300.0, s)),
+        ("clustered", |n, s| clustered(n, 1 + n / 25, 600.0, s)),
+        ("collinear", collinear),
+        ("duplicated", duplicated),
+        ("lattice", lattice),
+        ("far-pair", far_pair),
+        // Coordinates near 1e6 m, where a coordinate's rounding is
+        // ~1e-10 m.
+        ("shifted", |n, s| {
+            uniform(n, 300.0, s)
+                .into_iter()
+                .map(|p| Point::new(p.x + 1.0e6, p.y + 2.0e6))
+                .collect()
+        }),
+    ];
+    let mut random_or_moves = 0;
+    for (name, make) in families {
+        for (n, seed) in [(5, 11), (13, 12), (47, 13), (120, 14)] {
+            let pts = make(n, seed);
+            let line = |i: usize, j: usize| pts[i].distance(pts[j]);
+            let label = format!("{name} n={n} seed={seed} from");
+            let nn = construct::nearest_neighbor(n, 0, line);
+            assert_each_pass_replays(&format!("{label} nn"), &pts, &nn);
+            let random = Tour::from_order(scrambled(n, seed), line);
+            random_or_moves += assert_each_pass_replays(&format!("{label} random"), &pts, &random);
+        }
+    }
+    // Random starts are the hard case: long edges and many moves.
+    assert!(random_or_moves > 5000, "{random_or_moves} Or-opt moves");
+    // This nearest-neighbour tour needs a clean start marked through the
+    // point that ends its segment, not the one that begins it.
+    let pts = uniform(120, 300.0, 223);
+    let nn = construct::nearest_neighbor(120, 0, |i, j| pts[i].distance(pts[j]));
+    assert_each_pass_replays("uniform n=120 seed=223 from nn", &pts, &nn);
+}
+
 // ---------------------------------------------------------------------
 // Goldens at the scale the restriction targets.
 // ---------------------------------------------------------------------
@@ -381,4 +508,19 @@ fn sparse_shaped_bc_and_sc_plans_are_pinned() {
         );
         assert_eq!(got, want, "{algo} plan moved off the full-scan golden");
     }
+}
+
+/// Or-opt's work, as a count rather than a timing: on a uniform set the
+/// size of the plan-sparse BC tour, `solve` applies the restarting
+/// scan's 143 moves, and scans again only the starts a move can change,
+/// so it scores fewer than 40,000 insertions where that scan, skipping
+/// no start, scored 231,243.
+#[test]
+fn or_opt_scores_only_the_starts_a_move_changes() {
+    let pts = uniform(1300, 1342.0, 1);
+    let line = |i: usize, j: usize| pts[i].distance(pts[j]);
+    let (tour, work) = solve(&pts, line, &SolveConfig::default());
+    assert_eq!(work.moves, 143, "{work:?}");
+    assert!(work.scored < 40_000, "{work:?}");
+    assert_eq!(tour.length.to_bits(), 0x40e1_d4be_e22a_0436);
 }
